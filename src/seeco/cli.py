@@ -9,27 +9,36 @@ Three verbs:
 
 Every command is deterministic given its flags and seeds.  A JSON config
 file (``--config``) may hold any flag value under its long name with
-dashes as underscores; explicit command-line flags win.  The environment
-variable ``SEECO_THREADS`` caps sweep parallelism (default 1, meaning
-strictly sequential); results are gathered and written in sorted order
-either way, so the output does not depend on the worker count.
+dashes as underscores.  Each flag takes the first value it finds in:
+
+  1. the command line;
+  2. the config file;
+  3. for ``sweep``, the swept variable's defaults (``SWEEP_DEFAULTS``):
+     its ``--range`` and, for GA-parameter sweeps, the other GA flags;
+  4. the parser's built-in default, read from ``GaParams``,
+     ``RiskModel`` and ``GeneratorConfig`` where the library has one.
+
+The environment variable ``SEECO_THREADS`` caps sweep parallelism
+(default 1, meaning strictly sequential); results are gathered and
+written in sorted order either way, so the output does not depend on
+the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .baselines import Strategy, StrategyKind, solve_detailed
+from .baselines import Strategy, solve_detailed
 from .evaluator import write_schedule_csv
 from .ga import GaParams, write_history_csv
-from .platform import Platform, default_platform, load_platform
+from .platform import Platform, default_platform, load_platform, read_json
 from .security import RiskModel, default_catalog, load_catalog
 from .workflow import (
     GeneratorConfig,
@@ -41,16 +50,21 @@ from .workflow import (
     with_deadline,
 )
 
-SWEEP_VARIABLES = ("pop", "iters", "pc", "pm", "risk_cap", "lambda", "servers", "tasks")
-_INT_SWEEPS = {"pop", "iters", "servers", "tasks"}
-
-# fixed companions for the GA-parameter sweeps, applied unless overridden
-_GA_SWEEP_BASELINES = {
-    "pop": dict(iters=50, pc=0.2, pm=0.6),
-    "iters": dict(pop=30, pc=0.2, pm=0.6),
-    "pc": dict(pop=30, iters=100, pm=0.6),
-    "pm": dict(pop=30, iters=100, pc=0.2),
+# per sweep variable: its default --range and, for the GA-parameter sweeps,
+# the fixed companions; both rank below the config file and explicit flags
+SWEEP_DEFAULTS = {
+    "pop": dict(range="10:100:10", iters=50, pc=0.2, pm=0.6),
+    "iters": dict(range="50:500:50", pop=30, pc=0.2, pm=0.6),
+    "pc": dict(range="0.1:0.9:0.1", pop=30, iters=100, pm=0.6),
+    "pm": dict(range="0.1:0.9:0.1", pop=30, iters=100, pc=0.2),
+    "risk_cap": dict(range="0.1:1.0:0.1"),
+    "lambda": dict(range="0.3:3.0:0.3"),
+    "servers": dict(range="0:10:1"),
+    "tasks": dict(range="10:50:20"),
 }
+SWEEP_VARIABLES = tuple(SWEEP_DEFAULTS)
+_INT_SWEEPS = {"pop", "iters", "servers", "tasks"}
+_GA_SWEEP_FIELDS = {"pop": "pop_size", "iters": "iterations", "pc": "p_c", "pm": "p_m"}
 
 SWEEP_CSV_HEADER = ["sweep", "value", "strategy", "seed", "pop", "iters", "pc", "pm",
                     "energy", "makespan", "risk", "violation", "feasible"]
@@ -66,8 +80,8 @@ def parse_range(spec: str, integer: bool) -> list[float] | list[int]:
     if len(parts) != 3:
         raise ValueError(f"range must look like a:b:step, got {spec!r}")
     a, b, step = (float(x) for x in parts)
-    if step <= 0 or b < a:
-        raise ValueError(f"range {spec!r} must have step > 0 and b >= a")
+    if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
+        raise ValueError(f"range {spec!r} must be finite, with step > 0 and b >= a")
     values = []
     i = 0
     while True:
@@ -83,10 +97,12 @@ def parse_seeds(spec: str) -> list[int]:
     return [int(s) for s in spec.split(",") if s.strip() != ""]
 
 
-def parse_bool(spec: str) -> bool:
-    if spec.lower() in ("true", "1", "yes"):
+def parse_bool(spec: str | bool) -> bool:
+    """``type`` of the true/false flags; also takes a JSON bool from ``--config``."""
+    spec = str(spec).lower()
+    if spec in ("true", "1", "yes"):
         return True
-    if spec.lower() in ("false", "0", "no"):
+    if spec in ("false", "0", "no"):
         return False
     raise ValueError(f"expected true/false, got {spec!r}")
 
@@ -103,9 +119,6 @@ class SweepJob:
     params: GaParams
     literal_eq11: bool
     catalog_path: str | None
-
-    def sort_key(self):
-        return (self.value, self.strategy, self.seed)
 
 
 def run_job(job: SweepJob) -> dict:
@@ -175,11 +188,10 @@ def build_sweep_jobs(
         plat = base_platform
         rm = risk_model
         params = base_params
-        if sweep in _GA_SWEEP_BASELINES:
+        if sweep in _GA_SWEEP_FIELDS:
             if w is None:
                 w = make_workflow(tasks)
-            key = {"pop": "pop_size", "iters": "iterations", "pc": "p_c", "pm": "p_m"}[sweep]
-            params = replace(base_params, **{key: value})
+            params = replace(base_params, **{_GA_SWEEP_FIELDS[sweep]: value})
         elif sweep == "risk_cap":
             if w is None:
                 w = make_workflow(tasks)
@@ -208,7 +220,9 @@ def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict
     """Run all jobs and return rows sorted by (value, strategy, seed)."""
     if max_workers is None:
         max_workers = int(os.environ.get("SEECO_THREADS", "1"))
-    if max_workers > 1 and len(jobs) > 1:
+    # a fork-based pool starts all its workers at the first submit
+    max_workers = min(max_workers, len(jobs))
+    if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             rows = list(pool.map(run_job, jobs))
     else:
@@ -243,107 +257,71 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
             writer.writerow([row[k] for k in header])
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
+def _set_defaults(args: argparse.Namespace) -> None:
+    """Install the sweep variable's defaults, then the config file's values.
+
+    ``args`` is a first parse, read only for ``--config`` and ``--sweep``
+    (which the config file may also name).  Config values go through each
+    flag's ``type``; a JSON ``null`` keeps the built-in default.  A second
+    parse then puts the explicit flags on top.
+    """
+    sub = args.sub_parser
+    cfg = read_json(args.config, "config") if args.config else {}
     if not isinstance(cfg, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    return cfg
-
-
-def _merged(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill flags left unset on the command line from the config file."""
-    cfg = _load_config(getattr(args, "config", None))
-    known = {a.dest for a in parser._actions}
-    unknown = set(cfg) - known
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    actions = {a.dest: a for a in sub._actions}
+    unknown = set(cfg) - set(actions)
     if unknown:
         raise ValueError(f"config keys not recognized: {', '.join(sorted(unknown))}")
-    for dest, value in cfg.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-    return args
+    sweep = getattr(args, "sweep", None) or cfg.get("sweep")
+    sub.set_defaults(**SWEEP_DEFAULTS.get(sweep, {}))
+    sub.set_defaults(**{dest: actions[dest].type(value) if actions[dest].type else value
+                        for dest, value in cfg.items() if value is not None})
 
 
-def _ga_params(args, sweep: str | None = None) -> GaParams:
-    defaults = dict(pop=40, iters=150, pc=0.5, pm=0.3)
-    if sweep in _GA_SWEEP_BASELINES:
-        defaults.update(_GA_SWEEP_BASELINES[sweep])
-    return GaParams(
-        pop_size=int(args.pop if args.pop is not None else defaults["pop"]),
-        iterations=int(args.iters if args.iters is not None else defaults["iters"]),
-        p_c=float(args.pc if args.pc is not None else defaults["pc"]),
-        p_m=float(args.pm if args.pm is not None else defaults["pm"]),
-        seed=int(args.seed) if getattr(args, "seed", None) is not None else 0,
-    )
+def _ga_params(args) -> GaParams:
+    return GaParams(pop_size=args.pop, iterations=args.iters, p_c=args.pc, p_m=args.pm,
+                    seed=getattr(args, "seed", 0))
 
 
 def _risk_model(args) -> RiskModel:
-    return RiskModel(
-        lambda_conf=float(args.lambda_conf) if args.lambda_conf is not None else 2.5,
-        lambda_integ=float(args.lambda_integ) if args.lambda_integ is not None else 1.8,
-    )
+    return RiskModel(lambda_conf=args.lambda_conf, lambda_integ=args.lambda_integ)
 
 
-def _platform(args) -> Platform:
-    return load_platform(args.platform) if args.platform else default_platform()
+def _gen_cfg(args) -> GeneratorConfig:
+    return GeneratorConfig(data_range_mb=(args.data_min, args.data_max),
+                           workload_range_gcycles=(args.load_min, args.load_max))
 
 
 def _catalog(args):
-    return load_catalog(args.catalog) if getattr(args, "catalog", None) else default_catalog()
+    return load_catalog(args.catalog) if args.catalog else default_catalog()
 
 
-def cmd_generate(args, parser) -> int:
-    args = _merged(args, parser)
-    n = int(args.tasks if args.tasks is not None else 10)
-    if n < 2:
-        print(f"error: --tasks must be >= 2, got {n}", file=sys.stderr)
-        return 2
-    density = float(args.density if args.density is not None else 0.3)
-    seed = int(args.seed if args.seed is not None else 1)
-    risk_cap = float(args.risk_cap if args.risk_cap is not None else 0.5)
-    gen_cfg = GeneratorConfig(
-        data_range_mb=(float(args.data_min if args.data_min is not None else 5.0),
-                       float(args.data_max if args.data_max is not None else 50.0)),
-        workload_range_gcycles=(
-            float(args.load_min if args.load_min is not None else 1.0),
-            float(args.load_max if args.load_max is not None else 10.0)),
-    )
-    platform = _platform(args)
-    cat = _catalog(args)
-    w = random_workflow(n, density, gen_cfg, seed=seed, risk_cap=risk_cap)
-    w = with_deadline(w, compute_deadline(w, platform, cat))
-    out = Path(args.out if args.out is not None else "workflow.json")
+def cmd_generate(args) -> int:
+    if args.tasks < 2:
+        raise ValueError(f"--tasks must be >= 2, got {args.tasks}")
+    platform = load_platform(args.platform) if args.platform else default_platform()
+    w = random_workflow(args.tasks, args.density, _gen_cfg(args), seed=args.seed,
+                        risk_cap=args.risk_cap)
+    w = with_deadline(w, compute_deadline(w, platform, _catalog(args)))
+    out = Path(args.out)
     save_workflow(w, out)
     print(f"wrote {out}: {w.n} tasks, {len(w.edges)} edges, "
           f"deadline {w.deadline_s:.3f} s, risk cap {w.risk_cap}")
     return 0
 
 
-def cmd_solve(args, parser) -> int:
-    args = _merged(args, parser)
+def cmd_solve(args) -> int:
     if args.workflow is None:
-        print("error: --workflow is required", file=sys.stderr)
-        return 2
-    try:
-        w = load_workflow(args.workflow)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    platform = _platform(args)
-    cat = _catalog(args)
-    literal = parse_bool(args.literal_eq11) if isinstance(args.literal_eq11, str) \
-        else (args.literal_eq11 if args.literal_eq11 is not None else True)
-    strategy = Strategy.parse(args.strategy if args.strategy is not None else "seeco",
-                              literal_decrypt_ratio=literal)
+        raise ValueError("--workflow is required")
+    w = load_workflow(args.workflow)
+    platform = load_platform(args.platform) if args.platform else default_platform()
+    strategy = Strategy.parse(args.strategy, literal_decrypt_ratio=args.literal_eq11)
     params = _ga_params(args)
-    outcome = solve_detailed(strategy, w, platform, cat, _risk_model(args), params)
+    outcome = solve_detailed(strategy, w, platform, _catalog(args), _risk_model(args), params)
     res = outcome.result
 
-    out_dir = Path(args.out if args.out is not None else "results")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "summary.csv", SOLVE_CSV_HEADER, [{
         "strategy": strategy.kind.value, "seed": params.seed,
@@ -351,9 +329,7 @@ def cmd_solve(args, parser) -> int:
         "violation": res.violation, "feasible": res.feasible,
         "deadline": w.deadline_s, "risk_cap": w.risk_cap,
     }])
-    dump = parse_bool(args.dump_schedule) if isinstance(args.dump_schedule, str) \
-        else (args.dump_schedule if args.dump_schedule is not None else True)
-    if dump:
+    if args.dump_schedule:
         write_schedule_csv(res, out_dir / "schedule.csv")
     if outcome.ga_run is not None:
         write_history_csv(outcome.ga_run, out_dir / "history.csv")
@@ -363,62 +339,35 @@ def cmd_solve(args, parser) -> int:
     return 0
 
 
-def cmd_sweep(args, parser) -> int:
-    args = _merged(args, parser)
+def cmd_sweep(args) -> int:
     if args.sweep is None:
-        print("error: --sweep is required", file=sys.stderr)
-        return 2
-    sweep = args.sweep
-    if sweep not in SWEEP_VARIABLES:
-        print(f"error: unknown sweep variable {sweep!r}; expected one of "
-              f"{', '.join(SWEEP_VARIABLES)}", file=sys.stderr)
-        return 2
-    default_ranges = {
-        "pop": "10:100:10", "iters": "50:500:50", "pc": "0.1:0.9:0.1",
-        "pm": "0.1:0.9:0.1", "risk_cap": "0.1:1.0:0.1", "lambda": "0.3:3.0:0.3",
-        "servers": "0:10:1", "tasks": "10:50:20",
-    }
-    try:
-        values = parse_range(args.range if args.range is not None
-                             else default_ranges[sweep], sweep in _INT_SWEEPS)
-        strategies = [s.strip() for s in
-                      (args.strategies if args.strategies is not None else "seeco").split(",")]
-        for name in strategies:
-            Strategy.parse(name)
-        seeds = parse_seeds(args.seeds if args.seeds is not None
-                            else ",".join(str(i) for i in range(1, 11)))
-        literal = parse_bool(args.literal_eq11) if isinstance(args.literal_eq11, str) \
-            else (args.literal_eq11 if args.literal_eq11 is not None else True)
-        workflow = load_workflow(args.workflow) if args.workflow else None
-        platform = load_platform(args.platform) if args.platform else None
-        gen_cfg = GeneratorConfig(
-            data_range_mb=(float(args.data_min if args.data_min is not None else 5.0),
-                           float(args.data_max if args.data_max is not None else 50.0)),
-            workload_range_gcycles=(
-                float(args.load_min if args.load_min is not None else 1.0),
-                float(args.load_max if args.load_max is not None else 10.0)),
-        )
-        jobs = build_sweep_jobs(
-            sweep=sweep, values=values, strategies=strategies, seeds=seeds,
-            base_params=_ga_params(args, sweep), workflow=workflow, platform=platform,
-            risk_model=_risk_model(args), gen_cfg=gen_cfg,
-            density=float(args.density if args.density is not None else 0.3),
-            workflow_seed=int(args.workflow_seed if args.workflow_seed is not None else 1),
-            risk_cap=float(args.risk_cap if args.risk_cap is not None else 0.5),
-            literal_eq11=literal, catalog_path=args.catalog,
-            tasks=int(args.tasks if args.tasks is not None else 30))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--sweep is required")
+    # only an unknown --sweep has no default range; build_sweep_jobs names it
+    values = parse_range(args.range, args.sweep in _INT_SWEEPS) if args.range else []
+    strategies = [s.strip() for s in args.strategies.split(",")]
+    for name in strategies:
+        Strategy.parse(name)
+    seeds = parse_seeds(args.seeds)
+    jobs = build_sweep_jobs(
+        sweep=args.sweep, values=values, strategies=strategies, seeds=seeds,
+        base_params=_ga_params(args),
+        workflow=load_workflow(args.workflow) if args.workflow else None,
+        platform=load_platform(args.platform) if args.platform else None,
+        risk_model=_risk_model(args), gen_cfg=_gen_cfg(args), density=args.density,
+        workflow_seed=args.workflow_seed, risk_cap=args.risk_cap,
+        literal_eq11=args.literal_eq11, catalog_path=args.catalog, tasks=args.tasks)
 
     rows = run_sweep(jobs)
-    out_dir = Path(args.out if args.out is not None else "results")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "sweep.csv", SWEEP_CSV_HEADER, rows)
     _write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER, summarize_rows(rows))
-    print(f"{len(rows)} runs ({sweep} over {len(set(r['value'] for r in rows))} values, "
+    print(f"{len(rows)} runs ({args.sweep} over {len(set(r['value'] for r in rows))} values, "
           f"{len(strategies)} strategies, {len(seeds)} seeds); wrote {out_dir}/")
     return 0
+
+
+_GA, _RISK, _GEN = GaParams(), RiskModel(), GeneratorConfig()
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -428,29 +377,38 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_ga_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pop", type=int, help="population size (default 40)")
-    sub.add_argument("--iters", type=int, help="GA iterations (default 150)")
-    sub.add_argument("--pc", type=float, help="crossover probability (default 0.5)")
-    sub.add_argument("--pm", type=float, help="mutation probability (default 0.3)")
-    sub.add_argument("--lambda-conf", type=float, dest="lambda_conf",
-                     help="confidentiality attack rate (default 2.5)")
-    sub.add_argument("--lambda-integ", type=float, dest="lambda_integ",
-                     help="integrity attack rate (default 1.8)")
-    sub.add_argument("--literal-eq11", dest="literal_eq11",
+    sub.add_argument("--pop", type=int, default=_GA.pop_size,
+                     help="population size (default %(default)s)")
+    sub.add_argument("--iters", type=int, default=_GA.iterations,
+                     help="GA iterations (default %(default)s)")
+    sub.add_argument("--pc", type=float, default=_GA.p_c,
+                     help="crossover probability (default %(default)s)")
+    sub.add_argument("--pm", type=float, default=_GA.p_m,
+                     help="mutation probability (default %(default)s)")
+    sub.add_argument("--lambda-conf", type=float, default=_RISK.lambda_conf,
+                     help="confidentiality attack rate (default %(default)s)")
+    sub.add_argument("--lambda-integ", type=float, default=_RISK.lambda_integ,
+                     help="integrity attack rate (default %(default)s)")
+    sub.add_argument("--literal-eq11", type=parse_bool, default=True,
                      help="true/false: keep the producer-core factor in decryption "
-                          "cost (default true)")
+                          "cost (default %(default)s)")
 
 
-def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--density", type=float, help="edge probability (default 0.3)")
-    sub.add_argument("--data-min", type=float, dest="data_min",
-                     help="payload lower bound, MB (default 5)")
-    sub.add_argument("--data-max", type=float, dest="data_max",
-                     help="payload upper bound, MB (default 50)")
-    sub.add_argument("--load-min", type=float, dest="load_min",
-                     help="workload lower bound, giga-cycles (default 1)")
-    sub.add_argument("--load-max", type=float, dest="load_max",
-                     help="workload upper bound, giga-cycles (default 10)")
+def _add_generator_flags(sub: argparse.ArgumentParser, tasks: int) -> None:
+    sub.add_argument("--tasks", type=int, default=tasks,
+                     help="number of tasks (default %(default)s)")
+    sub.add_argument("--density", type=float, default=0.3,
+                     help="edge probability (default %(default)s)")
+    sub.add_argument("--risk-cap", type=float, default=0.5,
+                     help="risk probability cap (default %(default)s)")
+    sub.add_argument("--data-min", type=float, default=_GEN.data_range_mb[0],
+                     help="payload lower bound, MB (default %(default)s)")
+    sub.add_argument("--data-max", type=float, default=_GEN.data_range_mb[1],
+                     help="payload upper bound, MB (default %(default)s)")
+    sub.add_argument("--load-min", type=float, default=_GEN.workload_range_gcycles[0],
+                     help="workload lower bound, giga-cycles (default %(default)s)")
+    sub.add_argument("--load-max", type=float, default=_GEN.workload_range_gcycles[1],
+                     help="workload upper bound, giga-cycles (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,40 +420,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("generate", help="write a random workflow file")
     _add_common(gen)
-    _add_generator_flags(gen)
-    gen.add_argument("--tasks", type=int, help="number of tasks (default 10)")
-    gen.add_argument("--seed", type=int, help="generator seed (default 1)")
-    gen.add_argument("--risk-cap", type=float, dest="risk_cap",
-                     help="risk probability cap (default 0.5)")
-    gen.add_argument("--out", help="output path (default workflow.json)")
+    _add_generator_flags(gen, tasks=10)
+    gen.add_argument("--seed", type=int, default=1, help="generator seed (default %(default)s)")
+    gen.add_argument("--out", default="workflow.json", help="output path (default %(default)s)")
     gen.set_defaults(handler=cmd_generate, sub_parser=gen)
 
     sol = subs.add_parser("solve", help="run one strategy on a workflow")
     _add_common(sol)
     _add_ga_flags(sol)
     sol.add_argument("--workflow", help="workflow JSON file (required)")
-    sol.add_argument("--strategy", help="local|max|min|confi|integ|seeco (default seeco)")
-    sol.add_argument("--seed", type=int, help="GA seed (default 0)")
-    sol.add_argument("--dump-schedule", dest="dump_schedule",
-                     help="true/false: write the per-task timeline (default true)")
-    sol.add_argument("--out", help="output directory (default results/)")
+    sol.add_argument("--strategy", default="seeco",
+                     help="local|max|min|confi|integ|seeco (default %(default)s)")
+    sol.add_argument("--seed", type=int, default=_GA.seed, help="GA seed (default %(default)s)")
+    sol.add_argument("--dump-schedule", type=parse_bool, default=True,
+                     help="true/false: write the per-task timeline (default %(default)s)")
+    sol.add_argument("--out", default="results", help="output directory (default %(default)s)")
     sol.set_defaults(handler=cmd_solve, sub_parser=sol)
 
-    swp = subs.add_parser("sweep", help="run strategies across a swept variable")
+    swp = subs.add_parser(
+        "sweep", help="run strategies across a swept variable",
+        epilog="per --sweep variable, its default --range and fixed GA flags: " + "; ".join(
+            f"{var} " + " ".join(f"{k}={v}" for k, v in d.items())
+            for var, d in SWEEP_DEFAULTS.items()))
     _add_common(swp)
     _add_ga_flags(swp)
-    _add_generator_flags(swp)
+    _add_generator_flags(swp, tasks=30)
     swp.add_argument("--sweep", help="|".join(SWEEP_VARIABLES))
-    swp.add_argument("--range", help="a:b:step (inclusive)")
+    swp.add_argument("--range", help="a:b:step, inclusive (default: per --sweep, below)")
     swp.add_argument("--workflow", help="workflow JSON file (default: generated)")
-    swp.add_argument("--workflow-seed", type=int, dest="workflow_seed",
-                     help="generator seed for generated workflows (default 1)")
-    swp.add_argument("--tasks", type=int, help="generated workflow size (default 30)")
-    swp.add_argument("--risk-cap", type=float, dest="risk_cap",
-                     help="risk cap for generated workflows (default 0.5)")
-    swp.add_argument("--strategies", help="comma list of strategies (default seeco)")
-    swp.add_argument("--seeds", help="comma list of GA seeds (default 1..10)")
-    swp.add_argument("--out", help="output directory (default results/)")
+    swp.add_argument("--workflow-seed", type=int, default=1,
+                     help="generator seed for generated workflows (default %(default)s)")
+    swp.add_argument("--strategies", default="seeco",
+                     help="comma list of strategies (default %(default)s)")
+    swp.add_argument("--seeds", default=",".join(str(i) for i in range(1, 11)),
+                     help="comma list of GA seeds (default %(default)s)")
+    swp.add_argument("--out", default="results", help="output directory (default %(default)s)")
     swp.set_defaults(handler=cmd_sweep, sub_parser=swp)
     return parser
 
@@ -504,7 +463,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, args.sub_parser)
+        _set_defaults(args)
+        return args.handler(parser.parse_args(argv))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -469,7 +469,6 @@ def run(
     strong_seed_fraction: float = 0.0,
     warm_start: bool = False,
     risk_repair: bool = True,
-    conservative_polish: bool = False,
 ) -> GaRun:
     """Evolve a population and return the best individual ever evaluated.
 
@@ -503,11 +502,6 @@ def run(
     population).  It acts on free level genes only, so among the
     reference strategies it changes SEECO and the single-service ones
     (confi, integ), never max-level or min-level.
-    ``conservative_polish`` swaps a feasible individual that still
-    carries risk for its full-strength twin when the twin also meets the
-    deadline: the twin has identical energy, so weak levels persist only
-    where strength would break the deadline.  It is off by default
-    because the destroyed slack also starves placement exploration.
     Variation operators themselves are never touched.
     """
     params = params or GaParams()
@@ -538,18 +532,10 @@ def run(
         nonlocal evaluations
         res = score(c)
         evaluations += 1
-        if res.risk > 0.0:
-            if risk_repair and res.risk > risk_cap:
-                c = upgrade_crossing(c, res)
-                res = score(c)
-                evaluations += 1
-            elif conservative_polish and res.feasible:
-                twin = upgrade_crossing(c, res)
-                if twin.conf_levels != c.conf_levels or twin.integ_levels != c.integ_levels:
-                    twin_res = score(twin)
-                    evaluations += 1
-                    if twin_res.feasible:  # same energy, zero risk
-                        c, res = twin, twin_res
+        if risk_repair and res.risk > risk_cap:
+            c = upgrade_crossing(c, res)
+            res = score(c)
+            evaluations += 1
         weak = weaken(c, res)
         if weak is not c:
             weak_res = score(weak)

@@ -219,6 +219,27 @@ def default_platform(num_servers: int = 3) -> Platform:
     return Platform(md=md, aps=tuple(aps))
 
 
+def read_json(path: str | Path, kind: str):
+    """Parse a JSON file, refusing ``NaN``, ``Infinity`` and overflowing numbers.
+
+    Python's ``json`` accepts those literals, and a NaN deadline or cost
+    compares False against everything, so it would pass every check.
+    """
+    def refuse(text: str):
+        raise ValueError(f"non-finite number {text} in {kind} file {path}")
+
+    def finite(text: str) -> float:
+        x = float(text)
+        if not math.isfinite(x):
+            refuse(text)
+        return x
+
+    try:
+        return json.loads(Path(path).read_text(), parse_constant=refuse, parse_float=finite)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
+
+
 def _vm_to_dict(vm: VmSpec) -> dict:
     return {"frequency_ghz": vm.frequency_ghz, "cores": vm.cores,
             "capability_ghz": vm.capability_ghz}
@@ -258,10 +279,7 @@ def save_platform(platform: Platform, path: str | Path) -> None:
 
 
 def load_platform(path: str | Path) -> Platform:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed platform file {path}: {exc}") from exc
+    payload = read_json(path, "platform")
     try:
         md = payload["md"]
         platform = Platform(

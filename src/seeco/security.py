@@ -21,6 +21,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
+from .platform import read_json
+
 REF_CORES = 1
 REF_FREQUENCY_GHZ = 2.2
 REF_DATA_MB = 100.0
@@ -120,14 +122,12 @@ class SecurityCatalog:
 class RiskModel:
     """Poisson attack-arrival rates per service.
 
-    ``include_authentication`` is accepted for config compatibility but
-    is observably inert: authentication is modeled at full strength with
-    negligible cost, so its risk factor is exactly zero either way.
+    Authentication is modeled at full strength with negligible cost, so
+    it adds no risk factor and has no rate here.
     """
 
     lambda_conf: float = 2.5
     lambda_integ: float = 1.8
-    include_authentication: bool = False
 
     def __post_init__(self) -> None:
         if self.lambda_conf < 0.0 or self.lambda_integ < 0.0:
@@ -261,10 +261,7 @@ def load_catalog(path: str | Path) -> SecurityCatalog:
     The reference machine is fixed at (1 core, 2.2 GHz, 100 MB); files
     carry only the per-algorithm id, name, level and speed.
     """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed catalog file {path}: {exc}") from exc
+    payload = read_json(path, "catalog")
     try:
         ladders = {
             service: tuple(

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .platform import Platform
+from .platform import Platform, read_json
 from .security import SecurityCatalog, Service
 
 
@@ -218,9 +218,6 @@ def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog):
     from .evaluator import Chromosome, decrypt_cost, encrypt_cost, transfer_time
     from .platform import encode_location
 
-    if w.n == 0:
-        raise ValueError("workflow is empty")
-
     conf = cat.strongest_id(Service.CONFIDENTIALITY)
     integ = cat.strongest_id(Service.INTEGRITY)
     # the byte encoding reaches at most 15 APs and 15 VMs per AP
@@ -322,10 +319,7 @@ def save_workflow(w: Workflow, path: str | Path) -> None:
 
 
 def load_workflow(path: str | Path) -> Workflow:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed workflow file {path}: {exc}") from exc
+    payload = read_json(path, "workflow")
     try:
         tasks = tuple(
             Task(id=int(t["id"]), input_mb=float(t["alpha_mb"]),

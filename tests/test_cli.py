@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from seeco import cli
 from seeco.cli import (
     SOLVE_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -40,6 +41,10 @@ class TestParsing:
             parse_range("1:2", integer=False)
         with pytest.raises(ValueError):
             parse_range("5:1:1", integer=False)
+        # non-finite parts would never reach the loop's end test
+        for spec in ("nan:1:0.1", "0:inf:1", "0:1:nan", "-inf:0:1"):
+            with pytest.raises(ValueError, match="finite"):
+                parse_range(spec, integer=False)
 
     def test_seeds(self):
         assert parse_seeds("1,2,3") == [1, 2, 3]
@@ -124,6 +129,15 @@ class TestSolve:
         rows = read_csv(tmp_path / "out" / "summary.csv")
         assert rows[0]["strategy"] == "local"
 
+    def test_config_booleans_accept_json_and_strings(self, tmp_path, workflow_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "workflow": str(workflow_file), "strategy": "local", "dump_schedule": False,
+            "literal_eq11": "false", "out": str(tmp_path / "out")}))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "summary.csv").exists()
+        assert not (tmp_path / "out" / "schedule.csv").exists()
+
     def test_unknown_config_key_fails(self, tmp_path, workflow_file, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workflow": str(workflow_file), "bogus": 1}))
@@ -167,6 +181,26 @@ class TestSweep:
         assert {r["pm"] for r in rows} == {"0.6"}
         assert {r["pop"] for r in rows} == {"6", "8"}
 
+    def test_config_beats_group_baseline(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pc": 0.7}))
+        out_dir = tmp_path / "res"
+        rc = main(["sweep", "--sweep", "pop", "--range", "6:6:2", "--tasks", "5",
+                   "--seeds", "1", "--iters", "3", "--config", str(cfg), "--out", str(out_dir)])
+        assert rc == 0
+        rows = read_csv(out_dir / "sweep.csv")
+        # pc from the config file, pm still the group's 0.6
+        assert {(r["pc"], r["pm"], r["iters"]) for r in rows} == {("0.7", "0.6", "3")}
+
+    def test_config_sweep_variable_gets_default_range(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": "servers", "tasks": 5, "strategies": "local",
+                                   "seeds": "1"}))
+        out_dir = tmp_path / "res"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        rows = read_csv(out_dir / "sweep.csv")
+        assert [r["value"] for r in rows] == [str(v) for v in range(11)]  # 0:10:1
+
     def test_deterministic_output(self, tmp_path):
         args = ["sweep", "--sweep", "risk_cap", "--range", "0.5:0.5:0.1",
                 "--tasks", "5", "--strategies", "seeco", "--seeds", "1,2",
@@ -202,6 +236,36 @@ class TestSweep:
 
 
 class TestSweepMachinery:
+    def test_worker_count_clamped_to_jobs(self, monkeypatch):
+        class InProcessPool:
+            """Stands in for ProcessPoolExecutor without starting processes."""
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        jobs = build_sweep_jobs(
+            sweep="risk_cap", values=[0.5], strategies=["local"], seeds=[1, 2],
+            base_params=GaParams(pop_size=6, iterations=2), workflow=None, platform=None,
+            risk_model=RiskModel(), gen_cfg=GeneratorConfig(), density=0.3,
+            workflow_seed=1, risk_cap=0.5, tasks=5)
+        rows = run_sweep(jobs, max_workers=64)
+        assert InProcessPool.sizes == [2]
+        assert rows == run_sweep(jobs, max_workers=1)
+        monkeypatch.setenv("SEECO_THREADS", "64")
+        run_sweep(jobs[:1])  # one job runs in-process, with no pool
+        assert InProcessPool.sizes == [2]
+
     def test_lambda_sweep_sets_both_rates(self):
         jobs = build_sweep_jobs(
             sweep="lambda", values=[0.5, 1.0], strategies=["seeco"], seeds=[1],

@@ -276,7 +276,7 @@ class TestRun:
             return evaluate(c, w, PLATFORM, CAT, RISK)
 
         run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=10, seed=2),
-            evaluate_fn=spy, risk_repair=False, conservative_polish=False)
+            evaluate_fn=spy, risk_repair=False)
         assert len(seen) == 8 + 8 * 10 - 10  # initial pop + per-gen fills minus elite
         for c in seen:
             assert is_valid_order(w, list(c.order))

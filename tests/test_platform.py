@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -153,4 +154,14 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"md": {}}')
         with pytest.raises(ValueError):
+            load_platform(path)
+
+    @pytest.mark.parametrize("bad", ["Infinity", "NaN", "1e999"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "platform.json"
+        save_platform(default_platform(2), path)
+        payload = json.loads(path.read_text())
+        payload["md"]["p_comp_w"] = "BAD"
+        path.write_text(json.dumps(payload).replace('"BAD"', bad))
+        with pytest.raises(ValueError, match="non-finite"):
             load_platform(path)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -153,6 +154,15 @@ class TestCatalog:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ValueError):
+            load_catalog(path)
+
+    def test_non_finite_speed_rejected(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        save_catalog(CAT, path)
+        payload = json.loads(path.read_text())
+        payload["confidentiality"][0]["speed_mb_s"] = math.inf
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="non-finite"):
             load_catalog(path)
 
 

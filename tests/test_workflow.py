@@ -256,6 +256,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="entry"):
             load_workflow(path)
 
+    def test_nan_deadline_rejected(self, tmp_path):
+        path = tmp_path / "wf.json"
+        save_workflow(with_deadline(random_workflow(4, 0.5, seed=1), 10.0), path)
+        payload = json.loads(path.read_text())
+        payload["deadline_s"] = math.nan
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_workflow(path)
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "wf.json"
         path.write_text("[1, 2")
