@@ -19,6 +19,7 @@ from seeco import (
     default_platform,
     random_workflow,
     solve,
+    with_deadline,
 )
 
 catalog = default_catalog()
@@ -26,7 +27,7 @@ platform = default_platform()
 gen = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
 
 workflow = random_workflow(12, 0.25, gen, seed=11, risk_cap=0.4)
-workflow.deadline_s = compute_deadline(workflow, platform, catalog)
+workflow = with_deadline(workflow, compute_deadline(workflow, platform, catalog))
 print(f"12 tasks, deadline {workflow.deadline_s:.2f} s, risk cap {workflow.risk_cap}\n")
 
 params = GaParams(pop_size=30, iterations=80, seed=1)

@@ -54,6 +54,7 @@ from .workflow import (
     load_workflow,
     random_workflow,
     save_workflow,
+    with_deadline,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

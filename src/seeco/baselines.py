@@ -25,7 +25,7 @@ from .evaluator import (
     EvaluationResult,
     ServiceMode,
     better,
-    make_evaluator,
+    evaluate,
 )
 from .ga import GaParams, GaRun, GeneConstraints, run
 from .platform import Platform
@@ -118,16 +118,15 @@ def solve_detailed(
     that attractor.
     """
     constraints, options = search_setup(strategy, cat)
-    score = make_evaluator(w, p, cat, risk_model, options, validate=False)
     local = local_chromosome(w, cat)
-    local_result = score(local)
+    local_result = evaluate(local, w, p, cat, risk_model, options)
     if strategy.kind is StrategyKind.LOCAL:
         return SolveOutcome(local, local_result, None)
     seeding = 0.0
     if constraints.fixed_conf_level is None or constraints.fixed_integ_level is None:
         seeding = STRONG_SEED_FRACTION
     ga_run = run(w, p, cat, risk_model, params, constraints=constraints,
-                 options=options, evaluate_fn=score, strong_seed_fraction=seeding,
+                 options=options, strong_seed_fraction=seeding,
                  warm_start=True)
     if better(ga_run.best_result, local_result):
         return SolveOutcome(ga_run.best_chromosome, ga_run.best_result, ga_run)

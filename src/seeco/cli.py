@@ -273,10 +273,23 @@ def _set_defaults(args: argparse.Namespace) -> None:
     unknown = set(cfg) - set(actions)
     if unknown:
         raise ValueError(f"config keys not recognized: {', '.join(sorted(unknown))}")
-    sweep = getattr(args, "sweep", None) or cfg.get("sweep")
+
+    def from_config(dest: str, value):
+        convert = actions[dest].type
+        if convert is None:  # a flag without a type takes the string as given
+            if not isinstance(value, str):
+                raise ValueError(f"config key {dest!r} must be a string, got {value!r}")
+            return value
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {dest!r}: {exc}") from exc
+
+    values = {dest: from_config(dest, value) for dest, value in cfg.items()
+              if value is not None}
+    sweep = getattr(args, "sweep", None) or values.get("sweep")
     sub.set_defaults(**SWEEP_DEFAULTS.get(sweep, {}))
-    sub.set_defaults(**{dest: actions[dest].type(value) if actions[dest].type else value
-                        for dest, value in cfg.items() if value is not None})
+    sub.set_defaults(**values)
 
 
 def _ga_params(args) -> GaParams:

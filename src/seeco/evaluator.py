@@ -27,6 +27,13 @@ device energy.
 
 ``evaluate`` is a pure function; any number of chromosomes may be
 evaluated concurrently over shared workflow/platform/catalog values.
+
+:func:`make_evaluator` builds a decoder that returns the per-task
+timeline (:class:`EvaluationResult`) or, with ``timeline=False``, only
+the totals and the tasks at nonzero risk (:class:`Score`), which is what
+the GA scores with.  One loop produces both, with the same
+floating-point operations in the same order, so the totals are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -117,6 +124,17 @@ class EvaluationResult(NamedTuple):
     feasible: bool
 
 
+class Score(NamedTuple):
+    """Workflow totals of a decode, without the per-task timeline."""
+
+    makespan_s: float
+    energy_j: float
+    risk: float
+    violation: float
+    feasible: bool
+    at_risk: tuple[int, ...]  # ids of the tasks whose risk is > 0, in decode order
+
+
 def exec_time(workload_gcycles: float, vm: VmSpec) -> float:
     """Seconds to run a workload on a VM."""
     return workload_gcycles / vm.capability_ghz
@@ -201,7 +219,8 @@ def make_evaluator(
     risk_model: RiskModel,
     options: EvalOptions = DEFAULT_OPTIONS,
     validate: bool = True,
-) -> Callable[[Chromosome], EvaluationResult]:
+    timeline: bool = True,
+) -> Callable[[Chromosome], EvaluationResult | Score]:
     """Build a reusable scoring function with all lookups precomputed.
 
     Captures the workflow's deadline and risk cap at build time.  The
@@ -209,7 +228,9 @@ def make_evaluator(
     so the decode table, link rates, and per-level survival factors are
     resolved here once; ``validate=False`` additionally skips the
     chromosome invariant checks for callers that construct genes by
-    valid-by-construction operators.
+    valid-by-construction operators.  ``timeline=False`` makes the
+    function return a :class:`Score` (totals and at-risk tasks) instead
+    of an :class:`EvaluationResult`; the totals are bit-identical.
     """
     n = w.n
     preds = [tuple(w.predecessors(i)) for i in range(n)]
@@ -220,13 +241,17 @@ def make_evaluator(
     deadline = w.deadline_s
     risk_cap = 1.0 if options.ignore_risk_cap else w.risk_cap
 
-    # byte -> (ap, vm index, 1/capability, crypto denominator f*cores, cores)
-    decode_table: list[tuple[int, int, float, float, int]] = [None]  # type: ignore
+    # byte -> (ap, vm index, flat vm id, 1/capability, crypto denominator
+    # f*cores, cores); flat ids number the VMs AP by AP, the MD's first
+    slots = [(ap, k) for ap in range(p.num_aps + 1) for k in range(1, p.vm_count(ap) + 1)]
+    vm_ids = {slot: i for i, slot in enumerate(slots)}
+    decode_table: list[tuple[int, int, int, float, float, int]] = [None]  # type: ignore
     for byte in range(0x01, 0x100):
         ap, k = decode_location(byte, p)
         vm = p.vm_at(ap, k)
-        decode_table.append((ap, k, 1.0 / vm.capability_ghz,
+        decode_table.append((ap, k, vm_ids[ap, k], 1.0 / vm.capability_ghz,
                              vm.frequency_ghz * vm.cores, vm.cores))
+    num_vms = len(vm_ids)
 
     ul_rate = [0.0] * (p.num_aps + 1)
     dl_rate = [0.0] * (p.num_aps + 1)
@@ -256,9 +281,23 @@ def make_evaluator(
                                risk_model.lambda_conf, n_conf)
     integ_surv = survival_table(options.integ_mode, cat.integrity,
                                 risk_model.lambda_integ, n_integ)
+    # per (conf, integ) gene pair, at index conf * stride + integ: the
+    # per-MB crypto cost and the survival factor of a crossing payload
+    stride = n_integ + 1
+    pair_cost = [0.0] * ((n_conf + 1) * stride)
+    pair_surv = [1.0] * ((n_conf + 1) * stride)
+    for cl in range(n_conf + 1):
+        for il in range(stride):
+            per_mb = 0.0
+            if conf_cost is not None:
+                per_mb += conf_cost[cl]
+            if integ_cost is not None:
+                per_mb += integ_cost[il]
+            pair_cost[cl * stride + il] = per_mb
+            pair_surv[cl * stride + il] = conf_surv[cl] * integ_surv[il]
     literal_ratio = options.decrypt_producer_core_ratio
 
-    def engine(c: Chromosome) -> EvaluationResult:
+    def engine(c: Chromosome) -> EvaluationResult | Score:
         order = c.order
         locations = c.locations
         conf_levels = c.conf_levels
@@ -289,45 +328,32 @@ def make_evaluator(
                     raise ValueError(f"integrity level gene {lev} outside 1..{n_integ}")
 
         # genes live at order positions; re-key them by task id
-        slot = [0] * n       # decode_table index per task
+        vm_of = [decode_table[1]] * n  # decode_table row per task
         ap_of = [0] * n
-        conf_of = [0] * n
-        integ_of = [0] * n
-        for pos in range(n):
-            t = order[pos]
-            byte = locations[pos]
-            slot[t] = byte
-            ap_of[t] = decode_table[byte][0]
-            conf_of[t] = conf_levels[pos]
-            integ_of[t] = integ_levels[pos]
+        pair_of = [0] * n              # level gene pair index per task
+        for t, byte, cl, il in zip(order, locations, conf_levels, integ_levels):
+            row = vm_of[t] = decode_table[byte]
+            ap_of[t] = row[0]
+            pair_of[t] = cl * stride + il
 
-        vm_avail: dict[tuple[int, int], float] = {}
+        vm_avail = [0.0] * num_vms
         end = [0.0] * n
         rows: list[TaskTiming] = [TaskTiming(0, 0, 0, 0, 0, 0, 0, 0, 0)] * n
+        at_risk: list[int] = []
         energy = 0.0
         survival = 1.0
 
         for t in order:
-            ap, vm_k, inv_cap, denom, cores = decode_table[slot[t]]
-            key = (ap, vm_k)
+            ap, vm_k, vid, inv_cap, denom, cores = vm_of[t]
 
-            start = vm_avail.get(key, 0.0)
+            start = vm_avail[vid]
+            dec = 0.0
             for r in preds[t]:
                 if end[r] > start:
                     start = end[r]
-
-            dec = 0.0
-            for r in preds[t]:
-                if ap_of[r] == ap:
-                    continue
-                r_cores = decode_table[slot[r]][4]
-                ratio = (r_cores / cores) if literal_ratio else 1.0
-                per_mb = 0.0
-                if conf_cost is not None:
-                    per_mb += conf_cost[conf_of[r]]
-                if integ_cost is not None:
-                    per_mb += integ_cost[integ_of[r]]
-                dec += ratio * out_mb[r] * per_mb / denom
+                if ap_of[r] != ap:
+                    ratio = (vm_of[r][5] / cores) if literal_ratio else 1.0
+                    dec += ratio * out_mb[r] * pair_cost[pair_of[r]] / denom
 
             ex = load[t] * inv_cap
             if ap == 0:
@@ -354,27 +380,27 @@ def make_evaluator(
             enc = 0.0
             risk_t = 0.0
             if crossing:
-                per_mb = 0.0
-                if conf_cost is not None:
-                    per_mb += conf_cost[conf_of[t]]
-                if integ_cost is not None:
-                    per_mb += integ_cost[integ_of[t]]
-                enc = beta * per_mb / denom
-                task_survival = conf_surv[conf_of[t]] * integ_surv[integ_of[t]]
+                enc = beta * pair_cost[pair_of[t]] / denom
+                task_survival = pair_surv[pair_of[t]]
                 risk_t = 1.0 - task_survival
                 survival *= task_survival
+                if risk_t > 0.0:
+                    at_risk.append(t)
 
             finish = start + dec + ex + tr + enc
             end[t] = finish
-            vm_avail[key] = finish
-            rows[t] = TaskTiming(ap=ap, vm=vm_k, start=start, end=finish, exec=ex,
-                                 transfer=tr, encrypt_cost=enc, decrypt_cost=dec,
-                                 risk=risk_t)
+            vm_avail[vid] = finish
+            if timeline:
+                rows[t] = TaskTiming(ap=ap, vm=vm_k, start=start, end=finish, exec=ex,
+                                     transfer=tr, encrypt_cost=enc, decrypt_cost=dec,
+                                     risk=risk_t)
 
         makespan = max(end)
         total_risk = 1.0 - survival
         viol = (makespan - deadline if makespan > deadline else 0.0) + \
                (total_risk - risk_cap if total_risk > risk_cap else 0.0)
+        if not timeline:
+            return Score(makespan, energy, total_risk, viol, viol == 0.0, tuple(at_risk))
         return EvaluationResult(
             timings=tuple(rows),
             makespan_s=makespan,
@@ -399,7 +425,7 @@ def evaluate(
     return make_evaluator(w, p, cat, risk_model, options)(c)
 
 
-def better(a: EvaluationResult, b: EvaluationResult) -> bool:
+def better(a: EvaluationResult | Score, b: EvaluationResult | Score) -> bool:
     """Feasibility-first comparison; True when ``a`` wins (ties go to ``a``).
 
     Two feasible results compare on energy, a feasible one always beats
@@ -413,7 +439,7 @@ def better(a: EvaluationResult, b: EvaluationResult) -> bool:
     return a.violation <= b.violation
 
 
-def deb_key(result: EvaluationResult) -> tuple[int, float]:
+def deb_key(result: EvaluationResult | Score) -> tuple[int, float]:
     """Sort key consistent with :func:`better` (ascending = best first)."""
     if result.feasible:
         return (0, result.energy_j)

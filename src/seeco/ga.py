@@ -15,6 +15,13 @@ A run is deterministic for a fixed seed: all draws come from one
 ``random.Random`` advanced in a fixed sequence.  Evaluation itself is
 pure, so populations may be scored in parallel by callers that manage
 their own RNG discipline; this implementation stays single-threaded.
+
+Decoding is the cost of a run.  :func:`run` scores with the decoder's
+score-only form (:class:`seeco.evaluator.Score`, no per-task timeline)
+through a memo keyed by chromosome that holds the current and the
+previous generation's scores: parents often pass through unchanged,
+and a hit skips their decode.  Scoring draws no random numbers, so hits
+leave the trajectory as it was.  The winner alone is decoded in full.
 """
 
 from __future__ import annotations
@@ -32,9 +39,11 @@ from .evaluator import (
     DEFAULT_OPTIONS,
     EvalOptions,
     EvaluationResult,
+    Score,
     ServiceMode,
     better,
     deb_key,
+    evaluate,
     make_evaluator,
 )
 from .platform import MD_LOCATION, Platform, decode_location
@@ -118,11 +127,18 @@ class GenerationStats:
 
 @dataclass
 class GaRun:
+    """A run's winner with its full timeline, per-generation stats, and counters.
+
+    ``evaluations`` counts scorings, repairs' rescores included;
+    ``cache_hits`` counts those of them the memo answered without a decode.
+    """
+
     best_chromosome: Chromosome
     best_result: EvaluationResult
     history: list[GenerationStats] = field(default_factory=list)
     params: GaParams = field(default_factory=GaParams)
     evaluations: int = 0
+    cache_hits: int = 0
 
 
 def init_order(w: Workflow, rng: random.Random) -> list[int]:
@@ -260,7 +276,7 @@ def mutate_vectors(
     return Chromosome(c.order, tuple(loc), tuple(conf), tuple(integ))
 
 
-Individual = tuple[Chromosome, EvaluationResult]
+Individual = tuple[Chromosome, Score]
 
 
 def select(pop: list[Individual], rng: random.Random) -> Individual:
@@ -277,7 +293,7 @@ def select(pop: list[Individual], rng: random.Random) -> Individual:
     return a if better(a[1], b[1]) else b
 
 
-def _make_ranking_key(options: EvalOptions) -> Callable[[EvaluationResult], tuple]:
+def _make_ranking_key(options: EvalOptions) -> Callable[[Score], tuple]:
     """Population ordering: feasibility-first, then deterministic tie-breaks.
 
     Security levels never change energy (only time and risk), so level
@@ -289,11 +305,11 @@ def _make_ranking_key(options: EvalOptions) -> Callable[[EvaluationResult], tupl
     would only punish offloading, so only the slack tie-break remains.
     """
     if options.ignore_risk_cap:
-        def key(res: EvaluationResult) -> tuple:
+        def key(res: Score) -> tuple:
             first, second = deb_key(res)
             return (first, second, res.makespan_s)
     else:
-        def key(res: EvaluationResult) -> tuple:
+        def key(res: Score) -> tuple:
             first, second = deb_key(res)
             return (first, second, res.risk, res.makespan_s)
     return key
@@ -306,7 +322,7 @@ def make_deadline_repair(
     risk_model: RiskModel,
     constraints: GeneConstraints,
     options: EvalOptions = DEFAULT_OPTIONS,
-) -> Callable[[Chromosome, EvaluationResult], Chromosome]:
+) -> Callable[[Chromosome, Score | EvaluationResult], Chromosome]:
     """Build the deadline repair: weaken free level genes to buy slack.
 
     The returned function takes a chromosome and its evaluation.  When
@@ -384,7 +400,7 @@ def make_deadline_repair(
     max_gain = max((m[0] for s in free for ladder in moves[s] for m in ladder),
                    default=0.0)
 
-    def repair(c: Chromosome, res: EvaluationResult) -> Chromosome:
+    def repair(c: Chromosome, res: Score | EvaluationResult) -> Chromosome:
         if not free or res.makespan_s <= deadline or res.risk > risk_cap:
             return c
         budget = (cap_nl * (1.0 - 1e-9) + math.log1p(-res.risk) if risk_cap < 1.0
@@ -465,7 +481,6 @@ def run(
     params: GaParams | None = None,
     constraints: GeneConstraints | None = None,
     options: EvalOptions = DEFAULT_OPTIONS,
-    evaluate_fn: Callable[[Chromosome], EvaluationResult] | None = None,
     strong_seed_fraction: float = 0.0,
     warm_start: bool = False,
     risk_repair: bool = True,
@@ -473,7 +488,8 @@ def run(
     """Evolve a population and return the best individual ever evaluated.
 
     ``history`` holds one row per generation (the post-variation
-    population's best under the feasibility-first ordering).
+    population's best under the feasibility-first ordering), and
+    ``best_result`` is the winner's full decode, timeline included.
 
     Heuristic initialization knobs (both default off for a purely random
     population): ``strong_seed_fraction`` starts that share of the
@@ -510,36 +526,46 @@ def run(
         raise ValueError("strong_seed_fraction must be in [0, 1]")
     rng = random.Random(params.seed)
     # operators keep chromosomes valid by construction, so skip re-validation
-    score = evaluate_fn or make_evaluator(w, p, cat, risk_model, options, validate=False)
+    decode = make_evaluator(w, p, cat, risk_model, options, validate=False, timeline=False)
     risk_cap = 1.0 if options.ignore_risk_cap else w.risk_cap
+    evaluations = cache_hits = 0
+    memo: dict[Chromosome, Score] = {}   # scores of this generation
+    older: dict[Chromosome, Score] = {}  # and of the previous one
+
+    def score(c: Chromosome) -> Score:
+        nonlocal evaluations, cache_hits
+        evaluations += 1
+        res = memo.get(c) or older.get(c)
+        if res is None:
+            res = decode(c)
+        else:
+            cache_hits += 1
+        memo[c] = res
+        return res
 
     strong_conf = (cons.fixed_conf_level or cons.strongest_conf_level,) * w.n
     strong_integ = (cons.fixed_integ_level or cons.strongest_integ_level,) * w.n
 
-    def upgrade_crossing(c: Chromosome, res: EvaluationResult) -> Chromosome:
+    def upgrade_crossing(c: Chromosome, res: Score) -> Chromosome:
+        at_risk = set(res.at_risk)
         conf = list(c.conf_levels)
         integ = list(c.integ_levels)
         for pos, t in enumerate(c.order):
-            if res.timings[t].risk > 0.0:
+            if t in at_risk:
                 conf[pos] = strong_conf[0]
                 integ[pos] = strong_integ[0]
         return Chromosome(c.order, c.locations, tuple(conf), tuple(integ))
 
     weaken = make_deadline_repair(w, p, cat, risk_model, cons, options)
-    evaluations = 0
 
     def scored(c: Chromosome) -> Individual:
-        nonlocal evaluations
         res = score(c)
-        evaluations += 1
         if risk_repair and res.risk > risk_cap:
             c = upgrade_crossing(c, res)
             res = score(c)
-            evaluations += 1
         weak = weaken(c, res)
         if weak is not c:
             weak_res = score(weak)
-            evaluations += 1
             if not better(res, weak_res):  # strictly better only
                 c, res = weak, weak_res
         return c, res
@@ -568,6 +594,7 @@ def run(
     history: list[GenerationStats] = []
 
     for gen in range(params.iterations):
+        memo, older = {}, memo
         nxt: list[Individual] = sorted(
             pop, key=lambda ind: ranking_key(ind[1]))[:params.elitism]
         while len(nxt) < params.pop_size:
@@ -599,8 +626,10 @@ def run(
             feasible_count=sum(1 for _, r in pop if r.feasible),
         ))
 
-    return GaRun(best_chromosome=best[0], best_result=best[1],
-                 history=history, params=params, evaluations=evaluations)
+    return GaRun(best_chromosome=best[0],
+                 best_result=evaluate(best[0], w, p, cat, risk_model, options),
+                 history=history, params=params, evaluations=evaluations,
+                 cache_hits=cache_hits)
 
 
 HISTORY_CSV_HEADER = ["generation", "best_energy", "best_violation", "feasible_count"]

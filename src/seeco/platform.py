@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 BITS_PER_MB = 8e6
@@ -219,23 +220,31 @@ def default_platform(num_servers: int = 3) -> Platform:
     return Platform(md=md, aps=tuple(aps))
 
 
+def finite_float(value, where: str) -> float:
+    """``float(value)``, refusing NaN, ``±inf`` and overflow however ``value`` is spelled.
+
+    ``where`` names the source in the error message.  A NaN deadline or
+    cost compares False against everything, so it would pass every check.
+    """
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {value!r} in {where}")
+    return x
+
+
 def read_json(path: str | Path, kind: str):
     """Parse a JSON file, refusing ``NaN``, ``Infinity`` and overflowing numbers.
 
-    Python's ``json`` accepts those literals, and a NaN deadline or cost
-    compares False against everything, so it would pass every check.
+    Python's ``json`` accepts those literals.  Loaders still pass the
+    numbers they read through :func:`finite_float`, because ``float``
+    accepts the same values written as strings (``"NaN"``, ``"inf"``).
     """
-    def refuse(text: str):
-        raise ValueError(f"non-finite number {text} in {kind} file {path}")
-
-    def finite(text: str) -> float:
-        x = float(text)
-        if not math.isfinite(x):
-            refuse(text)
-        return x
-
+    finite = partial(finite_float, where=f"{kind} file {path}")
     try:
-        return json.loads(Path(path).read_text(), parse_constant=refuse, parse_float=finite)
+        return json.loads(Path(path).read_text(), parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
 
@@ -245,9 +254,9 @@ def _vm_to_dict(vm: VmSpec) -> dict:
             "capability_ghz": vm.capability_ghz}
 
 
-def _vm_from_dict(d: dict) -> VmSpec:
-    return VmSpec(frequency_ghz=float(d["frequency_ghz"]), cores=int(d["cores"]),
-                  capability_ghz=float(d["capability_ghz"]))
+def _vm_from_dict(d: dict, num) -> VmSpec:
+    return VmSpec(frequency_ghz=num(d["frequency_ghz"]), cores=int(d["cores"]),
+                  capability_ghz=num(d["capability_ghz"]))
 
 
 def save_platform(platform: Platform, path: str | Path) -> None:
@@ -280,23 +289,24 @@ def save_platform(platform: Platform, path: str | Path) -> None:
 
 def load_platform(path: str | Path) -> Platform:
     payload = read_json(path, "platform")
+    num = partial(finite_float, where=f"platform file {path}")
     try:
         md = payload["md"]
         platform = Platform(
             md=MobileDevice(
-                vm=_vm_from_dict(md["vm"]),
-                p_comp_w=float(md["p_comp_w"]),
-                p_ul_w=float(md["p_ul_w"]),
-                p_dl_w=float(md["p_dl_w"]),
+                vm=_vm_from_dict(md["vm"], num),
+                p_comp_w=num(md["p_comp_w"]),
+                p_ul_w=num(md["p_ul_w"]),
+                p_dl_w=num(md["p_dl_w"]),
             ),
             aps=tuple(
                 AccessPoint(
-                    vms=tuple(_vm_from_dict(v) for v in ap["vms"]),
-                    radio=RadioParams(**{k: float(v) for k, v in ap["radio"].items()}),
+                    vms=tuple(_vm_from_dict(v, num) for v in ap["vms"]),
+                    radio=RadioParams(**{k: num(v) for k, v in ap["radio"].items()}),
                 )
                 for ap in payload["aps"]
             ),
-            inter_ap_bandwidth_mb_s=float(payload["inter_ap_bandwidth_mb_s"]),
+            inter_ap_bandwidth_mb_s=num(payload["inter_ap_bandwidth_mb_s"]),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed platform file {path}: {exc}") from exc

@@ -18,10 +18,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from .platform import read_json
+from .platform import finite_float, read_json
 
 REF_CORES = 1
 REF_FREQUENCY_GHZ = 2.2
@@ -262,11 +263,12 @@ def load_catalog(path: str | Path) -> SecurityCatalog:
     carry only the per-algorithm id, name, level and speed.
     """
     payload = read_json(path, "catalog")
+    num = partial(finite_float, where=f"catalog file {path}")
     try:
         ladders = {
             service: tuple(
                 CryptoAlgorithm(int(e["id"]), service, str(e["name"]),
-                                float(e["level"]), float(e["speed_mb_s"]))
+                                num(e["level"]), num(e["speed_mb_s"]))
                 for e in payload[service.value])
             for service in Service
         }

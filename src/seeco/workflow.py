@@ -15,9 +15,10 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
-from .platform import Platform, read_json
+from .platform import Platform, finite_float, read_json
 from .security import SecurityCatalog, Service
 
 
@@ -40,9 +41,14 @@ class Task:
             raise ValueError(f"task {self.id}: workload must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Workflow:
-    """Tasks, precedence edges, deadline (s), and risk-probability cap."""
+    """Tasks, precedence edges, deadline (s), and risk-probability cap.
+
+    Frozen: evaluators capture the deadline and risk cap when they are
+    built, so derive a changed workflow with :func:`with_deadline` or
+    :func:`dataclasses.replace` instead of assigning.
+    """
 
     tasks: tuple[Task, ...]
     edges: tuple[tuple[int, int], ...]
@@ -52,8 +58,9 @@ class Workflow:
     _succs: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.tasks = tuple(self.tasks)
-        self.edges = tuple(sorted({(int(u), int(v)) for u, v in self.edges}))
+        object.__setattr__(self, "tasks", tuple(self.tasks))
+        object.__setattr__(self, "edges",
+                           tuple(sorted({(int(u), int(v)) for u, v in self.edges})))
         n = len(self.tasks)
         if n < 1:
             raise ValueError("workflow needs at least one task")
@@ -89,8 +96,8 @@ class Workflow:
             if exits != [n - 1]:
                 raise ValueError(f"expected task {n - 1} as the unique exit, found {exits}")
 
-        self._preds = tuple(frozenset(s) for s in preds)
-        self._succs = tuple(frozenset(s) for s in succs)
+        object.__setattr__(self, "_preds", tuple(frozenset(s) for s in preds))
+        object.__setattr__(self, "_succs", tuple(frozenset(s) for s in succs))
 
     @property
     def n(self) -> int:
@@ -294,13 +301,14 @@ def compute_deadline(w: Workflow, p: Platform, cat: SecurityCatalog) -> float:
     from .evaluator import make_evaluator
     from .security import RiskModel
 
-    score = make_evaluator(w, p, cat, RiskModel())
+    score = make_evaluator(w, p, cat, RiskModel(), timeline=False)
     serial = score(local_chromosome(w, cat)).makespan_s
     greedy = score(greedy_witness(w, p, cat)).makespan_s
     return (min(greedy, serial) + serial) / 2.0
 
 
 def with_deadline(w: Workflow, deadline_s: float) -> Workflow:
+    """A copy of ``w`` with another deadline."""
     return replace(w, deadline_s=deadline_s)
 
 
@@ -320,16 +328,17 @@ def save_workflow(w: Workflow, path: str | Path) -> None:
 
 def load_workflow(path: str | Path) -> Workflow:
     payload = read_json(path, "workflow")
+    num = partial(finite_float, where=f"workflow file {path}")
     try:
         tasks = tuple(
-            Task(id=int(t["id"]), input_mb=float(t["alpha_mb"]),
-                 output_mb=float(t["beta_mb"]),
-                 workload_gcycles=float(t["workload_gcycles"]))
+            Task(id=int(t["id"]), input_mb=num(t["alpha_mb"]),
+                 output_mb=num(t["beta_mb"]),
+                 workload_gcycles=num(t["workload_gcycles"]))
             for t in sorted(payload["tasks"], key=lambda t: int(t["id"]))
         )
         edges = tuple((int(u), int(v)) for u, v in payload["edges"])
-        deadline = float(payload["deadline_s"])
-        risk_cap = float(payload["risk_cap"])
+        deadline = num(payload["deadline_s"])
+        risk_cap = num(payload["risk_cap"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed workflow file {path}: {exc}") from exc
     return Workflow(tasks=tasks, edges=edges, deadline_s=deadline, risk_cap=risk_cap)

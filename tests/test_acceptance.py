@@ -51,6 +51,7 @@ from seeco.workflow import (
     compute_deadline,
     is_valid_order,
     random_workflow,
+    with_deadline,
 )
 
 from reference_evaluator import reference_evaluate
@@ -130,7 +131,7 @@ def _random_instance(rng, max_n=8, max_servers=3):
     n = rng.randint(2, max_n)
     w = random_workflow(n, rng.uniform(0.1, 0.8), seed=rng.randrange(10**6),
                         risk_cap=rng.uniform(0.1, 1.0))
-    w.deadline_s = rng.uniform(5.0, 60.0)
+    w = with_deadline(w, rng.uniform(5.0, 60.0))
     p = default_platform(rng.randint(0, max_servers))
     loc = [rng.randint(0x01, 0xFF) for _ in range(n)]
     loc[0] = loc[-1] = MD_LOCATION
@@ -250,7 +251,7 @@ def test_06_brute_force_optimality():
                                   workload_range_gcycles=(3.0, 10.0))
             w = random_workflow(n, 0.4, cfg, seed=100 + i,
                                 risk_cap=rng.choice([0.2, 0.4, 0.6]))
-            w.deadline_s = compute_deadline(w, p, cat)
+            w = with_deadline(w, compute_deadline(w, p, cat))
             optimum = _enumerate_optimum(w, p, cat)
             assert optimum < math.inf  # witness schedule guarantees feasibility
             _, res = solve(Strategy(StrategyKind.SEECO), w, p, cat, RISK,
@@ -266,7 +267,7 @@ def test_06_brute_force_optimality():
 
 def _offload_friendly(n, seed, risk_cap=0.5):
     w = random_workflow(n, 0.3, SWEEP_GEN_CFG, seed=seed, risk_cap=risk_cap)
-    w.deadline_s = compute_deadline(w, PLATFORM, CAT)
+    w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
     return w
 
 
@@ -375,7 +376,7 @@ def test_11_monotone_history():
             w = random_workflow(rng.randint(5, 9), rng.uniform(0.2, 0.5),
                                 SWEEP_GEN_CFG, seed=rng.randrange(10**6),
                                 risk_cap=rng.uniform(0.2, 1.0))
-            w.deadline_s = compute_deadline(w, PLATFORM, CAT)
+            w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
             r = run(w, PLATFORM, CAT, RISK,
                     GaParams(pop_size=10, iterations=15, seed=i))
             keys = [(0, s.best_energy) if s.best_violation == 0.0

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +36,7 @@ def offload_friendly_workflow(n=8, seed=3):
     """Heavy compute, light payloads: offloading clearly pays off."""
     cfg = GeneratorConfig(data_range_mb=(1.0, 3.0), workload_range_gcycles=(8.0, 15.0))
     w = random_workflow(n, 0.3, gen_cfg=cfg, seed=seed)
-    w.deadline_s = compute_deadline(w, PLATFORM, CAT)
+    w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
     return w
 
 
@@ -50,7 +52,7 @@ class TestLocal:
     def test_energy_closed_form(self):
         for seed in range(4):
             w = random_workflow(9, 0.4, seed=seed)
-            w.deadline_s = 5.0  # deliberately tight; energy must not care
+            w = with_deadline(w, 5.0)  # deliberately tight; energy must not care
             _, res = solve(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK)
             expected = PLATFORM.md.p_comp_w * sum(
                 t.workload_gcycles for t in w.tasks) / PLATFORM.md.vm.capability_ghz
@@ -60,8 +62,8 @@ class TestLocal:
         w = random_workflow(7, 0.4, seed=11)
         results = []
         for deadline, cap in ((1.0, 0.1), (100.0, 0.9)):
-            w.deadline_s = deadline
-            w.risk_cap = cap
+            w = with_deadline(w, deadline)
+            w = replace(w, risk_cap=cap)
             results.append(solve(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK)[1])
         assert results[0].energy_j == results[1].energy_j
         assert not results[0].feasible and results[1].feasible
@@ -99,7 +101,7 @@ class TestMinLevel:
 
     def test_risk_cap_not_binding(self):
         w = offload_friendly_workflow(n=8, seed=13)
-        w.risk_cap = 0.01
+        w = replace(w, risk_cap=0.01)
         _, res = solve(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT, RISK, FAST)
         # feasibility here means deadline only; saturated risk must not block it
         assert res.risk > w.risk_cap
@@ -178,3 +180,58 @@ class TestNeverLosesToAllMd:
             assert better(res, all_md), kind
             if kind is StrategyKind.MAX_LEVEL:
                 assert res.risk == 0.0
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+# (strategy, GA seed) -> (evaluations, digest of the best chromosome's genes,
+# best energy, makespan and risk, digest of the history rows), recorded
+# before scoring went through the score-only decode and the memo; local
+# runs no GA, so its row holds the all-MD outcome
+PINNED_TRAJECTORIES = {
+    ('local', 1): (None, '964beecb36264b64', 27.886689224088542, 55.773378448177084, 0.0, None),
+    ('local', 2): (None, '964beecb36264b64', 27.886689224088542, 55.773378448177084, 0.0, None),
+    ('local', 3): (None, '964beecb36264b64', 27.886689224088542, 55.773378448177084, 0.0, None),
+    ('max', 1): (316, 'b094a754a99dfc45', 7.280393102680995, 47.63681146947546, 0.0, 'e15144ccaad7bb6e'),
+    ('max', 2): (316, '4e28efe0421c108a', 7.280393102680995, 49.402927177548314, 0.0, '9768f464a44e3eb0'),
+    ('max', 3): (316, 'b14bbe5fea852847', 7.0653652396518645, 47.75691852799319, 0.0, '5ef3d9c9457d1b28'),
+    ('min', 1): (316, '811b4e7e6bf3f87f', 5.174024630753193, 44.243135444569106, 1.0, 'fb2a304a5ef0243e'),
+    ('min', 2): (316, '4eec44f4b42df6f3', 5.174024630753193, 40.16320372190536, 1.0, '66ee954f776a9941'),
+    ('min', 3): (316, '0cb7f83747664f85', 5.174024630753193, 47.54017912684491, 1.0, '577df1f2b728bbdf'),
+    ('confi', 1): (375, '89e5aaf7e9f3ea6b', 7.0653652396518645, 49.232554395475624, 0.0, 'be561efd34f03696'),
+    ('confi', 2): (365, '1493d56291b39eef', 7.0653652396518645, 46.305793089349756, 0.0, '2f019d68ea81e508'),
+    ('confi', 3): (375, '9faf0cf318e85600', 7.0653652396518645, 47.94467943048939, 0.0, '4d7af9339763279e'),
+    ('integ', 1): (374, '811b4e7e6bf3f87f', 5.174024630753193, 46.08242816688765, 0.0, 'a0a8ba7cd28de8f5'),
+    ('integ', 2): (378, 'f7e711120db70603', 5.174024630753193, 44.46520555426804, 0.0, '1d07a071e2eb409d'),
+    ('integ', 3): (390, '0cb7f83747664f85', 5.174024630753193, 49.71229604305868, 0.0, 'aa6b62b28848aff7'),
+    ('seeco', 1): (396, 'b094a754a99dfc45', 7.280393102680995, 47.63681146947546, 0.0, 'e15144ccaad7bb6e'),
+    ('seeco', 2): (388, '4e28efe0421c108a', 7.280393102680995, 49.402927177548314, 0.0, '9768f464a44e3eb0'),
+    ('seeco', 3): (401, 'b14bbe5fea852847', 7.0653652396518645, 47.75691852799319, 0.0, '5ef3d9c9457d1b28'),
+}
+
+
+class TestPinnedTrajectories:
+    """Scoring draws no random numbers, so memo hits cannot move a trajectory."""
+
+    @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+    def test_matches_recorded_run(self, kind):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(12, 0.3, cfg, seed=6, risk_cap=0.3)
+        w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
+        for seed in (1, 2, 3):
+            outcome = solve_detailed(Strategy(kind), w, PLATFORM, CAT, RISK,
+                                     GaParams(pop_size=16, iterations=20, seed=seed))
+            run = outcome.ga_run
+            if run is None:
+                c, res, evaluations, history = outcome.chromosome, outcome.result, None, None
+            else:
+                c, res, evaluations = run.best_chromosome, run.best_result, run.evaluations
+                history = _digest([(h.generation, h.best_energy, h.best_violation,
+                                    h.feasible_count) for h in run.history])
+                if kind is StrategyKind.SEECO:
+                    assert run.cache_hits > 0
+            got = (evaluations, _digest((c.order, c.locations, c.conf_levels, c.integ_levels)),
+                   res.energy_j, res.makespan_s, res.risk, history)
+            assert got == PINNED_TRAJECTORIES[kind.value, seed]

@@ -229,6 +229,23 @@ class TestSweep:
         assert rc == 2
         assert "servers sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seeds", [1, 2], "must be a string"),
+        ("sweep", ["risk_cap"], "must be a string"),
+        ("range", 5, "must be a string"),
+        ("pop", [6], "'pop'"),
+    ])
+    def test_config_value_of_wrong_json_type_fails(self, tmp_path, capsys, key, value,
+                                                   message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        rc = main(["sweep", "--sweep", "risk_cap", "--config", str(cfg),
+                   "--out", str(tmp_path / "res")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "res").exists()
+
     def test_unknown_sweep_variable(self, tmp_path, capsys):
         rc = main(["sweep", "--sweep", "voltage", "--out", str(tmp_path / "res")])
         assert rc == 2

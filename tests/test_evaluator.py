@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from seeco.baselines import Strategy, StrategyKind, search_setup
 from seeco.evaluator import (
     Chromosome,
     EvalOptions,
     EvaluationResult,
+    Score,
     ServiceMode,
     TaskTiming,
     better,
@@ -15,13 +18,22 @@ from seeco.evaluator import (
     encrypt_cost,
     evaluate,
     exec_time,
+    make_evaluator,
     transfer_time,
     violation,
     write_schedule_csv,
 )
-from seeco.platform import VmSpec, default_platform, downlink_rate, uplink_rate
+from seeco.platform import (
+    AccessPoint,
+    Platform,
+    VmSpec,
+    default_platform,
+    default_radio,
+    downlink_rate,
+    uplink_rate,
+)
 from seeco.security import RiskModel, Service, default_catalog
-from seeco.workflow import Task, Workflow, is_valid_order, random_workflow
+from seeco.workflow import Task, Workflow, is_valid_order, random_workflow, with_deadline
 
 from reference_evaluator import reference_evaluate
 
@@ -59,7 +71,7 @@ def random_instance(rng, max_n=8, max_servers=3):
     n = rng.randint(2, max_n)
     w = random_workflow(n, rng.uniform(0.1, 0.8), seed=rng.randrange(10**6),
                         risk_cap=rng.uniform(0.1, 1.0))
-    w.deadline_s = rng.uniform(5.0, 60.0)
+    w = with_deadline(w, rng.uniform(5.0, 60.0))
     p = default_platform(rng.randint(0, max_servers))
     return w, p, random_chromosome(w, rng)
 
@@ -160,7 +172,7 @@ class TestEvaluate:
         rng = random.Random(17)
         for _ in range(20):
             w = random_workflow(rng.randint(2, 9), 0.4, seed=rng.randrange(10**6))
-            w.deadline_s = 1000.0
+            w = with_deadline(w, 1000.0)
             c = Chromosome(
                 order=tuple(random_topological_order(w, rng)),
                 locations=(0x01,) * w.n,
@@ -316,6 +328,53 @@ class TestEvaluate:
         c = Chromosome((0, 1), (0x01, 0x01), (1, 6), (1, 1))
         with pytest.raises(ValueError, match="level gene"):
             evaluate(c, w, PLATFORM, CAT, RISK)
+
+
+@st.composite
+def small_platforms(draw):
+    """The default platforms, or 0-4 APs of 1-3 random VMs each."""
+    if draw(st.booleans()):
+        return default_platform(draw(st.integers(0, 4)))
+    speed = st.floats(0.5, 4.0)
+    vm = st.builds(VmSpec, frequency_ghz=speed, cores=st.integers(1, 16), capability_ghz=speed)
+    aps = draw(st.lists(st.lists(vm, min_size=1, max_size=3), max_size=4))
+    return Platform(md=default_platform(0).md,
+                    aps=tuple(AccessPoint(tuple(vms), default_radio()) for vms in aps),
+                    inter_ap_bandwidth_mb_s=draw(st.floats(1.0, 20.0)))
+
+
+class TestScoreOnlyDecode:
+    """``make_evaluator(timeline=False)`` against the full decode and the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 9), density=st.floats(0.1, 0.8), seed=st.integers(0, 10**6),
+           risk_cap=st.floats(0.0, 1.0), deadline=st.floats(1.0, 80.0),
+           platform=small_platforms(), genes=st.randoms(use_true_random=False),
+           literal=st.booleans())
+    def test_matches_full_decode_and_reference(self, n, density, seed, risk_cap, deadline,
+                                               platform, genes, literal):
+        w = with_deadline(random_workflow(n, density, seed=seed, risk_cap=risk_cap),
+                          deadline)
+        chromosomes = [random_chromosome(w, genes) for _ in range(3)]
+        for kind in StrategyKind:
+            _, options = search_setup(Strategy(kind, literal), CAT)
+            full = make_evaluator(w, platform, CAT, RISK, options)
+            score = make_evaluator(w, platform, CAT, RISK, options, timeline=False)
+            for c in chromosomes:
+                res, got = full(c), score(c)
+                assert isinstance(got, Score)
+                assert (got.makespan_s, got.energy_j, got.risk, got.violation,
+                        got.feasible) == (res.makespan_s, res.energy_j, res.risk,
+                                          res.violation, res.feasible)
+                assert set(got.at_risk) == {t for t in range(n) if res.timings[t].risk > 0}
+                assert len(got.at_risk) == len(set(got.at_risk))
+                ref = reference_evaluate(
+                    c, w, platform, CAT, RISK, conf_mode=options.conf_mode.value,
+                    integ_mode=options.integ_mode.value,
+                    producer_core_ratio=options.decrypt_producer_core_ratio,
+                    ignore_risk_cap=options.ignore_risk_cap)
+                for value, expected in zip(got, ref):
+                    assert math.isclose(value, expected, rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestViolationAndDeb:

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seeco import ga
 from seeco.baselines import Strategy, StrategyKind, search_setup
 from seeco.evaluator import Chromosome, EvaluationResult, deb_key, evaluate, make_evaluator
 from seeco.ga import (
@@ -242,7 +243,7 @@ class TestSelect:
 class TestRun:
     def test_deterministic(self):
         w = random_workflow(8, 0.4, seed=21)
-        w.deadline_s = 30.0
+        w = with_deadline(w, 30.0)
         params = GaParams(pop_size=10, iterations=8, seed=5)
         r1 = run(w, PLATFORM, CAT, RISK, params)
         r2 = run(w, PLATFORM, CAT, RISK, params)
@@ -252,32 +253,39 @@ class TestRun:
 
     def test_history_shape_minimal(self):
         w = random_workflow(4, 0.4, seed=22)
-        w.deadline_s = 50.0
+        w = with_deadline(w, 50.0)
         r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=2, iterations=1, seed=1))
         assert len(r.history) == 1
         assert isinstance(r, GaRun)
 
     def test_monotone_best_with_elitism(self):
         w = random_workflow(10, 0.3, seed=23)
-        w.deadline_s = 40.0
+        w = with_deadline(w, 40.0)
         r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=12, iterations=25, seed=3))
         keys = [(0, s.best_energy) if s.best_violation == 0 else (1, s.best_violation)
                 for s in r.history]
         for earlier, later in zip(keys, keys[1:]):
             assert later <= earlier
 
-    def test_every_generation_satisfies_invariants(self):
+    def test_every_generation_satisfies_invariants(self, monkeypatch):
         w = random_workflow(9, 0.35, seed=24)
-        w.deadline_s = 25.0
+        w = with_deadline(w, 25.0)
         seen: list[Chromosome] = []
 
-        def spy(c):
-            seen.append(c)
-            return evaluate(c, w, PLATFORM, CAT, RISK)
+        def spy_make_evaluator(*args, **kwargs):
+            decode = make_evaluator(*args, **kwargs)
 
-        run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=10, seed=2),
-            evaluate_fn=spy, risk_repair=False)
-        assert len(seen) == 8 + 8 * 10 - 10  # initial pop + per-gen fills minus elite
+            def spy(c):
+                seen.append(c)
+                evaluate(c, w, PLATFORM, CAT, RISK)  # validates, raising on a bad gene
+                return decode(c)
+            return spy
+
+        monkeypatch.setattr(ga, "make_evaluator", spy_make_evaluator)
+        r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=10, seed=2),
+                risk_repair=False)
+        assert r.evaluations == 8 + 8 * 10 - 10  # initial pop + per-gen fills minus elite
+        assert len(seen) == r.evaluations - r.cache_hits  # one decode per memo miss
         for c in seen:
             assert is_valid_order(w, list(c.order))
             assert c.locations[0] == MD_LOCATION and c.locations[-1] == MD_LOCATION
@@ -286,7 +294,7 @@ class TestRun:
 
     def test_fixed_level_constraints_respected(self):
         w = random_workflow(7, 0.4, seed=25)
-        w.deadline_s = 30.0
+        w = with_deadline(w, 30.0)
         cons = GeneConstraints.from_catalog(CAT, fixed_conf_level=1, fixed_integ_level=1)
         r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=6, seed=4),
                 constraints=cons)
@@ -295,13 +303,13 @@ class TestRun:
 
     def test_best_never_reported_infeasible_when_feasible_seen(self):
         w = random_workflow(6, 0.4, seed=26)
-        w.deadline_s = 1000.0  # all-MD schedules are trivially feasible
+        w = with_deadline(w, 1000.0)  # all-MD schedules are trivially feasible
         r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=10, iterations=10, seed=6))
         assert r.best_result.feasible
 
     def test_history_csv(self, tmp_path):
         w = random_workflow(5, 0.4, seed=27)
-        w.deadline_s = 30.0
+        w = with_deadline(w, 30.0)
         r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=6, iterations=3, seed=7))
         path = tmp_path / "history.csv"
         write_history_csv(r, path)

@@ -156,7 +156,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_platform(path)
 
-    @pytest.mark.parametrize("bad", ["Infinity", "NaN", "1e999"])
+    @pytest.mark.parametrize("bad", [
+        "Infinity", "NaN", "1e999",
+        # JSON strings, which float() also reads, and an integer it overflows on
+        '"NaN"', '"inf"', '"-Infinity"', '"1e999"', pytest.param("1" + "0" * 400, id="1e400"),
+    ])
     def test_non_finite_rejected(self, tmp_path, bad):
         path = tmp_path / "platform.json"
         save_platform(default_platform(2), path)

@@ -165,6 +165,16 @@ class TestCatalog:
         with pytest.raises(ValueError, match="non-finite"):
             load_catalog(path)
 
+    @pytest.mark.parametrize("bad", ["NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_string_rejected(self, tmp_path, bad):
+        path = tmp_path / "catalog.json"
+        save_catalog(CAT, path)
+        payload = json.loads(path.read_text())
+        payload["integrity"][1]["speed_mb_s"] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_catalog(path)
+
 
 class TestRisk:
     def test_full_strength_is_risk_free(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -97,6 +98,14 @@ class TestValidation:
     def test_rejects_bad_risk_cap(self):
         with pytest.raises(ValueError):
             Workflow(tasks=make_tasks(2), edges=((0, 1),), deadline_s=1.0, risk_cap=1.5)
+
+    def test_frozen(self):
+        w = Workflow(tasks=make_tasks(2), edges=((0, 1),), deadline_s=1.0, risk_cap=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.deadline_s = 2.0
+        later = with_deadline(w, 2.0)
+        assert (w.deadline_s, later.deadline_s) == (1.0, 2.0)
+        assert later.successors(0) == w.successors(0) == {1}
 
 
 class TestOrderValidity:
@@ -261,6 +270,16 @@ class TestSerialization:
         save_workflow(with_deadline(random_workflow(4, 0.5, seed=1), 10.0), path)
         payload = json.loads(path.read_text())
         payload["deadline_s"] = math.nan
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_workflow(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_string_rejected(self, tmp_path, bad):
+        path = tmp_path / "wf.json"
+        save_workflow(with_deadline(random_workflow(4, 0.5, seed=1), 10.0), path)
+        payload = json.loads(path.read_text())
+        payload["deadline_s"] = bad
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="non-finite"):
             load_workflow(path)
