@@ -241,17 +241,17 @@ def make_evaluator(
     deadline = w.deadline_s
     risk_cap = 1.0 if options.ignore_risk_cap else w.risk_cap
 
-    # byte -> (ap, vm index, flat vm id, 1/capability, crypto denominator
-    # f*cores, cores); flat ids number the VMs AP by AP, the MD's first
-    slots = [(ap, k) for ap in range(p.num_aps + 1) for k in range(1, p.vm_count(ap) + 1)]
-    vm_ids = {slot: i for i, slot in enumerate(slots)}
-    decode_table: list[tuple[int, int, int, float, float, int]] = [None]  # type: ignore
-    for byte in range(0x01, 0x100):
-        ap, k = decode_location(byte, p)
-        vm = p.vm_at(ap, k)
-        decode_table.append((ap, k, vm_ids[ap, k], 1.0 / vm.capability_ghz,
-                             vm.frequency_ghz * vm.cores, vm.cores))
-    num_vms = len(vm_ids)
+    # per VM: (ap, vm index, flat vm id, 1/capability, crypto denominator
+    # f*cores, cores), flat ids numbering the VMs AP by AP, the MD's first;
+    # decode_table maps each placement byte to its VM's row
+    vm_rows: dict[tuple[int, int], tuple[int, int, int, float, float, int]] = {}
+    for ap in range(p.num_aps + 1):
+        for k in range(1, p.vm_count(ap) + 1):
+            vm = p.vm_at(ap, k)
+            vm_rows[ap, k] = (ap, k, len(vm_rows), 1.0 / vm.capability_ghz,
+                              vm.frequency_ghz * vm.cores, vm.cores)
+    decode_table = [None] + [vm_rows[decode_location(byte, p)] for byte in range(0x01, 0x100)]
+    num_vms = len(vm_rows)
 
     ul_rate = [0.0] * (p.num_aps + 1)
     dl_rate = [0.0] * (p.num_aps + 1)
