@@ -33,7 +33,9 @@ timeline (:class:`EvaluationResult`) or, with ``timeline=False``, only
 the totals and the tasks at nonzero risk (:class:`Score`), which is what
 the GA scores with.  One loop produces both, with the same
 floating-point operations in the same order, so the totals are
-bit-identical.
+bit-identical.  :func:`cost_tables` resolves the cost model of a problem
+into one :class:`CostTables` object, which the decoder, the GA's deadline
+repair and the deadline calibration's greedy witness all read.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .platform import MD_LOCATION, Platform, VmSpec, decode_location, downlink_rate, uplink_rate
 from .security import (
@@ -97,6 +99,10 @@ class EvalOptions:
     decrypt_producer_core_ratio: bool = True
     ignore_risk_cap: bool = False
 
+    def effective_risk_cap(self, w: Workflow) -> float:
+        """The risk cap that feasibility is judged against."""
+        return 1.0 if self.ignore_risk_cap else w.risk_cap
+
 
 DEFAULT_OPTIONS = EvalOptions()
 
@@ -140,126 +146,37 @@ def exec_time(workload_gcycles: float, vm: VmSpec) -> float:
     return workload_gcycles / vm.capability_ghz
 
 
-def transfer_time(
-    producer: tuple[int, int],
-    consumer: tuple[int, int],
-    output_mb: float,
-    p: Platform,
-) -> float:
-    """Seconds to move a payload between two placements.
+class CostTables(NamedTuple):
+    """The cost model of one problem as lookup tables; built by :func:`cost_tables`."""
 
-    Free inside one access point (or on one VM); MD-to-edge rides the
-    consumer AP's uplink, edge-to-MD the producer AP's downlink, and
-    edge-to-edge the shared backhaul.
-    """
-    src_ap, dst_ap = producer[0], consumer[0]
-    if src_ap == dst_ap:
-        return 0.0
-    if src_ap == 0:
-        return output_mb / uplink_rate(p.radio(dst_ap))
-    if dst_ap == 0:
-        return output_mb / downlink_rate(p.radio(src_ap))
-    return output_mb / p.inter_ap_bandwidth_mb_s
+    # one row per VM, the MD's first, then AP by AP: (ap, vm index, flat id,
+    # 1/capability, frequency*cores, cores); flat ids count rows in that order
+    vms: tuple[tuple[int, int, int, float, float, int], ...]
+    by_byte: tuple  # the row each placement byte decodes to; by_byte[0] is None
+    # rate[i][j]: MB/s from AP i to AP j (0: the MD), over the uplink of j,
+    # the downlink of i or the backhaul; only crossings (i != j) read it
+    rate: tuple[tuple[float, ...], ...]
+    # per (conf, integ) level gene pair, at index conf * stride + integ: the
+    # crypto seconds per MB times frequency*cores, and a crossing payload's survival
+    stride: int
+    pair_cost: tuple[float, ...]
+    pair_surv: tuple[float, ...]
+    risk_cap: float  # the cap that feasibility is judged against
 
 
-_BOTH_SERVICES = (Service.CONFIDENTIALITY, Service.INTEGRITY)
-
-
-def encrypt_cost(
-    output_mb: float,
-    vm: VmSpec,
-    conf_level: int,
-    integ_level: int,
-    cat: SecurityCatalog,
-    services: Sequence[Service] = _BOTH_SERVICES,
-) -> float:
-    """Seconds the producing VM spends protecting one outbound payload."""
-    levels = {Service.CONFIDENTIALITY: conf_level, Service.INTEGRITY: integ_level}
-    total = 0.0
-    for service in services:
-        alg = cat.algorithm(service, levels[service])
-        total += (output_mb * REF_FREQUENCY_GHZ) / (
-            alg.speed_mb_s * vm.frequency_ghz * vm.cores)
-    return total
-
-
-def decrypt_cost(
-    producers: Iterable[tuple[float, VmSpec, int, int]],
-    consumer: VmSpec,
-    cat: SecurityCatalog,
-    services: Sequence[Service] = _BOTH_SERVICES,
-    producer_core_ratio: bool = True,
-) -> float:
-    """Seconds the consuming VM spends unwrapping cross-AP inputs.
-
-    ``producers`` lists (payload MB, producing VM, conf level, integ
-    level) for each predecessor whose data crossed access points; the
-    levels are the producer's, since they picked the algorithms.
-    """
-    total = 0.0
-    for output_mb, producer_vm, conf_level, integ_level, in producers:
-        ratio = producer_vm.cores / consumer.cores if producer_core_ratio else 1.0
-        levels = {Service.CONFIDENTIALITY: conf_level, Service.INTEGRITY: integ_level}
-        for service in services:
-            alg = cat.algorithm(service, levels[service])
-            total += ratio * (output_mb * REF_FREQUENCY_GHZ) / (
-                alg.speed_mb_s * consumer.frequency_ghz * consumer.cores)
-    return total
-
-
-def violation(makespan_s: float, risk: float, deadline_s: float, risk_cap: float) -> float:
-    """Sum of the deadline excess and the risk-cap excess, each floored at 0."""
-    return max(0.0, makespan_s - deadline_s) + max(0.0, risk - risk_cap)
-
-
-def make_evaluator(
-    w: Workflow,
-    p: Platform,
-    cat: SecurityCatalog,
-    risk_model: RiskModel,
-    options: EvalOptions = DEFAULT_OPTIONS,
-    validate: bool = True,
-    timeline: bool = True,
-) -> Callable[[Chromosome], EvaluationResult | Score]:
-    """Build a reusable scoring function with all lookups precomputed.
-
-    Captures the workflow's deadline and risk cap at build time.  The
-    optimizer scores thousands of chromosomes against one fixed problem,
-    so the decode table, link rates, and per-level survival factors are
-    resolved here once; ``validate=False`` additionally skips the
-    chromosome invariant checks for callers that construct genes by
-    valid-by-construction operators.  ``timeline=False`` makes the
-    function return a :class:`Score` (totals and at-risk tasks) instead
-    of an :class:`EvaluationResult`; the totals are bit-identical.
-    """
-    n = w.n
-    preds = [tuple(w.predecessors(i)) for i in range(n)]
-    succs = [tuple(w.successors(i)) for i in range(n)]
-    out_mb = [t.output_mb for t in w.tasks]
-    load = [t.workload_gcycles for t in w.tasks]
-    edges = w.edges
-    deadline = w.deadline_s
-    risk_cap = 1.0 if options.ignore_risk_cap else w.risk_cap
-
-    # per VM: (ap, vm index, flat vm id, 1/capability, crypto denominator
-    # f*cores, cores), flat ids numbering the VMs AP by AP, the MD's first;
-    # decode_table maps each placement byte to its VM's row
-    vm_rows: dict[tuple[int, int], tuple[int, int, int, float, float, int]] = {}
+def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: RiskModel,
+                options: EvalOptions = DEFAULT_OPTIONS) -> CostTables:
+    """Resolve the cost model of one problem into lookup tables."""
+    rows: dict[tuple[int, int], tuple[int, int, int, float, float, int]] = {}
     for ap in range(p.num_aps + 1):
         for k in range(1, p.vm_count(ap) + 1):
             vm = p.vm_at(ap, k)
-            vm_rows[ap, k] = (ap, k, len(vm_rows), 1.0 / vm.capability_ghz,
-                              vm.frequency_ghz * vm.cores, vm.cores)
-    decode_table = [None] + [vm_rows[decode_location(byte, p)] for byte in range(0x01, 0x100)]
-    num_vms = len(vm_rows)
-
-    ul_rate = [0.0] * (p.num_aps + 1)
-    dl_rate = [0.0] * (p.num_aps + 1)
+            rows[ap, k] = (ap, k, len(rows), 1.0 / vm.capability_ghz,
+                           vm.frequency_ghz * vm.cores, vm.cores)
+    rates = [[p.inter_ap_bandwidth_mb_s] * (p.num_aps + 1) for _ in range(p.num_aps + 1)]
     for j in range(1, p.num_aps + 1):
-        ul_rate[j] = uplink_rate(p.radio(j))
-        dl_rate[j] = downlink_rate(p.radio(j))
-    inter_bw = p.inter_ap_bandwidth_mb_s
-    md_p_comp, md_p_ul, md_p_dl = p.md.p_comp_w, p.md.p_ul_w, p.md.p_dl_w
+        rates[0][j] = uplink_rate(p.radio(j))
+        rates[j][0] = downlink_rate(p.radio(j))
 
     # per-gene crypto cost factors (None when the service costs nothing)
     # and survival factors for crossing tasks, resolved per service mode
@@ -281,8 +198,6 @@ def make_evaluator(
                                risk_model.lambda_conf, n_conf)
     integ_surv = survival_table(options.integ_mode, cat.integrity,
                                 risk_model.lambda_integ, n_integ)
-    # per (conf, integ) gene pair, at index conf * stride + integ: the
-    # per-MB crypto cost and the survival factor of a crossing payload
     stride = n_integ + 1
     pair_cost = [0.0] * ((n_conf + 1) * stride)
     pair_surv = [1.0] * ((n_conf + 1) * stride)
@@ -295,6 +210,55 @@ def make_evaluator(
                 per_mb += integ_cost[il]
             pair_cost[cl * stride + il] = per_mb
             pair_surv[cl * stride + il] = conf_surv[cl] * integ_surv[il]
+
+    return CostTables(
+        vms=tuple(rows.values()),
+        by_byte=(None,) + tuple(rows[decode_location(byte, p)]
+                                for byte in range(0x01, 0x100)),
+        rate=tuple(map(tuple, rates)),
+        stride=stride,
+        pair_cost=tuple(pair_cost),
+        pair_surv=tuple(pair_surv),
+        risk_cap=options.effective_risk_cap(w),
+    )
+
+
+def make_evaluator(
+    w: Workflow,
+    p: Platform,
+    cat: SecurityCatalog,
+    risk_model: RiskModel,
+    options: EvalOptions = DEFAULT_OPTIONS,
+    validate: bool = True,
+    timeline: bool = True,
+) -> Callable[[Chromosome], EvaluationResult | Score]:
+    """Build a reusable scoring function with all lookups precomputed.
+
+    Captures the workflow's deadline and risk cap at build time.  The
+    optimizer scores thousands of chromosomes against one fixed problem,
+    so the cost model is resolved here once, by :func:`cost_tables`;
+    ``validate=False`` additionally skips the chromosome invariant checks
+    for callers that construct genes by valid-by-construction operators.
+    ``timeline=False`` makes the function return a :class:`Score` (totals
+    and at-risk tasks) instead of an :class:`EvaluationResult`; the totals
+    are bit-identical.
+    """
+    tables = cost_tables(w, p, cat, risk_model, options)
+    n = w.n
+    preds = [tuple(w.predecessors(i)) for i in range(n)]
+    succs = [tuple(w.successors(i)) for i in range(n)]
+    out_mb = [t.output_mb for t in w.tasks]
+    load = [t.workload_gcycles for t in w.tasks]
+    edges = w.edges
+    deadline = w.deadline_s
+    risk_cap = tables.risk_cap
+    decode_table = tables.by_byte
+    num_vms = len(tables.vms)
+    rate = tables.rate
+    md_p_comp, md_p_ul, md_p_dl = p.md.p_comp_w, p.md.p_ul_w, p.md.p_dl_w
+    n_conf = cat.level_count(Service.CONFIDENTIALITY)
+    n_integ = cat.level_count(Service.INTEGRITY)
+    stride, pair_cost, pair_surv = tables.stride, tables.pair_cost, tables.pair_surv
     literal_ratio = options.decrypt_producer_core_ratio
 
     def engine(c: Chromosome) -> EvaluationResult | Score:
@@ -362,19 +326,17 @@ def make_evaluator(
             tr = 0.0
             crossing = False
             beta = out_mb[t]
+            rate_out = rate[ap]
             for s in succs[t]:
                 s_ap = ap_of[s]
                 if s_ap == ap:
                     continue
                 crossing = True
+                leg = beta / rate_out[s_ap]
                 if ap == 0:
-                    leg = beta / ul_rate[s_ap]
                     energy += md_p_ul * leg
                 elif s_ap == 0:
-                    leg = beta / dl_rate[ap]
                     energy += md_p_dl * leg
-                else:
-                    leg = beta / inter_bw
                 tr += leg
 
             enc = 0.0
@@ -425,25 +387,20 @@ def evaluate(
     return make_evaluator(w, p, cat, risk_model, options)(c)
 
 
-def better(a: EvaluationResult | Score, b: EvaluationResult | Score) -> bool:
-    """Feasibility-first comparison; True when ``a`` wins (ties go to ``a``).
-
-    Two feasible results compare on energy, a feasible one always beats
-    an infeasible one, and two infeasible ones compare on the summed
-    constraint violation.
-    """
-    if a.feasible and b.feasible:
-        return a.energy_j <= b.energy_j
-    if a.feasible != b.feasible:
-        return a.feasible
-    return a.violation <= b.violation
-
-
 def deb_key(result: EvaluationResult | Score) -> tuple[int, float]:
-    """Sort key consistent with :func:`better` (ascending = best first)."""
+    """Feasibility-first sort key (ascending = best first).
+
+    Feasible results come first, by energy; infeasible ones follow, by
+    summed constraint violation.
+    """
     if result.feasible:
         return (0, result.energy_j)
     return (1, result.violation)
+
+
+def better(a: EvaluationResult | Score, b: EvaluationResult | Score) -> bool:
+    """True when ``a`` ranks no worse than ``b`` under :func:`deb_key` (ties go to ``a``)."""
+    return deb_key(a) <= deb_key(b)
 
 
 SCHEDULE_CSV_HEADER = ["id", "ap", "vm", "start", "end", "exec", "transfer",

@@ -42,11 +42,12 @@ from .evaluator import (
     Score,
     ServiceMode,
     better,
+    cost_tables,
     deb_key,
     evaluate,
     make_evaluator,
 )
-from .platform import MD_LOCATION, Platform, decode_location
+from .platform import MD_LOCATION, Platform
 from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service
 from .workflow import Workflow, greedy_witness
 
@@ -279,20 +280,6 @@ def mutate_vectors(
 Individual = tuple[Chromosome, Score]
 
 
-def select(pop: list[Individual], rng: random.Random) -> Individual:
-    """Binary tournament between two distinct population slots."""
-    if not pop:
-        raise ValueError("cannot select from an empty population")
-    if len(pop) == 1:
-        return pop[0]
-    i = rng.randrange(len(pop))
-    j = rng.randrange(len(pop) - 1)
-    if j >= i:
-        j += 1
-    a, b = pop[i], pop[j]
-    return a if better(a[1], b[1]) else b
-
-
 def _make_ranking_key(options: EvalOptions) -> Callable[[Score], tuple]:
     """Population ordering: feasibility-first, then deterministic tie-breaks.
 
@@ -305,14 +292,8 @@ def _make_ranking_key(options: EvalOptions) -> Callable[[Score], tuple]:
     would only punish offloading, so only the slack tie-break remains.
     """
     if options.ignore_risk_cap:
-        def key(res: Score) -> tuple:
-            first, second = deb_key(res)
-            return (first, second, res.makespan_s)
-    else:
-        def key(res: Score) -> tuple:
-            first, second = deb_key(res)
-            return (first, second, res.risk, res.makespan_s)
-    return key
+        return lambda res: deb_key(res) + (res.makespan_s,)
+    return lambda res: deb_key(res) + (res.risk, res.makespan_s)
 
 
 def make_deadline_repair(
@@ -343,34 +324,25 @@ def make_deadline_repair(
     the schedule feasible; it is dropped.  The chromosome comes back as
     the very same object then, and whenever there is nothing to repair.
     """
+    tables = cost_tables(w, p, cat, risk_model, options)
     n = w.n
     deadline = w.deadline_s
     succs = [sorted(w.successors(t)) for t in range(n)]
     out_mb = [t.output_mb for t in w.tasks]
-    risk_cap = 1.0 if options.ignore_risk_cap else w.risk_cap
+    risk_cap = tables.risk_cap
     cap_nl = -math.log1p(-risk_cap) if risk_cap < 1.0 else math.inf
 
-    # per placement byte: access point and VM id; per VM id: crypto seconds
-    # per MB per unit of per-MB cost to encrypt on it, and to decrypt on VM
-    # y what it produced (the decoder's core ratio included)
-    vm_id: dict[tuple[int, int], int] = {}
-    specs = []
-    for ap in range(p.num_aps + 1):
-        for k in range(1, p.vm_count(ap) + 1):
-            vm_id[ap, k] = len(specs)
-            specs.append(p.vm_at(ap, k))
-    ap_of_byte = [0] * 0x100
-    vm_of_byte = [0] * 0x100
-    for byte in range(0x01, 0x100):
-        ap_of_byte[byte], k = decode_location(byte, p)
-        vm_of_byte[byte] = vm_id[ap_of_byte[byte], k]
-    enc_coef = [1.0 / (x.frequency_ghz * x.cores) for x in specs]
-    dec_coef = [[(x.cores / y.cores if options.decrypt_producer_core_ratio else 1.0)
-                 / (y.frequency_ghz * y.cores) for y in specs] for x in specs]
+    # per VM id: crypto seconds per MB per unit of per-MB cost to encrypt
+    # on it, and to decrypt on VM y what it produced (the decoder's core
+    # ratio included)
+    enc_coef = [1.0 / x[4] for x in tables.vms]
+    dec_coef = [[(x[5] / y[5] if options.decrypt_producer_core_ratio else 1.0) / y[4]
+                 for y in tables.vms] for x in tables.vms]
+    by_byte = tables.by_byte
     # per task and VM id: a bound on the task's weight (see below) there,
     # as if every successor sat on the VM costliest to decrypt on
     weight_bound = [[t.output_mb * (enc_coef[x] + len(succs[t.id]) * max(dec_coef[x]))
-                     for x in range(len(specs))] for t in w.tasks]
+                     for x in range(len(tables.vms))] for t in w.tasks]
 
     # moves[s][a]: (gain, -log survival spent, per-MB cost saved, target
     # level) for every cheaper level of free service s, best gain (cost
@@ -414,14 +386,15 @@ def make_deadline_repair(
         need = overshoot / (max_gain * budget)
         order, locations = c.order, c.locations
         hopeful = [t for t, byte in zip(order, locations)
-                   if weight_bound[t][vm_of_byte[byte]] >= need]
+                   if weight_bound[t][by_byte[byte][2]] >= need]
         if not hopeful:
             return c
         ap = [0] * n
         vm = [0] * n
         for t, byte in zip(order, locations):
-            ap[t] = ap_of_byte[byte]
-            vm[t] = vm_of_byte[byte]
+            row = by_byte[byte]
+            ap[t] = row[0]
+            vm[t] = row[2]
 
         def task_weight(t: int) -> float:
             """Crypto seconds per unit of per-MB cost: the producer's
@@ -527,7 +500,7 @@ def run(
     rng = random.Random(params.seed)
     # operators keep chromosomes valid by construction, so skip re-validation
     decode = make_evaluator(w, p, cat, risk_model, options, validate=False, timeline=False)
-    risk_cap = 1.0 if options.ignore_risk_cap else w.risk_cap
+    risk_cap = options.effective_risk_cap(w)
     evaluations = cache_hits = 0
     memo: dict[Chromosome, Score] = {}   # scores of this generation
     older: dict[Chromosome, Score] = {}  # and of the previous one

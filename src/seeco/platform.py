@@ -4,7 +4,8 @@ The compute fabric is one mobile device (MD) plus M wireless access
 points, each hosting one or more VMs.  Index 0 always denotes the MD;
 edge access points are numbered 1..M.  Task placements travel through
 the optimizer as single bytes (see :func:`decode_location`), so every
-byte in [0x01, 0xFF] must decode to a real VM on any platform.
+byte in [0x01, 0xFF] must decode to a real VM on any platform, and a
+platform holds at most 15 access points of at most 15 VMs each.
 
 Link rates follow Shannon capacity over the configured bandwidth and
 SNR; transfers between VMs inside one access point are free, transfers
@@ -87,6 +88,8 @@ class AccessPoint:
         object.__setattr__(self, "vms", tuple(self.vms))
         if not self.vms:
             raise ValueError("access point needs at least one VM")
+        if len(self.vms) > 0x0F:  # the low nibble of a placement byte
+            raise ValueError(f"{len(self.vms)} VMs on an access point; at most 15 fit a byte")
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,8 @@ class Platform:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "aps", tuple(self.aps))
+        if len(self.aps) > 0x0F:  # the high nibble of a placement byte
+            raise ValueError(f"{len(self.aps)} access points; at most 15 fit a byte")
         if self.inter_ap_bandwidth_mb_s <= 0.0:
             raise ValueError("inter-AP bandwidth must be strictly positive")
 

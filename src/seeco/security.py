@@ -24,7 +24,6 @@ from typing import Iterable
 
 from .platform import finite_float, read_json
 
-REF_CORES = 1
 REF_FREQUENCY_GHZ = 2.2
 REF_DATA_MB = 100.0
 
@@ -69,7 +68,7 @@ class CryptoAlgorithm:
 
 @dataclass(frozen=True)
 class SecurityCatalog:
-    """The algorithm ladders for both services plus the calibration point.
+    """The algorithm ladders for both services, calibrated on the reference machine.
 
     Ladders are ordered by id (1..N).  The built-in default ladder has
     five algorithms per service; smaller calibrated sets are allowed so
@@ -78,9 +77,6 @@ class SecurityCatalog:
 
     confidentiality: tuple[CryptoAlgorithm, ...]
     integrity: tuple[CryptoAlgorithm, ...]
-    ref_frequency_ghz: float = REF_FREQUENCY_GHZ
-    ref_cores: int = REF_CORES
-    ref_data_mb: float = REF_DATA_MB
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "confidentiality", tuple(self.confidentiality))

@@ -19,7 +19,7 @@ from functools import partial
 from pathlib import Path
 
 from .platform import Platform, finite_float, read_json
-from .security import SecurityCatalog, Service
+from .security import RiskModel, SecurityCatalog, Service
 
 
 @dataclass(frozen=True)
@@ -218,54 +218,49 @@ def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog):
     Tasks are placed in canonical order, each on the VM minimizing its
     estimated finish time; the estimate charges each crossing edge's
     encrypt+wire time on the consumer's ready time (the real model bills
-    the producer's window; the proxy only steers placement).  Entry and
-    exit stay on the MD.  Returns the corresponding chromosome with all
-    level genes at full strength, which makes its risk exactly zero.
+    the producer's window; the proxy only steers placement) and prices it
+    with :func:`seeco.evaluator.cost_tables`.  Entry and exit stay on the
+    MD.  Returns the corresponding chromosome with all level genes at full
+    strength, which makes its risk exactly zero.
     """
-    from .evaluator import Chromosome, decrypt_cost, encrypt_cost, transfer_time
+    from .evaluator import Chromosome, cost_tables
     from .platform import encode_location
 
+    tables = cost_tables(w, p, cat, RiskModel())
     conf = cat.strongest_id(Service.CONFIDENTIALITY)
     integ = cat.strongest_id(Service.INTEGRITY)
-    # the byte encoding reaches at most 15 APs and 15 VMs per AP
-    slots = [(0, 1)] + [(j, k) for j in range(1, min(p.num_aps, 0x0F) + 1)
-                        for k in range(1, min(p.vm_count(j), 0x0F) + 1)]
-    avail = {slot: 0.0 for slot in slots}
-    end: dict[int, float] = {}
-    placed: dict[int, tuple[int, int]] = {}
+    cost = tables.pair_cost[conf * tables.stride + integ]
+    md = tables.vms[0]
+    avail = [0.0] * len(tables.vms)
+    end = [0.0] * w.n
+    placed = [md] * w.n
     order = canonical_order(w)
 
     for t in order:
-        task = w.tasks[t]
-        candidates = [(0, 1)] if t in (0, w.n - 1) else slots
-        best_slot, best_finish = (0, 1), math.inf
-        for slot in candidates:
-            vm = p.vm_at(*slot)
-            ready = 0.0
-            crossing_preds = []
+        load = w.tasks[t].workload_gcycles
+        best, best_finish = md, math.inf
+        for row in (md,) if t in (0, w.n - 1) else tables.vms:
+            ap, _, vid, inv_cap, denom, cores = row
+            ready = dec = 0.0
             for r in w.predecessors(t):
-                r_slot = placed[r]
+                r_ap, _, _, _, r_denom, r_cores = placed[r]
                 arrival = end[r]
-                if r_slot[0] != slot[0]:
+                if r_ap != ap:
                     out = w.tasks[r].output_mb
-                    r_vm = p.vm_at(*r_slot)
-                    arrival += encrypt_cost(out, r_vm, conf, integ, cat)
-                    arrival += transfer_time(r_slot, slot, out, p)
-                    crossing_preds.append((out, r_vm, conf, integ))
+                    arrival += out * cost / r_denom
+                    arrival += out / tables.rate[r_ap][ap]
+                    dec += (r_cores / cores) * out * cost / denom
                 ready = max(ready, arrival)
-            start = max(avail[slot], ready)
-            finish = (start
-                      + decrypt_cost(crossing_preds, vm, cat)
-                      + task.workload_gcycles / vm.capability_ghz)
+            finish = max(avail[vid], ready) + dec + load * inv_cap
             if finish < best_finish:
-                best_slot, best_finish = slot, finish
-        placed[t] = best_slot
+                best, best_finish = row, finish
+        placed[t] = best
         end[t] = best_finish
-        avail[best_slot] = best_finish
+        avail[best[2]] = best_finish
 
     return Chromosome(
         order=tuple(order),
-        locations=tuple(encode_location(*placed[t]) for t in order),
+        locations=tuple(encode_location(placed[t][0], placed[t][1]) for t in order),
         conf_levels=(conf,) * w.n,
         integ_levels=(integ,) * w.n,
     )
@@ -299,7 +294,6 @@ def compute_deadline(w: Workflow, p: Platform, cat: SecurityCatalog) -> float:
     full-strength security and the MD are risk-free.
     """
     from .evaluator import make_evaluator
-    from .security import RiskModel
 
     score = make_evaluator(w, p, cat, RiskModel(), timeline=False)
     serial = score(local_chromosome(w, cat)).makespan_s

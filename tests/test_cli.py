@@ -229,6 +229,14 @@ class TestSweep:
         assert rc == 2
         assert "servers sweep" in capsys.readouterr().err
 
+    def test_servers_sweep_past_15_aps_fails(self, tmp_path, capsys):
+        rc = main(["sweep", "--sweep", "servers", "--range", "0:16:1",
+                   "--out", str(tmp_path / "res")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at most 15" in err
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("seeds", [1, 2], "must be a string"),
         ("sweep", ["risk_cap"], "must be a string"),

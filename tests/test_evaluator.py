@@ -14,13 +14,9 @@ from seeco.evaluator import (
     TaskTiming,
     better,
     deb_key,
-    decrypt_cost,
-    encrypt_cost,
     evaluate,
     exec_time,
     make_evaluator,
-    transfer_time,
-    violation,
     write_schedule_csv,
 )
 from seeco.platform import (
@@ -76,62 +72,84 @@ def random_instance(rng, max_n=8, max_servers=3):
     return w, p, random_chromosome(w, rng)
 
 
+def decode_chain(locations, outputs, platform=PLATFORM, levels=(1, 1),
+                 options=EvalOptions()):
+    """Timings of a chain 0 -> 1 -> ... whose task i sits on placement byte locations[i]."""
+    n = len(locations)
+    w = Workflow(tasks=tuple(Task(i, 0.0, out, 1.0) for i, out in enumerate(outputs)),
+                 edges=tuple((i, i + 1) for i in range(n - 1)), deadline_s=1e6, risk_cap=1.0)
+    c = Chromosome(tuple(range(n)), tuple(locations), (levels[0],) * n, (levels[1],) * n)
+    return evaluate(c, w, platform, CAT, RISK, options).timings
+
+
+def one_vm_aps(*vms):
+    """The default MD and one access point per VM, byte 0xj1 addressing AP j."""
+    return Platform(md=PLATFORM.md,
+                    aps=tuple(AccessPoint(vms=(vm,), radio=default_radio()) for vm in vms))
+
+
 class TestTransferTime:
     def test_same_ap_is_free(self):
-        assert transfer_time((1, 1), (1, 1), 100.0, PLATFORM) == 0.0
-        assert transfer_time((0, 1), (0, 1), 100.0, PLATFORM) == 0.0
+        assert decode_chain([0x01, 0x11, 0x11, 0x01], [0.0, 100.0, 0.0, 0.0])[1].transfer == 0.0
+        assert decode_chain([0x01, 0x01], [100.0, 0.0])[0].transfer == 0.0
 
     def test_md_to_edge_uses_uplink(self):
         # default uplink is exactly 7.5 MB/s
-        assert transfer_time((0, 1), (1, 1), 15.0, PLATFORM) == pytest.approx(2.0)
+        timings = decode_chain([0x01, 0x11, 0x01], [15.0, 0.0, 0.0])
+        assert timings[0].transfer == pytest.approx(2.0)
 
     def test_edge_to_edge_uses_backhaul(self):
-        assert transfer_time((1, 1), (2, 1), 20.0, PLATFORM) == pytest.approx(2.0)
+        timings = decode_chain([0x01, 0x11, 0x21, 0x01], [0.0, 20.0, 0.0, 0.0])
+        assert timings[1].transfer == pytest.approx(2.0)
 
     def test_edge_to_md_uses_downlink(self):
         expected = 10.0 / downlink_rate(PLATFORM.radio(2))
-        assert transfer_time((2, 1), (0, 1), 10.0, PLATFORM) == pytest.approx(expected)
+        timings = decode_chain([0x01, 0x21, 0x01], [0.0, 10.0, 0.0])
+        assert timings[1].transfer == pytest.approx(expected)
 
 
 class TestSecurityCosts:
     def test_encrypt_zero_payload(self):
-        assert encrypt_cost(0.0, PLATFORM.md.vm, 1, 1, CAT) == 0.0
+        assert decode_chain([0x01, 0x11, 0x01], [0.0, 0.0, 0.0])[0].encrypt_cost == 0.0
 
     def test_encrypt_reference_pair(self):
-        vm = VmSpec(2.2, 1, 2.2)
-        got = encrypt_cost(100.0, vm, 5, 5, CAT)  # RC4 + MD5
+        p = one_vm_aps(VmSpec(2.2, 1, 2.2))
+        got = decode_chain([0x01, 0x11, 0x01], [0.0, 100.0, 0.0], p,
+                           levels=(5, 5))[1].encrypt_cost  # RC4 + MD5
         assert got == pytest.approx(2.69 + 0.58, rel=0.005)
 
     def test_encrypt_strongest_pair_two_cores(self):
-        vm = VmSpec(2.2, 2, 2.2)
-        got = encrypt_cost(100.0, vm, 1, 1, CAT)  # IDEA + TIGER
+        p = one_vm_aps(VmSpec(2.2, 2, 2.2))
+        got = decode_chain([0x01, 0x11, 0x01], [0.0, 100.0, 0.0], p,
+                           levels=(1, 1))[1].encrypt_cost  # IDEA + TIGER
         assert got == pytest.approx((100 / 11.76 + 100 / 75.76) / 2, rel=1e-12)
 
     def test_decrypt_no_cross_ap_inputs(self):
-        assert decrypt_cost([], PLATFORM.md.vm, CAT) == 0.0
+        assert decode_chain([0x01, 0x01], [10.0, 10.0])[1].decrypt_cost == 0.0
+        assert decode_chain([0x01, 0x11, 0x11, 0x01], [10.0] * 4)[2].decrypt_cost == 0.0
 
     def test_decrypt_equal_cores_rescales_frequency(self):
         producer = VmSpec(2.2, 4, 2.2)
         consumer = VmSpec(4.4, 4, 4.4)
-        enc = encrypt_cost(50.0, producer, 5, 5, CAT)
-        dec = decrypt_cost([(50.0, producer, 5, 5)], consumer, CAT)
+        timings = decode_chain([0x01, 0x11, 0x21, 0x01], [0.0, 50.0, 0.0, 0.0],
+                               one_vm_aps(producer, consumer), levels=(5, 5))
+        enc, dec = timings[1].encrypt_cost, timings[2].decrypt_cost
         assert dec == pytest.approx(enc * producer.frequency_ghz / consumer.frequency_ghz,
                                     rel=1e-12)
 
     def test_decrypt_literal_core_ratio(self):
-        producer = VmSpec(2.2, 4, 2.2)
-        consumer = VmSpec(2.2, 8, 2.2)
-        got = decrypt_cost([(100.0, producer, 5, 5)], consumer, CAT)
+        p = one_vm_aps(VmSpec(2.2, 4, 2.2), VmSpec(2.2, 8, 2.2))
+        got = decode_chain([0x01, 0x11, 0x21, 0x01], [0.0, 100.0, 0.0, 0.0], p,
+                           levels=(5, 5))[2].decrypt_cost
         # (4/8) * (2.69 + 0.58) / 8, with speed-derived reference costs
         assert got == pytest.approx(0.20439715210457793, rel=1e-12)
 
     def test_decrypt_ratio_disabled(self):
-        producer = VmSpec(2.2, 4, 2.2)
-        consumer = VmSpec(2.2, 8, 2.2)
-        with_ratio = decrypt_cost([(100.0, producer, 5, 5)], consumer, CAT)
-        without = decrypt_cost([(100.0, producer, 5, 5)], consumer, CAT,
-                               producer_core_ratio=False)
-        assert without == pytest.approx(with_ratio * 2, rel=1e-12)
+        p = one_vm_aps(VmSpec(2.2, 4, 2.2), VmSpec(2.2, 8, 2.2))
+        chain = ([0x01, 0x11, 0x21, 0x01], [0.0, 100.0, 0.0, 0.0], p, (5, 5))
+        with_ratio = decode_chain(*chain)[2].decrypt_cost
+        without = decode_chain(*chain, EvalOptions(decrypt_producer_core_ratio=False))
+        assert without[2].decrypt_cost == pytest.approx(with_ratio * 2, rel=1e-12)
 
 
 class TestExecTime:
@@ -379,13 +397,24 @@ class TestScoreOnlyDecode:
 
 class TestViolationAndDeb:
     def test_feasible_point(self):
-        assert violation(8.0, 0.2, 10.0, 0.5) == 0.0
+        res = evaluate(Chromosome((0, 1), (0x01, 0x01), (1, 1), (1, 1)),
+                       md_chain_workflow(), PLATFORM, CAT, RISK)
+        assert res.violation == 0.0 and res.feasible
 
     def test_deadline_slack(self):
-        assert violation(12.0, 0.2, 10.0, 0.5) == pytest.approx(2.0)
+        # two 6 s tasks on the MD against a 10 s deadline
+        w = Workflow(tasks=(Task(0, 1.0, 1.0, 6 * 2.36), Task(1, 1.0, 1.0, 6 * 2.36)),
+                     edges=((0, 1),), deadline_s=10.0, risk_cap=0.5)
+        res = evaluate(Chromosome((0, 1), (0x01, 0x01), (1, 1), (1, 1)), w, PLATFORM, CAT, RISK)
+        assert res.violation == pytest.approx(2.0)
 
     def test_both_terms_sum(self):
-        assert violation(11.0, 0.6, 10.0, 0.5) == pytest.approx(1.1)
+        w = Workflow(tasks=tuple(Task(i, 10.0, 10.0, 2.0) for i in range(3)),
+                     edges=((0, 1), (1, 2)), deadline_s=0.5, risk_cap=0.0)
+        res = evaluate(Chromosome((0, 1, 2), (0x01, 0x11, 0x01), (5, 5, 5), (5, 5, 5)),
+                       w, PLATFORM, CAT, RISK)
+        assert res.makespan_s > 0.5 and res.risk > 0.0
+        assert res.violation == pytest.approx(res.makespan_s - 0.5 + res.risk)
 
     @staticmethod
     def result(feasible, energy=1.0, viol=0.0):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from seeco import ga
 from seeco.baselines import Strategy, StrategyKind, search_setup
-from seeco.evaluator import Chromosome, EvaluationResult, deb_key, evaluate, make_evaluator
+from seeco.evaluator import Chromosome, deb_key, evaluate, make_evaluator
 from seeco.ga import (
     GaParams,
     GaRun,
@@ -20,7 +20,6 @@ from seeco.ga import (
     mutate_order,
     mutate_vectors,
     run,
-    select,
     write_history_csv,
 )
 from seeco.platform import MD_LOCATION, default_platform, encode_location
@@ -212,32 +211,6 @@ class TestMutateVectors:
         expected = 10_000 / 5
         chi2 = sum((counts[v] - expected) ** 2 / expected for v in range(1, 6))
         assert chi2 < 9.488  # 5% critical value, 4 degrees of freedom
-
-
-def make_result(feasible, energy, viol=0.0):
-    return EvaluationResult(timings=(), makespan_s=0.0, energy_j=energy,
-                            risk=0.0, violation=viol, feasible=feasible)
-
-
-class TestSelect:
-    def test_feasible_always_beats_infeasible(self):
-        rng = random.Random(18)
-        pop = [(Chromosome((0,), (1,), (1,), (1,)), make_result(True, 50.0)),
-               (Chromosome((0,), (1,), (1,), (1,)), make_result(False, 1.0, viol=2.0))]
-        for _ in range(50):
-            assert select(pop, rng)[1].feasible
-
-    def test_lower_energy_always_wins(self):
-        rng = random.Random(19)
-        pop = [(Chromosome((0,), (1,), (1,), (1,)), make_result(True, 3.0)),
-               (Chromosome((0,), (1,), (1,), (1,)), make_result(True, 9.0))]
-        for _ in range(50):
-            assert select(pop, rng)[1].energy_j == 3.0
-
-    def test_uniform_population(self):
-        rng = random.Random(20)
-        ind = (Chromosome((0,), (1,), (1,), (1,)), make_result(True, 5.0))
-        assert select([ind, ind, ind], rng) == ind
 
 
 class TestRun:

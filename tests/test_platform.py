@@ -101,7 +101,7 @@ class TestDecodeLocation:
         with pytest.raises(ValueError):
             decode_location(0x00, default_platform())
 
-    @pytest.mark.parametrize("servers", [0, 1, 3, 10])
+    @pytest.mark.parametrize("servers", [0, 1, 3, 10, 15])
     def test_total_on_byte_range(self, servers):
         p = default_platform(servers)
         for b in range(0x01, 0x100):
@@ -134,6 +134,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             AccessPoint(vms=(), radio=default_radio())
 
+    def test_at_most_15_aps(self):
+        assert default_platform(15).num_aps == 15
+        with pytest.raises(ValueError, match="at most 15"):
+            default_platform(16)
+
+    def test_at_most_15_vms_per_ap(self):
+        vms = tuple(VmSpec(2.0, 1, 1.0 + i) for i in range(16))
+        p = Platform(md=default_platform(0).md,
+                     aps=(AccessPoint(vms=vms[:15], radio=default_radio()),))
+        assert {decode_location(0x10 | low, p) for low in range(0x10)} == {
+            (1, k) for k in range(1, 16)}
+        with pytest.raises(ValueError, match="at most 15"):
+            AccessPoint(vms=vms, radio=default_radio())
+
     def test_vm_at_bounds(self):
         p = default_platform(2)
         with pytest.raises(ValueError):
@@ -154,6 +168,19 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"md": {}}')
         with pytest.raises(ValueError):
+            load_platform(path)
+
+    @pytest.mark.parametrize("grow", ["aps", "vms"])
+    def test_unaddressable_platform_rejected(self, tmp_path, grow):
+        path = tmp_path / "platform.json"
+        save_platform(default_platform(1), path)
+        payload = json.loads(path.read_text())
+        if grow == "aps":
+            payload["aps"] *= 16
+        else:
+            payload["aps"][0]["vms"] *= 16
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="at most 15"):
             load_platform(path)
 
     @pytest.mark.parametrize("bad", [

@@ -1,12 +1,20 @@
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seeco.evaluator import evaluate
-from seeco.platform import MobileDevice, Platform, VmSpec, default_platform
+from seeco.platform import (
+    AccessPoint,
+    MobileDevice,
+    Platform,
+    RadioParams,
+    VmSpec,
+    default_platform,
+)
 from seeco.security import RiskModel, default_catalog
 from seeco.workflow import (
     GeneratorConfig,
@@ -223,6 +231,56 @@ class TestDeadlineReachable:
     def test_acceptance_instances(self, n):
         w = random_workflow(n, 0.3, OFFLOAD_FRIENDLY, seed=7)
         assert_deadline_reachable(w, default_platform())
+
+
+def random_multi_vm_platform(rng):
+    """1-4 APs of 1-4 VMs with mixed clocks, cores, radios and backhaul."""
+    md_ghz = rng.uniform(0.5, 2.5)
+    md = MobileDevice(VmSpec(md_ghz, rng.choice((1, 2)), md_ghz), 0.5, 0.1, 0.05)
+    aps = []
+    for _ in range(rng.randint(1, 4)):
+        vms = []
+        for _ in range(rng.randint(1, 4)):
+            f = rng.uniform(2.0, 6.0)
+            vms.append(VmSpec(f, rng.choice((1, 2, 4, 8, 16)), f * rng.uniform(0.8, 1.0)))
+        radio = RadioParams(b_ul_mhz=rng.uniform(10.0, 80.0), b_dl_mhz=rng.uniform(10.0, 80.0),
+                            p_tx_w=0.1, p_ap_w=1.0, h_ul=rng.uniform(1e-8, 1e-7),
+                            h_dl=rng.uniform(1e-8, 1e-7), noise_w=1e-9)
+        aps.append(AccessPoint(tuple(vms), radio))
+    return Platform(md, tuple(aps), inter_ap_bandwidth_mb_s=rng.uniform(5.0, 50.0))
+
+
+def calibration_instances():
+    """The acceptance instances, the benchmark's 50-task pool, and ten random ones."""
+    cases = [(random_workflow(n, 0.3, OFFLOAD_FRIENDLY, seed=7), default_platform())
+             for n in (10, 30, 50)]
+    cases += [(random_workflow(50, 0.3, OFFLOAD_FRIENDLY, seed=s), default_platform())
+              for s in range(1, 5)]
+    rng = random.Random(1)
+    light = GeneratorConfig(data_range_mb=(0.5, 3.0), workload_range_gcycles=(5.0, 30.0))
+    for _ in range(10):
+        cfg = rng.choice((OFFLOAD_FRIENDLY, light))
+        w = random_workflow(rng.randint(5, 40), rng.uniform(0.1, 0.5), cfg,
+                            seed=rng.randrange(10**6))
+        cases.append((w, random_multi_vm_platform(rng)))
+    return cases
+
+
+# compute_deadline of each calibration instance, recorded before the greedy
+# witness read the decoder's cost tables; 8 of the 10 random ones are not
+# degenerate (the witness beats the all-MD schedule)
+PINNED_DEADLINES = [
+    39.713090445059066, 126.28295212600086, 207.8278403355169,
+    202.86138822825873, 215.90262049572473, 223.55568827634735, 197.33117246127426,
+    33.407770931656046, 206.21408089499067, 211.9785446510914, 209.4276435381171,
+    316.5742403721207, 122.28922044631678, 62.35951472257024, 40.82763082502147,
+    77.60294836638087, 122.93255729263227,
+]
+
+
+def test_calibration_pinned():
+    got = [compute_deadline(w, p, CAT) for w, p in calibration_instances()]
+    assert got == PINNED_DEADLINES
 
 
 class TestSerialization:
