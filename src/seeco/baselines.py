@@ -90,6 +90,24 @@ def search_setup(strategy: Strategy, cat: SecurityCatalog) -> tuple[GeneConstrai
     raise ValueError(f"unhandled strategy kind {kind}")
 
 
+def risk_inputs(strategy: Strategy, risk_cap: float, risk_model: RiskModel) -> tuple:
+    """The risk inputs a strategy's solve reads; equal tuples give equal outcomes.
+
+    Local and max-level read neither the cap nor the attack rates: the
+    all-MD schedule has no crossing payload, and max-level pins both
+    services to their level-1.0 algorithm, so every payload survives with
+    ``exp(-lambda * 0) = 1`` and the risk is exactly 0 under any cap.
+    Min-level ignores the cap, but the rates set the risk it reports.
+    The others read both.
+    """
+    kind = strategy.kind
+    if kind in (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL):
+        return ()
+    if kind is StrategyKind.MIN_LEVEL:
+        return (risk_model,)
+    return (risk_cap, risk_model)
+
+
 # Strategies with free level genes start every individual at the strongest
 # levels (risk-free), letting evolution relax security where the cap allows.
 # A purely random population drifts back to the all-MD attractor under tight

@@ -18,10 +18,14 @@ dashes as underscores.  Each flag takes the first value it finds in:
   4. the parser's built-in default, read from ``GaParams``,
      ``RiskModel`` and ``GeneratorConfig`` where the library has one.
 
-The environment variable ``SEECO_THREADS`` caps sweep parallelism
-(default 1, meaning strictly sequential); results are gathered and
-written in sorted order either way, so the output does not depend on
-the worker count.
+A sweep solves each distinct problem once: jobs that differ only in an
+input their strategy does not read (the risk cap for local, max-level
+and min-level; the attack rates for local and max-level) share one
+solve, and each gets a copy of its row.  The environment variable
+``SEECO_THREADS`` caps the worker processes that run those solves
+(default 1, meaning strictly sequential; never more than there are
+distinct solves); results are gathered and written in sorted order
+either way, so the output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .baselines import Strategy, solve_detailed
+from .baselines import Strategy, risk_inputs, solve_detailed
 from .evaluator import write_schedule_csv
 from .ga import GaParams, write_history_csv
 from .platform import Platform, default_platform, load_platform, read_json
@@ -182,6 +186,9 @@ def build_sweep_jobs(
         w = random_workflow(n, density, gen_cfg, seed=workflow_seed, risk_cap=risk_cap)
         return with_deadline(w, compute_deadline(w, base_platform, cat))
 
+    # every sweep but ``tasks`` poses all its values on one workflow
+    if workflow is None and sweep != "tasks":
+        workflow = make_workflow(tasks)
     jobs = []
     for value in values:
         w = workflow
@@ -189,20 +196,12 @@ def build_sweep_jobs(
         rm = risk_model
         params = base_params
         if sweep in _GA_SWEEP_FIELDS:
-            if w is None:
-                w = make_workflow(tasks)
             params = replace(base_params, **{_GA_SWEEP_FIELDS[sweep]: value})
         elif sweep == "risk_cap":
-            if w is None:
-                w = make_workflow(tasks)
             w = replace(w, risk_cap=float(value))
         elif sweep == "lambda":
-            if w is None:
-                w = make_workflow(tasks)
             rm = replace(risk_model, lambda_conf=float(value), lambda_integ=float(value))
         elif sweep == "servers":
-            if w is None:
-                w = make_workflow(tasks)
             plat = default_platform(int(value))
         elif sweep == "tasks":
             w = make_workflow(int(value))
@@ -216,17 +215,41 @@ def build_sweep_jobs(
     return jobs
 
 
+def solve_key(job: SweepJob) -> tuple:
+    """Everything the solve of ``job`` reads: jobs with equal keys pose one problem."""
+    w = job.workflow
+    strategy = Strategy.parse(job.strategy, literal_decrypt_ratio=job.literal_eq11)
+    return (job.strategy, job.literal_eq11, job.catalog_path, job.params, job.platform,
+            w.tasks, w.edges, w.deadline_s,
+            risk_inputs(strategy, w.risk_cap, job.risk_model))
+
+
 def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict]:
-    """Run all jobs and return rows sorted by (value, strategy, seed)."""
+    """Run all jobs and return rows sorted by (value, strategy, seed).
+
+    Each distinct problem (:func:`solve_key`) is solved once, by
+    :func:`run_job`, and its row is copied to every job that poses it,
+    with that job's sweep, value and seed.  A strategy that cannot read
+    the swept input (local and max-level under a risk-cap or attack-rate
+    sweep, min-level under a risk-cap sweep) is therefore solved once per
+    seed, not once per value; the rows are the same as solving every job.
+    """
     if max_workers is None:
         max_workers = int(os.environ.get("SEECO_THREADS", "1"))
+    keys = [solve_key(job) for job in jobs]
+    distinct: dict[tuple, SweepJob] = {}
+    for key, job in zip(keys, jobs):
+        distinct.setdefault(key, job)
     # a fork-based pool starts all its workers at the first submit
-    max_workers = min(max_workers, len(jobs))
+    max_workers = min(max_workers, len(distinct))
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(run_job, jobs))
+            solved = list(pool.map(run_job, distinct.values()))
     else:
-        rows = [run_job(job) for job in jobs]
+        solved = [run_job(job) for job in distinct.values()]
+    row_of = dict(zip(distinct, solved))
+    rows = [{**row_of[key], "sweep": job.sweep, "value": job.value, "seed": job.seed}
+            for key, job in zip(keys, jobs)]
     rows.sort(key=lambda r: (r["value"], r["strategy"], r["seed"]))
     return rows
 

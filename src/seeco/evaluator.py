@@ -75,6 +75,29 @@ class Chromosome:
         if any(len(v) != n for v in (self.locations, self.conf_levels, self.integ_levels)):
             raise ValueError("all chromosome vectors must have the same length")
 
+    @classmethod
+    def unchecked(cls, order: tuple[int, ...], locations: tuple[int, ...],
+                  conf_levels: tuple[int, ...], integ_levels: tuple[int, ...]) -> "Chromosome":
+        """Build from four tuples of equal length, skipping the constructor's checks.
+
+        For the GA's operators, which keep that invariant by construction.
+        """
+        c = object.__new__(cls)
+        fields = c.__dict__
+        fields["order"] = order
+        fields["locations"] = locations
+        fields["conf_levels"] = conf_levels
+        fields["integ_levels"] = integ_levels
+        return c
+
+    def __hash__(self) -> int:
+        # the GA's memo hashes each chromosome several times; hash it once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.order, self.locations, self.conf_levels, self.integ_levels))
+        return h
+
 
 class ServiceMode(Enum):
     """How one security service participates in an evaluation."""

@@ -30,7 +30,7 @@ import bisect
 import csv
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -107,15 +107,23 @@ class GeneConstraints:
         return self.fixed_integ_level or drawn
 
     def repair(self, c: Chromosome) -> Chromosome:
-        """Re-pin the endpoint placements and re-impose frozen levels."""
+        """Re-pin the endpoint placements and re-impose frozen levels.
+
+        Returns ``c`` itself when it changes nothing.
+        """
         n = len(c.order)
-        loc = list(c.locations)
-        loc[0] = loc[n - 1] = MD_LOCATION
-        conf = ((self.fixed_conf_level,) * n if self.fixed_conf_level
-                else c.conf_levels)
-        integ = ((self.fixed_integ_level,) * n if self.fixed_integ_level
-                 else c.integ_levels)
-        return Chromosome(c.order, tuple(loc), conf, integ)
+        loc, conf, integ = c.locations, c.conf_levels, c.integ_levels
+        if loc[0] != MD_LOCATION or loc[n - 1] != MD_LOCATION:
+            pinned = list(loc)
+            pinned[0] = pinned[n - 1] = MD_LOCATION
+            loc = tuple(pinned)
+        if self.fixed_conf_level and conf.count(self.fixed_conf_level) != n:
+            conf = (self.fixed_conf_level,) * n
+        if self.fixed_integ_level and integ.count(self.fixed_integ_level) != n:
+            integ = (self.fixed_integ_level,) * n
+        if loc is c.locations and conf is c.conf_levels and integ is c.integ_levels:
+            return c
+        return Chromosome.unchecked(c.order, loc, conf, integ)
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,7 @@ def init_chromosome(w: Workflow, rng: random.Random,
                     constraints: GeneConstraints | None = None) -> Chromosome:
     order = init_order(w, rng)
     loc, conf, integ = init_vectors(w, rng, constraints)
-    return Chromosome(tuple(order), tuple(loc), tuple(conf), tuple(integ))
+    return Chromosome.unchecked(tuple(order), tuple(loc), tuple(conf), tuple(integ))
 
 
 def crossover_order(
@@ -222,8 +230,8 @@ def crossover_vectors(
     ig1, ig2 = _cut_pair(a.integ_levels, b.integ_levels, rng.randrange(n))
     loc1[0] = loc1[n - 1] = MD_LOCATION
     loc2[0] = loc2[n - 1] = MD_LOCATION
-    child_a = Chromosome(a.order, tuple(loc1), tuple(cf1), tuple(ig1))
-    child_b = Chromosome(b.order, tuple(loc2), tuple(cf2), tuple(ig2))
+    child_a = Chromosome.unchecked(a.order, tuple(loc1), tuple(cf1), tuple(ig1))
+    child_b = Chromosome.unchecked(b.order, tuple(loc2), tuple(cf2), tuple(ig2))
     return child_a, child_b
 
 
@@ -274,7 +282,7 @@ def mutate_vectors(
     loc[rng.randint(1, n - 2)] = rng.randint(0x01, 0xFF)
     conf[rng.randint(1, n - 2)] = cons.draw_conf(rng)
     integ[rng.randint(1, n - 2)] = cons.draw_integ(rng)
-    return Chromosome(c.order, tuple(loc), tuple(conf), tuple(integ))
+    return Chromosome.unchecked(c.order, tuple(loc), tuple(conf), tuple(integ))
 
 
 Individual = tuple[Chromosome, Score]
@@ -441,7 +449,7 @@ def make_deadline_repair(
             bisect.insort(groups[s][target], pos, key=lambda q: -weight[q])
         if saved < overshoot:
             return c
-        return Chromosome(c.order, c.locations, tuple(levels[0]), tuple(levels[1]))
+        return Chromosome.unchecked(c.order, c.locations, tuple(levels[0]), tuple(levels[1]))
 
     return repair
 
@@ -527,7 +535,7 @@ def run(
             if t in at_risk:
                 conf[pos] = strong_conf[0]
                 integ[pos] = strong_integ[0]
-        return Chromosome(c.order, c.locations, tuple(conf), tuple(integ))
+        return Chromosome.unchecked(c.order, c.locations, tuple(conf), tuple(integ))
 
     weaken = make_deadline_repair(w, p, cat, risk_model, cons, options)
 
@@ -550,7 +558,7 @@ def run(
         if i == 0 and warm_start:
             c = cons.repair(greedy_witness(w, p, cat))
         elif i < strong_seeds:
-            c = Chromosome(c.order, c.locations, strong_conf, strong_integ)
+            c = Chromosome.unchecked(c.order, c.locations, strong_conf, strong_integ)
         pop.append(scored(c))
 
     ranking_key = _make_ranking_key(options)
@@ -576,15 +584,18 @@ def run(
             if rng.random() < params.p_c:
                 o1, o2 = crossover_order(p1.order, p2.order, rng)
                 c1, c2 = crossover_vectors(p1, p2, rng)
-                pair = [Chromosome(tuple(o1), c1.locations, c1.conf_levels, c1.integ_levels),
-                        Chromosome(tuple(o2), c2.locations, c2.conf_levels, c2.integ_levels)]
+                pair = [Chromosome.unchecked(tuple(o1), c1.locations, c1.conf_levels,
+                                             c1.integ_levels),
+                        Chromosome.unchecked(tuple(o2), c2.locations, c2.conf_levels,
+                                             c2.integ_levels)]
             else:
                 pair = [p1, p2]
             for child in pair:
                 if rng.random() < params.p_m:
                     mutated_order = mutate_order(child.order, w, rng)
-                    child = mutate_vectors(
-                        replace(child, order=tuple(mutated_order)), rng, cons)
+                    child = mutate_vectors(Chromosome.unchecked(
+                        tuple(mutated_order), child.locations, child.conf_levels,
+                        child.integ_levels), rng, cons)
                 child = cons.repair(child)
                 if len(nxt) < params.pop_size:
                     nxt.append(scored(child))

@@ -127,8 +127,9 @@ class RiskModel:
     lambda_integ: float = 1.8
 
     def __post_init__(self) -> None:
-        if self.lambda_conf < 0.0 or self.lambda_integ < 0.0:
-            raise ValueError("attack rates must be non-negative")
+        # finite rates keep a level-1.0 payload's survival exp(-rate * 0) at exactly 1
+        if not all(0.0 <= r < math.inf for r in (self.lambda_conf, self.lambda_integ)):
+            raise ValueError("attack rates must be finite and non-negative")
 
 
 def speed_from_cost(cost_s: float, data_mb: float) -> float:

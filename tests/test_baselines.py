@@ -9,6 +9,7 @@ from seeco.baselines import (
     Strategy,
     StrategyKind,
     local_chromosome,
+    risk_inputs,
     search_setup,
     solve,
     solve_detailed,
@@ -180,6 +181,58 @@ class TestNeverLosesToAllMd:
             assert better(res, all_md), kind
             if kind is StrategyKind.MAX_LEVEL:
                 assert res.risk == 0.0
+
+
+def _outcome(outcome):
+    """Everything a solve reports, GA counters and history included."""
+    res, run = outcome.result, outcome.ga_run
+    return (outcome.chromosome, res.energy_j, res.makespan_s, res.risk, res.violation,
+            res.feasible, None if run is None else (run.evaluations, run.history))
+
+
+class TestRiskInputs:
+    """Strategies that :func:`risk_inputs` says ignore an input give equal outcomes."""
+
+    CAP_BLIND = (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL, StrategyKind.MIN_LEVEL)
+    RATE_BLIND = (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 10**6), cap=st.floats(0.0, 1.0),
+           servers=st.integers(0, 3), slack=st.sampled_from([0.9, 1.0, 1.2]),
+           ga_seed=st.integers(0, 100),
+           rates=st.lists(st.floats(0.0, 5.0), min_size=4, max_size=4))
+    def test_blind_strategies_ignore_the_input(self, n, seed, cap, servers, slack,
+                                                ga_seed, rates):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(n, 0.4, cfg, seed=seed)
+        p = default_platform(servers)
+        w = with_deadline(w, compute_deadline(w, p, CAT) * slack)
+        params = GaParams(pop_size=6, iterations=4, seed=ga_seed)
+        caps = (0.0, cap, 1.0)
+        models = (RiskModel(*rates[:2]), RiskModel(*rates[2:]))
+        for kind in self.CAP_BLIND:
+            strategy = Strategy(kind)
+            assert len({risk_inputs(strategy, c, RISK) for c in caps}) == 1
+            outcomes = [_outcome(solve_detailed(strategy, replace(w, risk_cap=c), p, CAT,
+                                                RISK, params)) for c in caps]
+            assert outcomes[1:] == outcomes[:-1], kind
+        for kind in self.RATE_BLIND:
+            strategy = Strategy(kind)
+            assert risk_inputs(strategy, cap, models[0]) == risk_inputs(strategy, cap, models[1])
+            w_cap = replace(w, risk_cap=cap)
+            a, b = (_outcome(solve_detailed(strategy, w_cap, p, CAT, rm, params))
+                    for rm in models)
+            assert a == b, kind
+
+    def test_other_strategies_read_cap_and_rates(self):
+        for kind in StrategyKind:
+            strategy = Strategy(kind)
+            reads_cap = (risk_inputs(strategy, 0.2, RISK)
+                         != risk_inputs(strategy, 0.7, RISK))
+            reads_rates = (risk_inputs(strategy, 0.2, RISK)
+                           != risk_inputs(strategy, 0.2, RiskModel(1.0, 1.0)))
+            assert reads_cap is (kind not in self.CAP_BLIND), kind
+            assert reads_rates is (kind not in self.RATE_BLIND), kind
 
 
 def _digest(value) -> str:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -9,17 +10,27 @@ from seeco.cli import (
     SOLVE_CSV_HEADER,
     SUMMARY_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    SweepJob,
     build_sweep_jobs,
     main,
     parse_range,
     parse_seeds,
+    run_job,
     run_sweep,
     summarize_rows,
 )
 from seeco.ga import GaParams
 from seeco.platform import default_platform, save_platform
-from seeco.security import RiskModel
-from seeco.workflow import GeneratorConfig, load_workflow
+from seeco.security import RiskModel, default_catalog
+from seeco.workflow import (
+    GeneratorConfig,
+    compute_deadline,
+    load_workflow,
+    random_workflow,
+    with_deadline,
+)
+
+ALL_STRATEGIES = ["local", "max", "min", "confi", "integ", "seeco"]
 
 
 def read_csv(path):
@@ -313,3 +324,108 @@ class TestSweepMachinery:
         assert len(out) == 1
         assert out[0]["mean_energy"] == pytest.approx(3.0)
         assert out[0]["feasible_fraction"] == pytest.approx(0.5)
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor without starting processes."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def small_jobs(sweep, values, strategies=ALL_STRATEGIES, seeds=(1,)):
+    return build_sweep_jobs(
+        sweep=sweep, values=values, strategies=strategies, seeds=list(seeds),
+        base_params=GaParams(pop_size=6, iterations=3), workflow=None, platform=None,
+        risk_model=RiskModel(), gen_cfg=GeneratorConfig(), density=0.3,
+        workflow_seed=1, risk_cap=0.5, tasks=5)
+
+
+class TestSweepDeduplication:
+    """``run_sweep`` solves each distinct problem once and changes no row."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        solved = []
+
+        def counting_run_job(job):
+            solved.append(job)
+            return run_job(job)
+
+        monkeypatch.setattr(cli, "run_job", counting_run_job)
+        return solved
+
+    @pytest.mark.parametrize("pool", ["sequential", "in_process_pool"])
+    @pytest.mark.parametrize("sweep, values, solves", [
+        ("risk_cap", [0.1, 0.5, 1.0], 3 + 3 * 3),  # local, max, min once; the rest per cap
+        ("lambda", [0.5, 1.5], 2 + 4 * 2),          # local, max once; the rest per rate
+    ])
+    def test_rows_equal_one_solve_per_job(self, monkeypatch, pool, sweep, values, solves):
+        jobs = small_jobs(sweep, values, seeds=(1, 2))
+        expected = sorted((run_job(j) for j in jobs),
+                          key=lambda r: (r["value"], r["strategy"], r["seed"]))
+        solved = self.count_solves(monkeypatch)
+        if pool == "in_process_pool":
+            monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+            rows = run_sweep(jobs, max_workers=2)
+        else:
+            rows = run_sweep(jobs, max_workers=1)
+        assert rows == expected
+        assert [list(r) for r in rows] == [list(r) for r in expected]  # same column order
+        assert len(solved) == 2 * solves
+
+    def test_risk_cap_sweep_of_six_strategies_makes_33_solves(self, monkeypatch):
+        jobs = small_jobs("risk_cap", [round(0.1 * i, 1) for i in range(1, 11)])
+        assert len(jobs) == 60
+        solved = self.count_solves(monkeypatch)
+        rows = run_sweep(jobs, max_workers=1)
+        assert len(rows) == 60
+        assert len(solved) == 33
+        assert sorted(j.strategy for j in solved).count("seeco") == 10
+
+    def test_pool_clamped_to_distinct_solves(self, monkeypatch):
+        sizes = []
+
+        class SizedPool(InProcessPool):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
+        jobs = small_jobs("risk_cap", [0.2, 0.4, 0.6], strategies=["local", "max"])
+        assert len(run_sweep(jobs, max_workers=8)) == 6
+        assert sizes == [2]  # one solve per strategy
+
+    def test_workflow_calibrated_once(self, monkeypatch):
+        calls = []
+
+        def counting_deadline(*args, **kwargs):
+            calls.append(args)
+            return compute_deadline(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_deadline", counting_deadline)
+        caps = [round(0.1 * i, 1) for i in range(1, 11)]
+        params = GaParams(pop_size=6, iterations=3)
+        jobs = build_sweep_jobs(
+            sweep="risk_cap", values=caps, strategies=["max", "seeco"], seeds=[1, 2],
+            base_params=params, workflow=None, platform=None, risk_model=RiskModel(),
+            gen_cfg=GeneratorConfig(), density=0.3, workflow_seed=4, risk_cap=0.5, tasks=8)
+        assert len(calls) == 1
+
+        platform = default_platform()
+        w = random_workflow(8, 0.3, GeneratorConfig(), seed=4, risk_cap=0.5)
+        w = with_deadline(w, compute_deadline(w, platform, default_catalog()))
+        assert jobs == [
+            SweepJob(sweep="risk_cap", value=cap, strategy=strategy, seed=seed,
+                     workflow=replace(w, risk_cap=cap), platform=platform,
+                     risk_model=RiskModel(), params=replace(params, seed=seed),
+                     literal_eq11=True, catalog_path=None)
+            for cap in caps for strategy in ["max", "seeco"] for seed in [1, 2]]

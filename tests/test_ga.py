@@ -354,6 +354,41 @@ class TestDeadlineRepair:
         assert make_deadline_repair(w, p, CAT, RISK, cons)(c, res) is c
 
 
+class TestGeneRepair:
+    @settings(max_examples=100, deadline=None)
+    @given(genes=st.lists(st.tuples(st.integers(0x01, 0xFF), st.integers(1, 5),
+                                    st.integers(1, 5)), min_size=1, max_size=8),
+           fixed_conf=st.sampled_from([None, 1, 3]), fixed_integ=st.sampled_from([None, 1, 4]))
+    def test_matches_rebuilt_chromosome(self, genes, fixed_conf, fixed_integ):
+        n = len(genes)
+        loc, conf, integ = (list(v) for v in zip(*genes))
+        c = Chromosome(range(n), loc, conf, integ)
+        cons = GeneConstraints.from_catalog(CAT, fixed_conf_level=fixed_conf,
+                                            fixed_integ_level=fixed_integ)
+        pinned = list(loc)
+        pinned[0] = pinned[n - 1] = MD_LOCATION
+        expected = Chromosome(range(n), pinned, [fixed_conf] * n if fixed_conf else conf,
+                              [fixed_integ] * n if fixed_integ else integ)
+        repaired = cons.repair(c)
+        assert repaired == expected
+        assert hash(repaired) == hash(expected)
+        assert all(type(v) is tuple for v in (repaired.order, repaired.locations,
+                                              repaired.conf_levels, repaired.integ_levels))
+        # a chromosome that needs no repair comes back as the same object
+        assert (repaired is c) == (expected == c)
+        assert cons.repair(repaired) is repaired
+
+    def test_unchecked_equals_checked_construction(self):
+        genes = ((0, 1, 2), (1, 0x21, 1), (2, 3, 1), (1, 5, 2))
+        checked = Chromosome(*(list(v) for v in genes))
+        unchecked = Chromosome.unchecked(*genes)
+        assert unchecked == checked and checked == unchecked
+        assert hash(unchecked) == hash(checked) == hash(genes)
+        assert repr(unchecked) == repr(checked)
+        with pytest.raises(ValueError, match="same length"):
+            Chromosome((0, 1), (1,), (1, 1), (1, 1))
+
+
 class TestParamsValidation:
     def test_bad_pop(self):
         with pytest.raises(ValueError):

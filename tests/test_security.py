@@ -235,6 +235,13 @@ class TestRisk:
         with pytest.raises(ValueError):
             RiskModel(lambda_conf=-1.0)
 
+    @pytest.mark.parametrize("field", ["lambda_conf", "lambda_integ"])
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+    def test_risk_model_rejects_non_finite_rates(self, field, rate):
+        # an infinite rate would make a level-1.0 payload's survival exp(-inf * 0) = nan
+        with pytest.raises(ValueError, match="finite"):
+            RiskModel(**{field: rate})
+
 
 class TestLevelReconstruction:
     def test_printed_levels_reproduced_from_speeds(self):
