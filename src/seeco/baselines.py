@@ -108,14 +108,6 @@ def risk_inputs(strategy: Strategy, risk_cap: float, risk_model: RiskModel) -> t
     return (risk_cap, risk_model)
 
 
-# Strategies with free level genes start every individual at the strongest
-# levels (risk-free), letting evolution relax security where the cap allows.
-# A purely random population drifts back to the all-MD attractor under tight
-# risk caps: offloading one task then needs placement and both level genes
-# to line up in a single variation step.
-STRONG_SEED_FRACTION = 1.0
-
-
 def solve_detailed(
     strategy: Strategy,
     w: Workflow,
@@ -125,6 +117,11 @@ def solve_detailed(
     params: GaParams | None = None,
 ) -> SolveOutcome:
     """Run one strategy and return its schedule, score and GA trace.
+
+    Every strategy but local is :func:`seeco.ga.run` under the freezes
+    and modes of :func:`search_setup`, from run's one initial population:
+    the greedy witness plus risk-free random individuals, which keep
+    tight caps from collapsing the search onto all-MD.
 
     The all-MD schedule of :func:`local_chromosome` is always available,
     so the outcome never loses to it: when :func:`better` strictly
@@ -140,12 +137,7 @@ def solve_detailed(
     local_result = evaluate(local, w, p, cat, risk_model, options)
     if strategy.kind is StrategyKind.LOCAL:
         return SolveOutcome(local, local_result, None)
-    seeding = 0.0
-    if constraints.fixed_conf_level is None or constraints.fixed_integ_level is None:
-        seeding = STRONG_SEED_FRACTION
-    ga_run = run(w, p, cat, risk_model, params, constraints=constraints,
-                 options=options, strong_seed_fraction=seeding,
-                 warm_start=True)
+    ga_run = run(w, p, cat, risk_model, params, constraints=constraints, options=options)
     if better(ga_run.best_result, local_result):
         return SolveOutcome(ga_run.best_chromosome, ga_run.best_result, ga_run)
     return SolveOutcome(local, local_result, ga_run)

@@ -48,12 +48,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .platform import MD_LOCATION, Platform, VmSpec, decode_location, downlink_rate, uplink_rate
-from .security import (
-    REF_FREQUENCY_GHZ,
-    RiskModel,
-    SecurityCatalog,
-    Service,
-)
+from .security import RiskModel, SecurityCatalog, Service, overhead
 from .workflow import Workflow
 
 
@@ -201,13 +196,14 @@ def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: Risk
         rates[0][j] = uplink_rate(p.radio(j))
         rates[j][0] = downlink_rate(p.radio(j))
 
-    # per-gene crypto cost factors (None when the service costs nothing)
-    # and survival factors for crossing tasks, resolved per service mode
+    # per-gene crypto cost factors (None when the service costs nothing):
+    # seconds per MB on one core at 1 GHz; and survival factors for
+    # crossing tasks, resolved per service mode
     n_conf = cat.level_count(Service.CONFIDENTIALITY)
     n_integ = cat.level_count(Service.INTEGRITY)
-    conf_cost = ([0.0] + [REF_FREQUENCY_GHZ / a.speed_mb_s for a in cat.confidentiality]
+    conf_cost = ([0.0] + [overhead(a, 1, 1.0, 1.0) for a in cat.confidentiality]
                  if options.conf_mode is ServiceMode.ACTIVE else None)
-    integ_cost = ([0.0] + [REF_FREQUENCY_GHZ / a.speed_mb_s for a in cat.integrity]
+    integ_cost = ([0.0] + [overhead(a, 1, 1.0, 1.0) for a in cat.integrity]
                   if options.integ_mode is ServiceMode.ACTIVE else None)
 
     def survival_table(mode, algs, rate, count):

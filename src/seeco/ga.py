@@ -140,6 +140,8 @@ class GaRun:
 
     ``evaluations`` counts scorings, repairs' rescores included;
     ``cache_hits`` counts those of them the memo answered without a decode.
+    ``risk_repairs`` and ``deadline_repairs`` count the two repairs'
+    rescores; the rest are ``pop_size + iterations * (pop_size - elitism)``.
     """
 
     best_chromosome: Chromosome
@@ -148,6 +150,8 @@ class GaRun:
     params: GaParams = field(default_factory=GaParams)
     evaluations: int = 0
     cache_hits: int = 0
+    risk_repairs: int = 0
+    deadline_repairs: int = 0
 
 
 def init_order(w: Workflow, rng: random.Random) -> list[int]:
@@ -462,9 +466,6 @@ def run(
     params: GaParams | None = None,
     constraints: GeneConstraints | None = None,
     options: EvalOptions = DEFAULT_OPTIONS,
-    strong_seed_fraction: float = 0.0,
-    warm_start: bool = False,
-    risk_repair: bool = True,
 ) -> GaRun:
     """Evolve a population and return the best individual ever evaluated.
 
@@ -472,44 +473,43 @@ def run(
     population's best under the feasibility-first ordering), and
     ``best_result`` is the winner's full decode, timeline included.
 
-    Heuristic initialization knobs (both default off for a purely random
-    population): ``strong_seed_fraction`` starts that share of the
-    population at the strongest levels with random placements, and
-    ``warm_start`` replaces the first individual with the greedy witness
-    schedule.  The witness meets a deadline from
-    :func:`seeco.workflow.compute_deadline` only when it is faster than
-    the all-MD schedule; when the deadline degenerates to the serial
-    bound (the witness is slower), it misses, and the all-MD schedule,
-    which this function never seeds, may be the only known feasible one.
-    :func:`seeco.baselines.solve_detailed` falls back to it.
+    The initial population is fixed: individual 0 is the greedy witness
+    (:func:`seeco.workflow.greedy_witness`), and every other individual
+    gets a random order and random placements at the strongest levels
+    (the frozen level where ``constraints`` fixes one), so it starts
+    risk-free and the search relaxes security where the cap allows.  A
+    purely random population drifts back to the all-MD attractor under
+    tight risk caps: offloading one task then needs placement and both
+    level genes to line up in one variation step.  Under a degenerate
+    deadline (see :func:`seeco.workflow.compute_deadline`) the witness
+    misses; all-MD, never seeded, may then be the only feasible schedule
+    known, and :func:`seeco.baselines.solve_detailed` falls back to it.
 
-    Deterministic level-gene refinements keep the search honest about
-    what weak services are for (they never lower energy, they only buy
-    schedule slack at the price of risk).  ``risk_repair`` upgrades the
-    crossing tasks of any individual that busts the risk cap to
-    full-strength services (which zeroes their risk) and re-scores it;
-    without it, tight caps funnel the population onto the all-MD
-    attractor, because risk falls placement-gene by placement-gene while
-    fixing it via levels needs every crossing task raised at once.
-    The deadline repair, always on, works the other way round, after any
-    risk repair: an individual that misses the deadline within the cap
-    gets the weakening of :func:`make_deadline_repair`, is re-scored
-    once, and keeps the weaker levels only if :func:`better` strictly
-    prefers the result (a Lamarckian step: the repaired genes enter the
-    population).  It acts on free level genes only, so among the
-    reference strategies it changes SEECO and the single-service ones
-    (confi, integ), never max-level or min-level.
-    Variation operators themselves are never touched.
+    Two deterministic repairs keep the search honest about what weak
+    services are for (they never lower energy, they only buy schedule
+    slack at the price of risk).  The risk repair upgrades the crossing
+    tasks of any individual that busts the risk cap to full-strength
+    services (which zeroes their risk) and re-scores it; without it,
+    tight caps funnel the population onto the all-MD attractor, because
+    risk falls placement-gene by placement-gene while fixing it via
+    levels needs every crossing task raised at once.  The deadline
+    repair works the other way round, after any risk repair: an
+    individual that misses the deadline within the cap gets the
+    weakening of :func:`make_deadline_repair`, is re-scored once, and
+    keeps the weaker levels only if :func:`better` strictly prefers the
+    result (a Lamarckian step: the repaired genes enter the population).
+    It acts on free level genes only, so among the reference strategies
+    it changes SEECO and the single-service ones (confi, integ), never
+    max-level or min-level.  Variation operators themselves are never
+    touched.
     """
     params = params or GaParams()
     cons = constraints or GeneConstraints.from_catalog(cat)
-    if not 0.0 <= strong_seed_fraction <= 1.0:
-        raise ValueError("strong_seed_fraction must be in [0, 1]")
     rng = random.Random(params.seed)
     # operators keep chromosomes valid by construction, so skip re-validation
     decode = make_evaluator(w, p, cat, risk_model, options, validate=False, timeline=False)
     risk_cap = options.effective_risk_cap(w)
-    evaluations = cache_hits = 0
+    evaluations = cache_hits = risk_repairs = deadline_repairs = 0
     memo: dict[Chromosome, Score] = {}   # scores of this generation
     older: dict[Chromosome, Score] = {}  # and of the previous one
 
@@ -540,24 +540,26 @@ def run(
     weaken = make_deadline_repair(w, p, cat, risk_model, cons, options)
 
     def scored(c: Chromosome) -> Individual:
+        nonlocal risk_repairs, deadline_repairs
         res = score(c)
-        if risk_repair and res.risk > risk_cap:
+        if res.risk > risk_cap:
+            risk_repairs += 1
             c = upgrade_crossing(c, res)
             res = score(c)
         weak = weaken(c, res)
         if weak is not c:
+            deadline_repairs += 1
             weak_res = score(weak)
             if not better(res, weak_res):  # strictly better only
                 c, res = weak, weak_res
         return c, res
 
-    strong_seeds = round(params.pop_size * strong_seed_fraction)
     pop: list[Individual] = []
     for i in range(params.pop_size):
-        c = init_chromosome(w, rng, cons)
-        if i == 0 and warm_start:
+        c = init_chromosome(w, rng, cons)  # individual 0 draws too, so later draws stay put
+        if i == 0:
             c = cons.repair(greedy_witness(w, p, cat))
-        elif i < strong_seeds:
+        else:
             c = Chromosome.unchecked(c.order, c.locations, strong_conf, strong_integ)
         pop.append(scored(c))
 
@@ -613,7 +615,8 @@ def run(
     return GaRun(best_chromosome=best[0],
                  best_result=evaluate(best[0], w, p, cat, risk_model, options),
                  history=history, params=params, evaluations=evaluations,
-                 cache_hits=cache_hits)
+                 cache_hits=cache_hits, risk_repairs=risk_repairs,
+                 deadline_repairs=deadline_repairs)
 
 
 HISTORY_CSV_HEADER = ["generation", "best_energy", "best_violation", "feasible_count"]

@@ -152,8 +152,8 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         for lo, hi in (self.data_range_mb, self.workload_range_gcycles):
-            if not 0.0 <= lo <= hi:
-                raise ValueError("generator ranges must satisfy 0 <= lo <= hi")
+            if not (0.0 <= lo <= hi and math.isfinite(hi)):
+                raise ValueError("generator ranges must be finite and satisfy 0 <= lo <= hi")
 
 
 def random_workflow(

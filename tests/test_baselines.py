@@ -15,7 +15,7 @@ from seeco.baselines import (
     solve_detailed,
 )
 from seeco.evaluator import better, evaluate
-from seeco.ga import GaParams
+from seeco.ga import GaParams, run
 from seeco.platform import MD_LOCATION, default_platform
 from seeco.security import RiskModel, default_catalog
 from seeco.workflow import (
@@ -233,6 +233,27 @@ class TestRiskInputs:
                            != risk_inputs(strategy, 0.2, RiskModel(1.0, 1.0)))
             assert reads_cap is (kind not in self.CAP_BLIND), kind
             assert reads_rates is (kind not in self.RATE_BLIND), kind
+
+
+class TestRunIsTheSolversGa:
+    """``ga.run`` under a strategy's search set-up is the GA ``solve_detailed`` runs."""
+
+    @pytest.mark.parametrize("kind", [k for k in StrategyKind if k is not StrategyKind.LOCAL],
+                             ids=lambda k: k.value)
+    def test_same_run(self, kind):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        for seed, servers, cap in ((1, 3, 0.3), (2, 1, 0.6), (3, 2, 1.0)):
+            w = random_workflow(8, 0.35, cfg, seed=seed, risk_cap=cap)
+            p = default_platform(servers)
+            w = with_deadline(w, compute_deadline(w, p, CAT))
+            params = GaParams(pop_size=8, iterations=6, seed=seed)
+            cons, opts = search_setup(Strategy(kind), CAT)
+            direct = run(w, p, CAT, RISK, params, constraints=cons, options=opts)
+            solved = solve_detailed(Strategy(kind), w, p, CAT, RISK, params).ga_run
+            assert (direct.best_chromosome, direct.best_result, direct.history,
+                    direct.evaluations, direct.cache_hits) == (
+                solved.best_chromosome, solved.best_result, solved.history,
+                solved.evaluations, solved.cache_hits), (kind, seed)
 
 
 def _digest(value) -> str:

@@ -81,6 +81,13 @@ class TestGenerate:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--load-max", "inf"), ("--data-max", "1e999")])
+    def test_rejects_non_finite_bound(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--tasks", "5", flag, value, "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     @pytest.fixture()

@@ -255,9 +255,9 @@ class TestRun:
             return spy
 
         monkeypatch.setattr(ga, "make_evaluator", spy_make_evaluator)
-        r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=10, seed=2),
-                risk_repair=False)
-        assert r.evaluations == 8 + 8 * 10 - 10  # initial pop + per-gen fills minus elite
+        r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=10, seed=2))
+        # initial pop + per-gen fills minus elite, plus the repairs' rescores
+        assert r.evaluations == 8 + 8 * 10 - 10 + r.risk_repairs + r.deadline_repairs
         assert len(seen) == r.evaluations - r.cache_hits  # one decode per memo miss
         for c in seen:
             assert is_valid_order(w, list(c.order))

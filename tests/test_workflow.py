@@ -167,6 +167,17 @@ class TestGenerator:
         with pytest.raises(ValueError):
             random_workflow(1, 0.5)
 
+    @pytest.mark.parametrize("data, load", [
+        ((5.0, math.inf), (1.0, 10.0)),
+        ((5.0, 50.0), (1.0, math.inf)),
+        ((math.inf, math.inf), (1.0, 10.0)),
+        ((5.0, 50.0), (math.nan, 10.0)),
+        ((5.0, math.nan), (1.0, 10.0)),
+    ])
+    def test_rejects_non_finite_bounds(self, data, load):
+        with pytest.raises(ValueError, match="finite"):
+            GeneratorConfig(data_range_mb=data, workload_range_gcycles=load)
+
     def test_custom_ranges(self):
         cfg = GeneratorConfig(data_range_mb=(1.0, 2.0), workload_range_gcycles=(5.0, 6.0))
         w = random_workflow(6, 0.4, gen_cfg=cfg, seed=1)
