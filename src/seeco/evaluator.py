@@ -36,6 +36,14 @@ floating-point operations in the same order, so the totals are
 bit-identical.  :func:`cost_tables` resolves the cost model of a problem
 into one :class:`CostTables` object, which the decoder, the GA's deadline
 repair and the deadline calibration's greedy witness all read.
+
+The decoder runs in two passes.  The order-free pass
+(:func:`order_free_pass`) needs only placements and levels: it maps the
+genes to tasks, finds which tasks' output crosses an access point, and
+takes the risk; it is the one place where the risk formula lives, and
+the GA runs it alone to screen out children over the risk cap.  The
+timing pass then walks the order to fill in start times, durations and
+energy.
 """
 
 from __future__ import annotations
@@ -159,6 +167,18 @@ class Score(NamedTuple):
     at_risk: tuple[int, ...]  # ids of the tasks whose risk is > 0, in decode order
 
 
+class Exposure(NamedTuple):
+    """What the order-free pass finds; the lists are indexed by task id."""
+
+    rows: list        # the CostTables.vms row of the VM each task runs on
+    aps: list         # the access point each task runs on (0: the MD)
+    pairs: list       # each task's level gene pair index into the pair tables
+    crossing: list    # whether some successor of the task sits on another AP
+    task_risk: list   # each task's risk: nonzero only for crossing tasks
+    risk: float
+    at_risk: tuple[int, ...]  # ids of the tasks whose risk is > 0, in decode order
+
+
 def exec_time(workload_gcycles: float, vm: VmSpec) -> float:
     """Seconds to run a workload on a VM."""
     return workload_gcycles / vm.capability_ghz
@@ -242,6 +262,51 @@ def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: Risk
     )
 
 
+def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], Exposure]:
+    """Build the decoder's order-free pass over one problem's tables.
+
+    A task's output is exposed when some successor sits on another access
+    point; it then survives attack with its level pair's survival factor,
+    and the workflow's risk is one minus the product of those factors,
+    taken in chromosome order.  Placements and levels alone decide this,
+    so the pass never reads the start-time recurrence.
+    """
+    n = w.n
+    succs = [tuple(w.successors(i)) for i in range(n)]
+    by_byte, stride, pair_surv = tables.by_byte, tables.stride, tables.pair_surv
+
+    def exposure(c: Chromosome) -> Exposure:
+        order = c.order
+        # genes live at order positions; re-key them by task id
+        rows = [by_byte[1]] * n
+        aps = [0] * n
+        pairs = [0] * n
+        for t, byte, cl, il in zip(order, c.locations, c.conf_levels, c.integ_levels):
+            row = rows[t] = by_byte[byte]
+            aps[t] = row[0]
+            pairs[t] = cl * stride + il
+
+        crossing = [False] * n
+        task_risk = [0.0] * n
+        at_risk: list[int] = []
+        survival = 1.0
+        for t in order:
+            ap = aps[t]
+            for s in succs[t]:
+                if aps[s] != ap:
+                    crossing[t] = True
+                    task_survival = pair_surv[pairs[t]]
+                    survival *= task_survival
+                    risk_t = task_risk[t] = 1.0 - task_survival
+                    if risk_t > 0.0:
+                        at_risk.append(t)
+                    break
+        return Exposure(rows, aps, pairs, crossing, task_risk, 1.0 - survival,
+                        tuple(at_risk))
+
+    return exposure
+
+
 def make_evaluator(
     w: Workflow,
     p: Platform,
@@ -263,6 +328,7 @@ def make_evaluator(
     are bit-identical.
     """
     tables = cost_tables(w, p, cat, risk_model, options)
+    exposure = order_free_pass(w, tables)
     n = w.n
     preds = [tuple(w.predecessors(i)) for i in range(n)]
     succs = [tuple(w.successors(i)) for i in range(n)]
@@ -271,21 +337,18 @@ def make_evaluator(
     edges = w.edges
     deadline = w.deadline_s
     risk_cap = tables.risk_cap
-    decode_table = tables.by_byte
     num_vms = len(tables.vms)
     rate = tables.rate
     md_p_comp, md_p_ul, md_p_dl = p.md.p_comp_w, p.md.p_ul_w, p.md.p_dl_w
     n_conf = cat.level_count(Service.CONFIDENTIALITY)
     n_integ = cat.level_count(Service.INTEGRITY)
-    stride, pair_cost, pair_surv = tables.stride, tables.pair_cost, tables.pair_surv
+    pair_cost = tables.pair_cost
     literal_ratio = options.decrypt_producer_core_ratio
 
     def engine(c: Chromosome) -> EvaluationResult | Score:
         order = c.order
-        locations = c.locations
-        conf_levels = c.conf_levels
-        integ_levels = c.integ_levels
         if validate:
+            locations = c.locations
             if len(order) != n:
                 raise ValueError(
                     f"chromosome length {len(order)} does not match {n} tasks")
@@ -302,29 +365,19 @@ def make_evaluator(
             if locations[0] != MD_LOCATION or locations[n - 1] != MD_LOCATION:
                 raise ValueError(
                     "entry and exit placement genes must be pinned to the MD (0x01)")
-            for lev in conf_levels:
+            for lev in c.conf_levels:
                 if not 1 <= lev <= n_conf:
                     raise ValueError(
                         f"confidentiality level gene {lev} outside 1..{n_conf}")
-            for lev in integ_levels:
+            for lev in c.integ_levels:
                 if not 1 <= lev <= n_integ:
                     raise ValueError(f"integrity level gene {lev} outside 1..{n_integ}")
 
-        # genes live at order positions; re-key them by task id
-        vm_of = [decode_table[1]] * n  # decode_table row per task
-        ap_of = [0] * n
-        pair_of = [0] * n              # level gene pair index per task
-        for t, byte, cl, il in zip(order, locations, conf_levels, integ_levels):
-            row = vm_of[t] = decode_table[byte]
-            ap_of[t] = row[0]
-            pair_of[t] = cl * stride + il
-
+        vm_of, ap_of, pair_of, crossing, task_risk, total_risk, at_risk = exposure(c)
         vm_avail = [0.0] * num_vms
         end = [0.0] * n
         rows: list[TaskTiming] = [TaskTiming(0, 0, 0, 0, 0, 0, 0, 0, 0)] * n
-        at_risk: list[int] = []
         energy = 0.0
-        survival = 1.0
 
         for t in order:
             ap, vm_k, vid, inv_cap, denom, cores = vm_of[t]
@@ -343,30 +396,21 @@ def make_evaluator(
                 energy += md_p_comp * ex
 
             tr = 0.0
-            crossing = False
-            beta = out_mb[t]
-            rate_out = rate[ap]
-            for s in succs[t]:
-                s_ap = ap_of[s]
-                if s_ap == ap:
-                    continue
-                crossing = True
-                leg = beta / rate_out[s_ap]
-                if ap == 0:
-                    energy += md_p_ul * leg
-                elif s_ap == 0:
-                    energy += md_p_dl * leg
-                tr += leg
-
             enc = 0.0
-            risk_t = 0.0
-            if crossing:
+            if crossing[t]:
+                beta = out_mb[t]
+                rate_out = rate[ap]
+                for s in succs[t]:
+                    s_ap = ap_of[s]
+                    if s_ap == ap:
+                        continue
+                    leg = beta / rate_out[s_ap]
+                    if ap == 0:
+                        energy += md_p_ul * leg
+                    elif s_ap == 0:
+                        energy += md_p_dl * leg
+                    tr += leg
                 enc = beta * pair_cost[pair_of[t]] / denom
-                task_survival = pair_surv[pair_of[t]]
-                risk_t = 1.0 - task_survival
-                survival *= task_survival
-                if risk_t > 0.0:
-                    at_risk.append(t)
 
             finish = start + dec + ex + tr + enc
             end[t] = finish
@@ -374,14 +418,13 @@ def make_evaluator(
             if timeline:
                 rows[t] = TaskTiming(ap=ap, vm=vm_k, start=start, end=finish, exec=ex,
                                      transfer=tr, encrypt_cost=enc, decrypt_cost=dec,
-                                     risk=risk_t)
+                                     risk=task_risk[t])
 
         makespan = max(end)
-        total_risk = 1.0 - survival
         viol = (makespan - deadline if makespan > deadline else 0.0) + \
                (total_risk - risk_cap if total_risk > risk_cap else 0.0)
         if not timeline:
-            return Score(makespan, energy, total_risk, viol, viol == 0.0, tuple(at_risk))
+            return Score(makespan, energy, total_risk, viol, viol == 0.0, at_risk)
         return EvaluationResult(
             timings=tuple(rows),
             makespan_s=makespan,

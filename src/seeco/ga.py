@@ -20,7 +20,11 @@ Decoding is the cost of a run.  :func:`run` scores with the decoder's
 score-only form (:class:`seeco.evaluator.Score`, no per-task timeline)
 through a memo keyed by chromosome that holds the current and the
 previous generation's scores: parents often pass through unchanged,
-and a hit skips their decode.  Scoring draws no random numbers, so hits
+and a hit skips their decode.  A child the memo misses first goes
+through the risk screen (:func:`make_risk_screen`), the decoder's
+order-free pass alone: a child over the risk cap goes straight to the
+risk repair, which reads only its risk and at-risk tasks, so it is never
+timed.  Scoring draws no random numbers, so hits and screened children
 leave the trajectory as it was.  The winner alone is decoded in full.
 """
 
@@ -39,6 +43,7 @@ from .evaluator import (
     DEFAULT_OPTIONS,
     EvalOptions,
     EvaluationResult,
+    Exposure,
     Score,
     ServiceMode,
     better,
@@ -46,6 +51,7 @@ from .evaluator import (
     deb_key,
     evaluate,
     make_evaluator,
+    order_free_pass,
 )
 from .platform import MD_LOCATION, Platform
 from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service
@@ -139,7 +145,10 @@ class GaRun:
     """A run's winner with its full timeline, per-generation stats, and counters.
 
     ``evaluations`` counts scorings, repairs' rescores included;
-    ``cache_hits`` counts those of them the memo answered without a decode.
+    ``cache_hits`` counts those of them that found their chromosome in the
+    memo, and ``screened`` the memo misses that the risk screen answered
+    alone (children over the risk cap) and that were never timed, so a
+    run decodes ``evaluations - cache_hits - screened`` chromosomes.
     ``risk_repairs`` and ``deadline_repairs`` count the two repairs'
     rescores; the rest are ``pop_size + iterations * (pop_size - elitism)``.
     """
@@ -152,23 +161,27 @@ class GaRun:
     cache_hits: int = 0
     risk_repairs: int = 0
     deadline_repairs: int = 0
+    screened: int = 0
 
 
 def init_order(w: Workflow, rng: random.Random) -> list[int]:
     """Random topological order: repeatedly pick a uniformly random ready task.
 
     The entry task is placed first; the exit task lands last on its own
-    because it depends on everything else.
+    because it depends on everything else.  The ready tasks are kept in
+    ascending id order, and a task joins them once its last predecessor
+    is placed.
     """
-    done: set[int] = set()
+    missing = [len(w.predecessors(t)) for t in range(w.n)]
+    ready = [t for t in range(w.n) if not missing[t]]
     order: list[int] = []
-    remaining = set(range(w.n))
-    while remaining:
-        ready = sorted(t for t in remaining if w.predecessors(t) <= done)
-        t = ready[0] if len(ready) == 1 else ready[rng.randrange(len(ready))]
+    while ready:
+        t = ready.pop(0 if len(ready) == 1 else rng.randrange(len(ready)))
         order.append(t)
-        done.add(t)
-        remaining.discard(t)
+        for s in w.successors(t):
+            missing[s] -= 1
+            if not missing[s]:
+                bisect.insort(ready, s)
     return order
 
 
@@ -355,6 +368,7 @@ def make_deadline_repair(
     # as if every successor sat on the VM costliest to decrypt on
     weight_bound = [[t.output_mb * (enc_coef[x] + len(succs[t.id]) * max(dec_coef[x]))
                      for x in range(len(tables.vms))] for t in w.tasks]
+    max_weight = max(map(max, weight_bound))
 
     # moves[s][a]: (gain, -log survival spent, per-MB cost saved, target
     # level) for every cheaper level of free service s, best gain (cost
@@ -396,6 +410,8 @@ def make_deadline_repair(
         # budget, so some weight must reach ``need``; bounds rule most out.
         overshoot = res.makespan_s - deadline
         need = overshoot / (max_gain * budget)
+        if max_weight < need:
+            return c
         order, locations = c.order, c.locations
         hopeful = [t for t, byte in zip(order, locations)
                    if weight_bound[t][by_byte[byte][2]] >= need]
@@ -458,6 +474,33 @@ def make_deadline_repair(
     return repair
 
 
+def make_risk_screen(
+    w: Workflow,
+    p: Platform,
+    cat: SecurityCatalog,
+    risk_model: RiskModel,
+    constraints: GeneConstraints,
+    options: EvalOptions = DEFAULT_OPTIONS,
+) -> Callable[[Chromosome], Exposure] | None:
+    """Build the risk screen: the decoder's order-free pass, run alone.
+
+    A chromosome's risk does not depend on its order, so the screen finds
+    it, and the tasks at risk, without timing the schedule.  Returns
+    ``None`` where no chromosome ``constraints`` allow can exceed the
+    cap: under an effective cap of 1.0, or when every level pair they
+    allow survives with certainty (max-level).
+    """
+    tables = cost_tables(w, p, cat, risk_model, options)
+    conf = ((constraints.fixed_conf_level,) if constraints.fixed_conf_level
+            else range(1, constraints.conf_level_count + 1))
+    integ = ((constraints.fixed_integ_level,) if constraints.fixed_integ_level
+             else range(1, constraints.integ_level_count + 1))
+    if tables.risk_cap >= 1.0 or all(tables.pair_surv[cl * tables.stride + il] >= 1.0
+                                     for cl in conf for il in integ):
+        return None
+    return order_free_pass(w, tables)
+
+
 def run(
     w: Workflow,
     p: Platform,
@@ -489,7 +532,11 @@ def run(
     services are for (they never lower energy, they only buy schedule
     slack at the price of risk).  The risk repair upgrades the crossing
     tasks of any individual that busts the risk cap to full-strength
-    services (which zeroes their risk) and re-scores it; without it,
+    services (which zeroes their risk) and re-scores it.  A child that
+    busts the cap at its first scoring is found by the risk screen
+    (:func:`make_risk_screen`) and never timed, since the repair reads
+    only its risk and at-risk tasks; the repairs' outputs, which the
+    population keeps, are always decoded in full.  Without the repair,
     tight caps funnel the population onto the all-MD attractor, because
     risk falls placement-gene by placement-gene while fixing it via
     levels needs every crossing task raised at once.  The deadline
@@ -508,26 +555,42 @@ def run(
     rng = random.Random(params.seed)
     # operators keep chromosomes valid by construction, so skip re-validation
     decode = make_evaluator(w, p, cat, risk_model, options, validate=False, timeline=False)
+    screen = make_risk_screen(w, p, cat, risk_model, cons, options)
     risk_cap = options.effective_risk_cap(w)
-    evaluations = cache_hits = risk_repairs = deadline_repairs = 0
-    memo: dict[Chromosome, Score] = {}   # scores of this generation
-    older: dict[Chromosome, Score] = {}  # and of the previous one
+    evaluations = cache_hits = risk_repairs = deadline_repairs = screened = 0
+    # scores of this generation and of the previous one; a child the
+    # screen stopped is held as its Exposure
+    memo: dict[Chromosome, Score | Exposure] = {}
+    older: dict[Chromosome, Score | Exposure] = {}
 
-    def score(c: Chromosome) -> Score:
-        nonlocal evaluations, cache_hits
+    def score(c: Chromosome, child: bool = False) -> Score | Exposure:
+        """Score ``c``; a child's memo miss may stop at the screen.
+
+        The repairs' outputs are kept, so they must be timed: one that
+        finds an Exposure decodes it, and the decode is charged to that
+        screened miss, so hits count as they would without the screen.
+        """
+        nonlocal evaluations, cache_hits, screened
         evaluations += 1
         res = memo.get(c) or older.get(c)
         if res is None:
-            res = decode(c)
+            if child and screen is not None and (found := screen(c)).risk > risk_cap:
+                screened += 1
+                res = found
+            else:
+                res = decode(c)
         else:
             cache_hits += 1
+            if not child and isinstance(res, Exposure):
+                screened -= 1
+                res = decode(c)
         memo[c] = res
         return res
 
     strong_conf = (cons.fixed_conf_level or cons.strongest_conf_level,) * w.n
     strong_integ = (cons.fixed_integ_level or cons.strongest_integ_level,) * w.n
 
-    def upgrade_crossing(c: Chromosome, res: Score) -> Chromosome:
+    def upgrade_crossing(c: Chromosome, res: Score | Exposure) -> Chromosome:
         at_risk = set(res.at_risk)
         conf = list(c.conf_levels)
         integ = list(c.integ_levels)
@@ -541,7 +604,7 @@ def run(
 
     def scored(c: Chromosome) -> Individual:
         nonlocal risk_repairs, deadline_repairs
-        res = score(c)
+        res = score(c, child=True)
         if res.risk > risk_cap:
             risk_repairs += 1
             c = upgrade_crossing(c, res)
@@ -616,7 +679,7 @@ def run(
                  best_result=evaluate(best[0], w, p, cat, risk_model, options),
                  history=history, params=params, evaluations=evaluations,
                  cache_hits=cache_hits, risk_repairs=risk_repairs,
-                 deadline_repairs=deadline_repairs)
+                 deadline_repairs=deadline_repairs, screened=screened)
 
 
 HISTORY_CSV_HEADER = ["generation", "best_energy", "best_violation", "feasible_count"]

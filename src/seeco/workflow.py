@@ -154,6 +154,8 @@ class GeneratorConfig:
         for lo, hi in (self.data_range_mb, self.workload_range_gcycles):
             if not (0.0 <= lo <= hi and math.isfinite(hi)):
                 raise ValueError("generator ranges must be finite and satisfy 0 <= lo <= hi")
+        if self.workload_range_gcycles[1] == 0.0:  # zero-cycle tasks calibrate a 0 s deadline
+            raise ValueError("the workload upper bound must be positive")
 
 
 def random_workflow(

@@ -88,6 +88,14 @@ class TestGenerate:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rejects_zero_workload_range(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["generate", "--tasks", "5", "--load-min", "0", "--load-max", "0",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: the workload upper bound must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     @pytest.fixture()

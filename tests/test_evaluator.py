@@ -13,16 +13,19 @@ from seeco.evaluator import (
     ServiceMode,
     TaskTiming,
     better,
+    cost_tables,
     deb_key,
     evaluate,
     exec_time,
     make_evaluator,
+    order_free_pass,
     write_schedule_csv,
 )
 from seeco.platform import (
     AccessPoint,
     Platform,
     VmSpec,
+    decode_location,
     default_platform,
     default_radio,
     downlink_rate,
@@ -393,6 +396,39 @@ class TestScoreOnlyDecode:
                     ignore_risk_cap=options.ignore_risk_cap)
                 for value, expected in zip(got, ref):
                     assert math.isclose(value, expected, rel_tol=1e-9, abs_tol=1e-12)
+
+
+class TestOrderFreePass:
+    """The order-free pass alone finds the full decode's risk and at-risk tasks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 9), density=st.floats(0.1, 0.8), seed=st.integers(0, 10**6),
+           risk_cap=st.floats(0.0, 1.0), platform=small_platforms(),
+           genes=st.randoms(use_true_random=False), literal=st.booleans())
+    def test_matches_full_decode(self, n, density, seed, risk_cap, platform, genes, literal):
+        w = with_deadline(random_workflow(n, density, seed=seed, risk_cap=risk_cap), 30.0)
+        chromosomes = [random_chromosome(w, genes) for _ in range(3)]
+        for kind in StrategyKind:
+            _, options = search_setup(Strategy(kind, literal), CAT)
+            exposure = order_free_pass(w, cost_tables(w, platform, CAT, RISK, options))
+            full = make_evaluator(w, platform, CAT, RISK, options)
+            score = make_evaluator(w, platform, CAT, RISK, options, timeline=False)
+            for c in chromosomes:
+                found, res = exposure(c), full(c)
+                assert found.risk == res.risk
+                assert found.at_risk == score(c).at_risk
+                assert found.task_risk == [row.risk for row in res.timings]
+                # a task crosses when some successor sits on another access point
+                ap = {t: decode_location(byte, platform)[0]
+                      for t, byte in zip(c.order, c.locations)}
+                assert found.crossing == [any(ap[s] != ap[t] for s in w.successors(t))
+                                          for t in range(n)]
+                ref = reference_evaluate(
+                    c, w, platform, CAT, RISK, conf_mode=options.conf_mode.value,
+                    integ_mode=options.integ_mode.value,
+                    producer_core_ratio=options.decrypt_producer_core_ratio,
+                    ignore_risk_cap=options.ignore_risk_cap)
+                assert math.isclose(found.risk, ref[2], rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestViolationAndDeb:

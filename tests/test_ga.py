@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from seeco import ga
 from seeco.baselines import Strategy, StrategyKind, search_setup
-from seeco.evaluator import Chromosome, deb_key, evaluate, make_evaluator
+from seeco.evaluator import (
+    Chromosome,
+    EvalOptions,
+    ServiceMode,
+    deb_key,
+    evaluate,
+    make_evaluator,
+)
 from seeco.ga import (
     GaParams,
     GaRun,
@@ -17,6 +24,7 @@ from seeco.ga import (
     init_order,
     init_vectors,
     make_deadline_repair,
+    make_risk_screen,
     mutate_order,
     mutate_vectors,
     run,
@@ -28,6 +36,7 @@ from seeco.workflow import (
     GeneratorConfig,
     Task,
     Workflow,
+    compute_deadline,
     is_valid_order,
     random_workflow,
     with_deadline,
@@ -67,6 +76,27 @@ class TestInitOrder:
         for seed in range(30):
             w = random_workflow(rng.randint(4, 20), rng.uniform(0.1, 0.6), seed=seed)
             assert is_valid_order(w, init_order(w, rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), density=st.floats(0.0, 1.0), seed=st.integers(0, 10**6),
+           rng_seed=st.integers(0, 10**6))
+    def test_matches_rescanning_version(self, n, density, seed, rng_seed):
+        def rescanning_init_order(w, rng):
+            # every step rescans the remaining tasks for the ready ones
+            done, order, remaining = set(), [], set(range(w.n))
+            while remaining:
+                ready = sorted(t for t in remaining if w.predecessors(t) <= done)
+                t = ready[0] if len(ready) == 1 else ready[rng.randrange(len(ready))]
+                order.append(t)
+                done.add(t)
+                remaining.discard(t)
+            return order
+
+        w = random_workflow(n, density, seed=seed)
+        fast, slow = random.Random(rng_seed), random.Random(rng_seed)
+        for _ in range(3):
+            assert init_order(w, fast) == rescanning_init_order(w, slow)
+        assert fast.random() == slow.random()  # the same draws were consumed
 
 
 class TestInitVectors:
@@ -258,7 +288,7 @@ class TestRun:
         r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=10, seed=2))
         # initial pop + per-gen fills minus elite, plus the repairs' rescores
         assert r.evaluations == 8 + 8 * 10 - 10 + r.risk_repairs + r.deadline_repairs
-        assert len(seen) == r.evaluations - r.cache_hits  # one decode per memo miss
+        assert len(seen) == r.evaluations - r.cache_hits - r.screened
         for c in seen:
             assert is_valid_order(w, list(c.order))
             assert c.locations[0] == MD_LOCATION and c.locations[-1] == MD_LOCATION
@@ -352,6 +382,70 @@ class TestDeadlineRepair:
         res = evaluate(c, w, p, CAT, RISK)
         assert not res.feasible
         assert make_deadline_repair(w, p, CAT, RISK, cons)(c, res) is c
+
+
+class TestRiskScreen:
+    """Children over the risk cap are screened, not decoded."""
+
+    def tight_instance(self, risk_cap):
+        w = random_workflow(12, 0.3, seed=41, risk_cap=risk_cap)
+        p = default_platform(3)
+        return with_deadline(w, compute_deadline(w, p, CAT)), p
+
+    def run_spied(self, monkeypatch, kind, risk_cap):
+        w, p = self.tight_instance(risk_cap)
+        cons, options = search_setup(Strategy(kind), CAT)
+        decodes = []
+
+        def spy_make_evaluator(*args, **kwargs):
+            decode = make_evaluator(*args, **kwargs)
+
+            def spy(c):
+                decodes.append(c)
+                return decode(c)
+            return spy
+
+        monkeypatch.setattr(ga, "make_evaluator", spy_make_evaluator)
+        r = run(w, p, CAT, RISK, GaParams(pop_size=10, iterations=12, seed=3),
+                constraints=cons, options=options)
+        assert len(decodes) == r.evaluations - r.cache_hits - r.screened
+        return r
+
+    def test_seeco_screens_children_over_a_tight_cap(self, monkeypatch):
+        r = self.run_spied(monkeypatch, StrategyKind.SEECO, 0.02)
+        assert r.screened > 0
+        assert r.risk_repairs >= r.screened  # each screened child goes to the repair
+
+    @pytest.mark.parametrize("kind", [StrategyKind.MAX_LEVEL, StrategyKind.MIN_LEVEL])
+    def test_never_fires_where_no_child_can_exceed_the_cap(self, monkeypatch, kind):
+        w, p = self.tight_instance(0.02)
+        cons, options = search_setup(Strategy(kind), CAT)
+        assert make_risk_screen(w, p, CAT, RISK, cons, options) is None
+        assert self.run_spied(monkeypatch, kind, 0.02).screened == 0
+
+    @pytest.mark.parametrize("options", [
+        EvalOptions(),
+        # the risk repair cannot lower an unprotected service's risk, so
+        # its outputs can be screened children; they must be decoded then
+        EvalOptions(conf_mode=ServiceMode.UNPROTECTED),
+    ])
+    def test_changes_nothing_but_the_decodes(self, monkeypatch, options):
+        w, p = self.tight_instance(0.3)
+        params = GaParams(pop_size=10, iterations=15, seed=5)
+        screened = run(w, p, CAT, RISK, params, options=options)
+        monkeypatch.setattr(ga, "make_risk_screen", lambda *args, **kwargs: None)
+        timed = run(w, p, CAT, RISK, params, options=options)
+        assert screened.screened > 0 and timed.screened == 0
+        for name in ("best_chromosome", "best_result", "history", "evaluations",
+                     "cache_hits", "risk_repairs", "deadline_repairs"):
+            assert getattr(screened, name) == getattr(timed, name)
+
+    def test_not_built_under_a_cap_of_one(self):
+        w, p = self.tight_instance(1.0)
+        cons, options = search_setup(Strategy(StrategyKind.SEECO), CAT)
+        assert make_risk_screen(w, p, CAT, RISK, cons, options) is None
+        w, p = self.tight_instance(0.02)
+        assert make_risk_screen(w, p, CAT, RISK, cons, options) is not None
 
 
 class TestGeneRepair:

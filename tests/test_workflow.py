@@ -178,6 +178,11 @@ class TestGenerator:
         with pytest.raises(ValueError, match="finite"):
             GeneratorConfig(data_range_mb=data, workload_range_gcycles=load)
 
+    def test_rejects_zero_workload_range(self):
+        with pytest.raises(ValueError, match="workload upper bound must be positive"):
+            GeneratorConfig(workload_range_gcycles=(0.0, 0.0))
+        GeneratorConfig(data_range_mb=(0.0, 0.0), workload_range_gcycles=(0.0, 1.0))
+
     def test_custom_ranges(self):
         cfg = GeneratorConfig(data_range_mb=(1.0, 2.0), workload_range_gcycles=(5.0, 6.0))
         w = random_workflow(6, 0.4, gen_cfg=cfg, seed=1)
