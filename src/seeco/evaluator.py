@@ -28,22 +28,20 @@ device energy.
 ``evaluate`` is a pure function; any number of chromosomes may be
 evaluated concurrently over shared workflow/platform/catalog values.
 
-:func:`make_evaluator` builds a decoder that returns the per-task
-timeline (:class:`EvaluationResult`) or, with ``timeline=False``, only
-the totals and the tasks at nonzero risk (:class:`Score`), which is what
-the GA scores with.  One loop produces both, with the same
-floating-point operations in the same order, so the totals are
-bit-identical.  :func:`cost_tables` resolves the cost model of a problem
-into one :class:`CostTables` object, which the decoder, the GA's deadline
-repair and the deadline calibration's greedy witness all read.
+:func:`cost_tables` resolves the cost model of a problem into one
+:class:`CostTables` object, which the decoder, the GA's deadline repair
+and the deadline calibration's greedy witness all read.
 
-The decoder runs in two passes.  The order-free pass
+The decoder runs in two passes over those tables.  The order-free pass
 (:func:`order_free_pass`) needs only placements and levels: it maps the
 genes to tasks, finds which tasks' output crosses an access point, and
-takes the risk; it is the one place where the risk formula lives, and
-the GA runs it alone to screen out children over the risk cap.  The
-timing pass then walks the order to fill in start times, durations and
-energy.
+takes the risk; it is the one place where the risk formula lives.  The
+timing pass (:func:`timing_pass`) then walks the order to fill in start
+times, durations and energy, and returns the per-task timeline
+(:class:`EvaluationResult`) or, without it, only the totals and the
+tasks at nonzero risk (:class:`Score`), with bit-identical totals.
+:func:`make_evaluator` chains the two into a full decoder; the GA calls
+them directly, so it can stop a child over the risk cap after the first.
 """
 
 from __future__ import annotations
@@ -124,10 +122,6 @@ class EvalOptions:
     integ_mode: ServiceMode = ServiceMode.ACTIVE
     decrypt_producer_core_ratio: bool = True
     ignore_risk_cap: bool = False
-
-    def effective_risk_cap(self, w: Workflow) -> float:
-        """The risk cap that feasibility is judged against."""
-        return 1.0 if self.ignore_risk_cap else w.risk_cap
 
 
 DEFAULT_OPTIONS = EvalOptions()
@@ -258,7 +252,7 @@ def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: Risk
         stride=stride,
         pair_cost=tuple(pair_cost),
         pair_surv=tuple(pair_surv),
-        risk_cap=options.effective_risk_cap(w),
+        risk_cap=1.0 if options.ignore_risk_cap else w.risk_cap,
     )
 
 
@@ -307,79 +301,44 @@ def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], E
     return exposure
 
 
-def make_evaluator(
+def timing_pass(
     w: Workflow,
     p: Platform,
-    cat: SecurityCatalog,
-    risk_model: RiskModel,
+    tables: CostTables,
     options: EvalOptions = DEFAULT_OPTIONS,
-    validate: bool = True,
     timeline: bool = True,
-) -> Callable[[Chromosome], EvaluationResult | Score]:
-    """Build a reusable scoring function with all lookups precomputed.
+) -> Callable[[Chromosome, Exposure], EvaluationResult | Score]:
+    """Build the decoder's timing pass over one problem's tables.
 
-    Captures the workflow's deadline and risk cap at build time.  The
-    optimizer scores thousands of chromosomes against one fixed problem,
-    so the cost model is resolved here once, by :func:`cost_tables`;
-    ``validate=False`` additionally skips the chromosome invariant checks
-    for callers that construct genes by valid-by-construction operators.
-    ``timeline=False`` makes the function return a :class:`Score` (totals
-    and at-risk tasks) instead of an :class:`EvaluationResult`; the totals
-    are bit-identical.
+    The returned ``timed(c, exposure)`` walks ``c``'s order, where
+    ``exposure`` is what :func:`order_free_pass` found for ``c``, and fills
+    in start times, durations and device energy.  It returns the per-task
+    timeline (:class:`EvaluationResult`) or, with ``timeline=False``, only
+    the totals and the tasks at nonzero risk (:class:`Score`).  One loop
+    produces both, with the same floating-point operations in the same
+    order, so the totals are bit-identical.
     """
-    tables = cost_tables(w, p, cat, risk_model, options)
-    exposure = order_free_pass(w, tables)
     n = w.n
     preds = [tuple(w.predecessors(i)) for i in range(n)]
     succs = [tuple(w.successors(i)) for i in range(n)]
     out_mb = [t.output_mb for t in w.tasks]
     load = [t.workload_gcycles for t in w.tasks]
-    edges = w.edges
     deadline = w.deadline_s
     risk_cap = tables.risk_cap
     num_vms = len(tables.vms)
     rate = tables.rate
     md_p_comp, md_p_ul, md_p_dl = p.md.p_comp_w, p.md.p_ul_w, p.md.p_dl_w
-    n_conf = cat.level_count(Service.CONFIDENTIALITY)
-    n_integ = cat.level_count(Service.INTEGRITY)
     pair_cost = tables.pair_cost
     literal_ratio = options.decrypt_producer_core_ratio
 
-    def engine(c: Chromosome) -> EvaluationResult | Score:
-        order = c.order
-        if validate:
-            locations = c.locations
-            if len(order) != n:
-                raise ValueError(
-                    f"chromosome length {len(order)} does not match {n} tasks")
-            position = [-1] * n
-            for pos, t in enumerate(order):
-                if not 0 <= t < n or position[t] != -1:
-                    raise ValueError(
-                        "chromosome order is not a permutation of the task indices")
-                position[t] = pos
-            for u, v in edges:
-                if position[u] > position[v]:
-                    raise ValueError(f"chromosome order violates precedence: "
-                                     f"task {u} must run before {v}")
-            if locations[0] != MD_LOCATION or locations[n - 1] != MD_LOCATION:
-                raise ValueError(
-                    "entry and exit placement genes must be pinned to the MD (0x01)")
-            for lev in c.conf_levels:
-                if not 1 <= lev <= n_conf:
-                    raise ValueError(
-                        f"confidentiality level gene {lev} outside 1..{n_conf}")
-            for lev in c.integ_levels:
-                if not 1 <= lev <= n_integ:
-                    raise ValueError(f"integrity level gene {lev} outside 1..{n_integ}")
-
-        vm_of, ap_of, pair_of, crossing, task_risk, total_risk, at_risk = exposure(c)
+    def timed(c: Chromosome, exposure: Exposure) -> EvaluationResult | Score:
+        vm_of, ap_of, pair_of, crossing, task_risk, total_risk, at_risk = exposure
         vm_avail = [0.0] * num_vms
         end = [0.0] * n
         rows: list[TaskTiming] = [TaskTiming(0, 0, 0, 0, 0, 0, 0, 0, 0)] * n
         energy = 0.0
 
-        for t in order:
+        for t in c.order:
             ap, vm_k, vid, inv_cap, denom, cores = vm_of[t]
 
             start = vm_avail[vid]
@@ -433,6 +392,61 @@ def make_evaluator(
             violation=viol,
             feasible=viol == 0.0,
         )
+
+    return timed
+
+
+def make_evaluator(
+    w: Workflow,
+    p: Platform,
+    cat: SecurityCatalog,
+    risk_model: RiskModel,
+    options: EvalOptions = DEFAULT_OPTIONS,
+    validate: bool = True,
+) -> Callable[[Chromosome], EvaluationResult]:
+    """Build a reusable full decoder with all lookups precomputed.
+
+    Captures the workflow's deadline and risk cap at build time.  The
+    cost model is resolved here once, by :func:`cost_tables`, and each
+    call runs :func:`order_free_pass`, then :func:`timing_pass` with the
+    timeline.  ``validate=False`` skips the chromosome invariant checks
+    for callers that construct genes by valid-by-construction operators.
+    """
+    tables = cost_tables(w, p, cat, risk_model, options)
+    exposure = order_free_pass(w, tables)
+    timed = timing_pass(w, p, tables, options)
+    n = w.n
+    edges = w.edges
+    n_conf = cat.level_count(Service.CONFIDENTIALITY)
+    n_integ = cat.level_count(Service.INTEGRITY)
+
+    def engine(c: Chromosome) -> EvaluationResult:
+        if validate:
+            order, locations = c.order, c.locations
+            if len(order) != n:
+                raise ValueError(
+                    f"chromosome length {len(order)} does not match {n} tasks")
+            position = [-1] * n
+            for pos, t in enumerate(order):
+                if not 0 <= t < n or position[t] != -1:
+                    raise ValueError(
+                        "chromosome order is not a permutation of the task indices")
+                position[t] = pos
+            for u, v in edges:
+                if position[u] > position[v]:
+                    raise ValueError(f"chromosome order violates precedence: "
+                                     f"task {u} must run before {v}")
+            if locations[0] != MD_LOCATION or locations[n - 1] != MD_LOCATION:
+                raise ValueError(
+                    "entry and exit placement genes must be pinned to the MD (0x01)")
+            for lev in c.conf_levels:
+                if not 1 <= lev <= n_conf:
+                    raise ValueError(
+                        f"confidentiality level gene {lev} outside 1..{n_conf}")
+            for lev in c.integ_levels:
+                if not 1 <= lev <= n_integ:
+                    raise ValueError(f"integrity level gene {lev} outside 1..{n_integ}")
+        return timed(c, exposure(c))
 
     return engine
 

@@ -16,16 +16,17 @@ A run is deterministic for a fixed seed: all draws come from one
 pure, so populations may be scored in parallel by callers that manage
 their own RNG discipline; this implementation stays single-threaded.
 
-Decoding is the cost of a run.  :func:`run` scores with the decoder's
-score-only form (:class:`seeco.evaluator.Score`, no per-task timeline)
-through a memo keyed by chromosome that holds the current and the
-previous generation's scores: parents often pass through unchanged,
-and a hit skips their decode.  A child the memo misses first goes
-through the risk screen (:func:`make_risk_screen`), the decoder's
-order-free pass alone: a child over the risk cap goes straight to the
-risk repair, which reads only its risk and at-risk tasks, so it is never
-timed.  Scoring draws no random numbers, so hits and screened children
-leave the trajectory as it was.  The winner alone is decoded in full.
+Decoding is the cost of a run.  :func:`run` builds one
+:class:`seeco.evaluator.CostTables` and scores through the decoder's two
+passes over it, without the per-task timeline
+(:class:`seeco.evaluator.Score`), and through a memo keyed by chromosome
+that holds the current and the previous generation's scores: parents
+often pass through unchanged, and a hit skips their decode.  On a miss
+the order-free pass runs first; a child over the risk cap then goes
+straight to the risk repair, which reads only its risk and at-risk
+tasks, so it is never timed.  Scoring draws no random numbers, so hits
+and screened children leave the trajectory as it was.  The winner alone
+is decoded in full.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from typing import Callable
 
 from .evaluator import (
     Chromosome,
+    CostTables,
     DEFAULT_OPTIONS,
     EvalOptions,
     EvaluationResult,
@@ -50,8 +52,8 @@ from .evaluator import (
     cost_tables,
     deb_key,
     evaluate,
-    make_evaluator,
     order_free_pass,
+    timing_pass,
 )
 from .platform import MD_LOCATION, Platform
 from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service
@@ -88,6 +90,16 @@ class GeneConstraints:
     fixed_integ_level: int | None = None
     strongest_conf_level: int = 1
     strongest_integ_level: int = 1
+
+    def __post_init__(self) -> None:
+        for svc in ("conf", "integ"):
+            count = getattr(self, f"{svc}_level_count")
+            if count < 1:
+                raise ValueError(f"{svc}_level_count must be >= 1, got {count}")
+            for name in (f"fixed_{svc}_level", f"strongest_{svc}_level"):
+                level = getattr(self, name)
+                if level is not None and not 1 <= level <= count:
+                    raise ValueError(f"{name} must lie in 1..{count}, got {level}")
 
     @classmethod
     def from_catalog(cls, cat: SecurityCatalog,
@@ -146,9 +158,10 @@ class GaRun:
 
     ``evaluations`` counts scorings, repairs' rescores included;
     ``cache_hits`` counts those of them that found their chromosome in the
-    memo, and ``screened`` the memo misses that the risk screen answered
-    alone (children over the risk cap) and that were never timed, so a
-    run decodes ``evaluations - cache_hits - screened`` chromosomes.
+    memo, and ``screened`` the memo misses that the order-free pass found
+    over the risk cap and that were never timed, so a run decodes
+    ``evaluations - cache_hits - screened`` chromosomes.  Screening is on
+    only where the risk repair's levels are risk-free (see :func:`run`).
     ``risk_repairs`` and ``deadline_repairs`` count the two repairs'
     rescores; the rest are ``pop_size + iterations * (pop_size - elitism)``.
     """
@@ -323,7 +336,7 @@ def _make_ranking_key(options: EvalOptions) -> Callable[[Score], tuple]:
 
 def make_deadline_repair(
     w: Workflow,
-    p: Platform,
+    tables: CostTables,
     cat: SecurityCatalog,
     risk_model: RiskModel,
     constraints: GeneConstraints,
@@ -348,8 +361,8 @@ def make_deadline_repair(
     so a weakening that saves less than the deadline miss cannot make
     the schedule feasible; it is dropped.  The chromosome comes back as
     the very same object then, and whenever there is nothing to repair.
+    ``tables`` is the problem's :func:`seeco.evaluator.cost_tables`.
     """
-    tables = cost_tables(w, p, cat, risk_model, options)
     n = w.n
     deadline = w.deadline_s
     succs = [sorted(w.successors(t)) for t in range(n)]
@@ -474,33 +487,6 @@ def make_deadline_repair(
     return repair
 
 
-def make_risk_screen(
-    w: Workflow,
-    p: Platform,
-    cat: SecurityCatalog,
-    risk_model: RiskModel,
-    constraints: GeneConstraints,
-    options: EvalOptions = DEFAULT_OPTIONS,
-) -> Callable[[Chromosome], Exposure] | None:
-    """Build the risk screen: the decoder's order-free pass, run alone.
-
-    A chromosome's risk does not depend on its order, so the screen finds
-    it, and the tasks at risk, without timing the schedule.  Returns
-    ``None`` where no chromosome ``constraints`` allow can exceed the
-    cap: under an effective cap of 1.0, or when every level pair they
-    allow survives with certainty (max-level).
-    """
-    tables = cost_tables(w, p, cat, risk_model, options)
-    conf = ((constraints.fixed_conf_level,) if constraints.fixed_conf_level
-            else range(1, constraints.conf_level_count + 1))
-    integ = ((constraints.fixed_integ_level,) if constraints.fixed_integ_level
-             else range(1, constraints.integ_level_count + 1))
-    if tables.risk_cap >= 1.0 or all(tables.pair_surv[cl * tables.stride + il] >= 1.0
-                                     for cl in conf for il in integ):
-        return None
-    return order_free_pass(w, tables)
-
-
 def run(
     w: Workflow,
     p: Platform,
@@ -532,14 +518,15 @@ def run(
     services are for (they never lower energy, they only buy schedule
     slack at the price of risk).  The risk repair upgrades the crossing
     tasks of any individual that busts the risk cap to full-strength
-    services (which zeroes their risk) and re-scores it.  A child that
-    busts the cap at its first scoring is found by the risk screen
-    (:func:`make_risk_screen`) and never timed, since the repair reads
-    only its risk and at-risk tasks; the repairs' outputs, which the
-    population keeps, are always decoded in full.  Without the repair,
-    tight caps funnel the population onto the all-MD attractor, because
-    risk falls placement-gene by placement-gene while fixing it via
-    levels needs every crossing task raised at once.  The deadline
+    services (which zeroes their risk) and re-scores it.  Where those
+    levels are risk-free, as under every strategy whose cap binds, a
+    child over the cap is screened: the order-free pass finds it and it
+    is never timed, since the repair reads only its risk and at-risk
+    tasks, and leaves it at risk 0, so the population never keeps a
+    screened individual.  Without the repair, tight caps funnel the
+    population onto the all-MD attractor, because risk falls
+    placement-gene by placement-gene while fixing it via levels needs
+    every crossing task raised at once.  The deadline
     repair works the other way round, after any risk repair: an
     individual that misses the deadline within the cap gets the
     weakening of :func:`make_deadline_repair`, is re-scored once, and
@@ -552,43 +539,40 @@ def run(
     """
     params = params or GaParams()
     cons = constraints or GeneConstraints.from_catalog(cat)
+    if (cons.conf_level_count, cons.integ_level_count) != (
+            cat.level_count(Service.CONFIDENTIALITY), cat.level_count(Service.INTEGRITY)):
+        raise ValueError("gene constraints' level counts differ from the catalog's")
     rng = random.Random(params.seed)
-    # operators keep chromosomes valid by construction, so skip re-validation
-    decode = make_evaluator(w, p, cat, risk_model, options, validate=False, timeline=False)
-    screen = make_risk_screen(w, p, cat, risk_model, cons, options)
-    risk_cap = options.effective_risk_cap(w)
+    tables = cost_tables(w, p, cat, risk_model, options)
+    exposure = order_free_pass(w, tables)
+    timed = timing_pass(w, p, tables, options, timeline=False)
+    risk_cap = tables.risk_cap
+    strong_conf = (cons.fixed_conf_level or cons.strongest_conf_level,) * w.n
+    strong_integ = (cons.fixed_integ_level or cons.strongest_integ_level,) * w.n
+    # the risk repair raises the at-risk tasks to these levels; where they
+    # are risk-free it leaves every child at risk 0, so a child over the cap
+    # need not be timed, and the population never keeps it
+    screen = tables.pair_surv[strong_conf[0] * tables.stride + strong_integ[0]] == 1.0
     evaluations = cache_hits = risk_repairs = deadline_repairs = screened = 0
-    # scores of this generation and of the previous one; a child the
-    # screen stopped is held as its Exposure
+    # scores of this generation and of the previous one; a screened child
+    # is held as its Exposure
     memo: dict[Chromosome, Score | Exposure] = {}
     older: dict[Chromosome, Score | Exposure] = {}
 
-    def score(c: Chromosome, child: bool = False) -> Score | Exposure:
-        """Score ``c``; a child's memo miss may stop at the screen.
-
-        The repairs' outputs are kept, so they must be timed: one that
-        finds an Exposure decodes it, and the decode is charged to that
-        screened miss, so hits count as they would without the screen.
-        """
+    def score(c: Chromosome) -> Score | Exposure:
         nonlocal evaluations, cache_hits, screened
         evaluations += 1
         res = memo.get(c) or older.get(c)
         if res is None:
-            if child and screen is not None and (found := screen(c)).risk > risk_cap:
+            res = exposure(c)
+            if screen and res.risk > risk_cap:
                 screened += 1
-                res = found
             else:
-                res = decode(c)
+                res = timed(c, res)
         else:
             cache_hits += 1
-            if not child and isinstance(res, Exposure):
-                screened -= 1
-                res = decode(c)
         memo[c] = res
         return res
-
-    strong_conf = (cons.fixed_conf_level or cons.strongest_conf_level,) * w.n
-    strong_integ = (cons.fixed_integ_level or cons.strongest_integ_level,) * w.n
 
     def upgrade_crossing(c: Chromosome, res: Score | Exposure) -> Chromosome:
         at_risk = set(res.at_risk)
@@ -600,11 +584,11 @@ def run(
                 integ[pos] = strong_integ[0]
         return Chromosome.unchecked(c.order, c.locations, tuple(conf), tuple(integ))
 
-    weaken = make_deadline_repair(w, p, cat, risk_model, cons, options)
+    weaken = make_deadline_repair(w, tables, cat, risk_model, cons, options)
 
     def scored(c: Chromosome) -> Individual:
         nonlocal risk_repairs, deadline_repairs
-        res = score(c, child=True)
+        res = score(c)
         if res.risk > risk_cap:
             risk_repairs += 1
             c = upgrade_crossing(c, res)

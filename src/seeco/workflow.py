@@ -297,7 +297,7 @@ def compute_deadline(w: Workflow, p: Platform, cat: SecurityCatalog) -> float:
     """
     from .evaluator import make_evaluator
 
-    score = make_evaluator(w, p, cat, RiskModel(), timeline=False)
+    score = make_evaluator(w, p, cat, RiskModel())
     serial = score(local_chromosome(w, cat)).makespan_s
     greedy = score(greedy_witness(w, p, cat)).makespan_s
     return (min(greedy, serial) + serial) / 2.0

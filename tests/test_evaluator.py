@@ -19,6 +19,7 @@ from seeco.evaluator import (
     exec_time,
     make_evaluator,
     order_free_pass,
+    timing_pass,
     write_schedule_csv,
 )
 from seeco.platform import (
@@ -365,7 +366,7 @@ def small_platforms(draw):
 
 
 class TestScoreOnlyDecode:
-    """``make_evaluator(timeline=False)`` against the full decode and the reference."""
+    """``timing_pass(timeline=False)`` against the full decode and the reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 9), density=st.floats(0.1, 0.8), seed=st.integers(0, 10**6),
@@ -379,10 +380,12 @@ class TestScoreOnlyDecode:
         chromosomes = [random_chromosome(w, genes) for _ in range(3)]
         for kind in StrategyKind:
             _, options = search_setup(Strategy(kind, literal), CAT)
+            tables = cost_tables(w, platform, CAT, RISK, options)
+            exposure = order_free_pass(w, tables)
+            timed = timing_pass(w, platform, tables, options, timeline=False)
             full = make_evaluator(w, platform, CAT, RISK, options)
-            score = make_evaluator(w, platform, CAT, RISK, options, timeline=False)
             for c in chromosomes:
-                res, got = full(c), score(c)
+                res, got = full(c), timed(c, exposure(c))
                 assert isinstance(got, Score)
                 assert (got.makespan_s, got.energy_j, got.risk, got.violation,
                         got.feasible) == (res.makespan_s, res.energy_j, res.risk,
@@ -410,13 +413,14 @@ class TestOrderFreePass:
         chromosomes = [random_chromosome(w, genes) for _ in range(3)]
         for kind in StrategyKind:
             _, options = search_setup(Strategy(kind, literal), CAT)
-            exposure = order_free_pass(w, cost_tables(w, platform, CAT, RISK, options))
+            tables = cost_tables(w, platform, CAT, RISK, options)
+            exposure = order_free_pass(w, tables)
+            timed = timing_pass(w, platform, tables, options, timeline=False)
             full = make_evaluator(w, platform, CAT, RISK, options)
-            score = make_evaluator(w, platform, CAT, RISK, options, timeline=False)
             for c in chromosomes:
                 found, res = exposure(c), full(c)
                 assert found.risk == res.risk
-                assert found.at_risk == score(c).at_risk
+                assert found.at_risk == timed(c, found).at_risk
                 assert found.task_risk == [row.risk for row in res.timings]
                 # a task crosses when some successor sits on another access point
                 ap = {t: decode_location(byte, platform)[0]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -10,9 +11,12 @@ from seeco.evaluator import (
     Chromosome,
     EvalOptions,
     ServiceMode,
+    cost_tables,
     deb_key,
     evaluate,
     make_evaluator,
+    order_free_pass,
+    timing_pass,
 )
 from seeco.ga import (
     GaParams,
@@ -24,7 +28,6 @@ from seeco.ga import (
     init_order,
     init_vectors,
     make_deadline_repair,
-    make_risk_screen,
     mutate_order,
     mutate_vectors,
     run,
@@ -45,6 +48,10 @@ from seeco.workflow import (
 CAT = default_catalog()
 RISK = RiskModel()
 PLATFORM = default_platform()
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 def chain(n=4):
@@ -275,16 +282,16 @@ class TestRun:
         w = with_deadline(w, 25.0)
         seen: list[Chromosome] = []
 
-        def spy_make_evaluator(*args, **kwargs):
-            decode = make_evaluator(*args, **kwargs)
+        def spy_timing_pass(*args, **kwargs):
+            timed = timing_pass(*args, **kwargs)
 
-            def spy(c):
+            def spy(c, exposure):
                 seen.append(c)
                 evaluate(c, w, PLATFORM, CAT, RISK)  # validates, raising on a bad gene
-                return decode(c)
+                return timed(c, exposure)
             return spy
 
-        monkeypatch.setattr(ga, "make_evaluator", spy_make_evaluator)
+        monkeypatch.setattr(ga, "timing_pass", spy_timing_pass)
         r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=10, seed=2))
         # initial pop + per-gen fills minus elite, plus the repairs' rescores
         assert r.evaluations == 8 + 8 * 10 - 10 + r.risk_repairs + r.deadline_repairs
@@ -336,7 +343,8 @@ class TestDeadlineRepair:
         c = init_chromosome(w, random.Random(gene_seed), cons)
         score = make_evaluator(w, p, CAT, RISK, options)
         res = score(c)
-        repaired = make_deadline_repair(w, p, CAT, RISK, cons, options)(c, res)
+        tables = cost_tables(w, p, CAT, RISK, options)
+        repaired = make_deadline_repair(w, tables, CAT, RISK, cons, options)(c, res)
         if res.makespan_s <= w.deadline_s:
             assert repaired is c
         rep_res = score(repaired)
@@ -368,7 +376,7 @@ class TestDeadlineRepair:
         res = evaluate(c, w, p, CAT, RISK)
         assert not res.feasible
         cons = GeneConstraints.from_catalog(CAT)
-        repaired = make_deadline_repair(w, p, CAT, RISK, cons)(c, res)
+        repaired = make_deadline_repair(w, cost_tables(w, p, CAT, RISK), CAT, RISK, cons)(c, res)
         fixed = evaluate(repaired, w, p, CAT, RISK)
         assert fixed.feasible
         assert 0.0 < fixed.risk <= w.risk_cap
@@ -381,71 +389,83 @@ class TestDeadlineRepair:
         c = init_chromosome(w, random.Random(3), cons)
         res = evaluate(c, w, p, CAT, RISK)
         assert not res.feasible
-        assert make_deadline_repair(w, p, CAT, RISK, cons)(c, res) is c
+        assert make_deadline_repair(w, cost_tables(w, p, CAT, RISK), CAT, RISK, cons)(c, res) is c
 
 
 class TestRiskScreen:
-    """Children over the risk cap are screened, not decoded."""
+    """Children over the risk cap are screened, not timed."""
 
     def tight_instance(self, risk_cap):
         w = random_workflow(12, 0.3, seed=41, risk_cap=risk_cap)
         p = default_platform(3)
         return with_deadline(w, compute_deadline(w, p, CAT)), p
 
-    def run_spied(self, monkeypatch, kind, risk_cap):
+    def run_spied(self, monkeypatch, risk_cap, constraints=None, options=EvalOptions(),
+                  params=GaParams(pop_size=10, iterations=12, seed=3)):
         w, p = self.tight_instance(risk_cap)
-        cons, options = search_setup(Strategy(kind), CAT)
-        decodes = []
+        passes, timings = [], []
 
-        def spy_make_evaluator(*args, **kwargs):
-            decode = make_evaluator(*args, **kwargs)
+        def spy_order_free_pass(*args, **kwargs):
+            exposure = order_free_pass(*args, **kwargs)
 
             def spy(c):
-                decodes.append(c)
-                return decode(c)
+                passes.append(c)
+                return exposure(c)
             return spy
 
-        monkeypatch.setattr(ga, "make_evaluator", spy_make_evaluator)
-        r = run(w, p, CAT, RISK, GaParams(pop_size=10, iterations=12, seed=3),
-                constraints=cons, options=options)
-        assert len(decodes) == r.evaluations - r.cache_hits - r.screened
+        def spy_timing_pass(*args, **kwargs):
+            timed = timing_pass(*args, **kwargs)
+
+            def spy(c, exposure):
+                timings.append(c)
+                return timed(c, exposure)
+            return spy
+
+        monkeypatch.setattr(ga, "order_free_pass", spy_order_free_pass)
+        monkeypatch.setattr(ga, "timing_pass", spy_timing_pass)
+        r = run(w, p, CAT, RISK, params, constraints=constraints, options=options)
+        # each memo miss runs the order-free pass once, and only the
+        # children it does not screen are timed
+        assert len(passes) == r.evaluations - r.cache_hits
+        assert len(timings) == r.evaluations - r.cache_hits - r.screened
         return r
 
     def test_seeco_screens_children_over_a_tight_cap(self, monkeypatch):
-        r = self.run_spied(monkeypatch, StrategyKind.SEECO, 0.02)
+        r = self.run_spied(monkeypatch, 0.02)
         assert r.screened > 0
         assert r.risk_repairs >= r.screened  # each screened child goes to the repair
 
     @pytest.mark.parametrize("kind", [StrategyKind.MAX_LEVEL, StrategyKind.MIN_LEVEL])
     def test_never_fires_where_no_child_can_exceed_the_cap(self, monkeypatch, kind):
-        w, p = self.tight_instance(0.02)
         cons, options = search_setup(Strategy(kind), CAT)
-        assert make_risk_screen(w, p, CAT, RISK, cons, options) is None
-        assert self.run_spied(monkeypatch, kind, 0.02).screened == 0
+        assert self.run_spied(monkeypatch, 0.02, cons, options).screened == 0
 
-    @pytest.mark.parametrize("options", [
-        EvalOptions(),
+    def test_never_fires_under_a_cap_of_one(self, monkeypatch):
+        assert self.run_spied(monkeypatch, 1.0).screened == 0
+
+    # (best chromosome genes, best result, history rows) digests, then
+    # evaluations, cache hits, risk repairs and deadline repairs, recorded
+    # before a child's memo miss ran the order-free pass only once; and
+    # the screened count
+    @pytest.mark.parametrize("options, pinned, screened", [
+        (EvalOptions(), ('01a872d6c0d5ec34', '649248e41c26c219', '89b8069cffff63ee',
+                         193, 66, 48, 0), 48),
         # the risk repair cannot lower an unprotected service's risk, so
-        # its outputs can be screened children; they must be decoded then
-        EvalOptions(conf_mode=ServiceMode.UNPROTECTED),
-    ])
-    def test_changes_nothing_but_the_decodes(self, monkeypatch, options):
-        w, p = self.tight_instance(0.3)
-        params = GaParams(pop_size=10, iterations=15, seed=5)
-        screened = run(w, p, CAT, RISK, params, options=options)
-        monkeypatch.setattr(ga, "make_risk_screen", lambda *args, **kwargs: None)
-        timed = run(w, p, CAT, RISK, params, options=options)
-        assert screened.screened > 0 and timed.screened == 0
-        for name in ("best_chromosome", "best_result", "history", "evaluations",
-                     "cache_hits", "risk_repairs", "deadline_repairs"):
-            assert getattr(screened, name) == getattr(timed, name)
-
-    def test_not_built_under_a_cap_of_one(self):
-        w, p = self.tight_instance(1.0)
-        cons, options = search_setup(Strategy(StrategyKind.SEECO), CAT)
-        assert make_risk_screen(w, p, CAT, RISK, cons, options) is None
-        w, p = self.tight_instance(0.02)
-        assert make_risk_screen(w, p, CAT, RISK, cons, options) is not None
+        # screening is off: a child it stopped could be kept unscored
+        (EvalOptions(conf_mode=ServiceMode.UNPROTECTED),
+         ('bda70ef86bdbc879', '57c971eb3ec284aa', 'b3a0c79fa93a410b', 290, 197, 145, 0), 0),
+    ], ids=["active", "unprotected"])
+    def test_matches_recorded_run(self, monkeypatch, options, pinned, screened):
+        r = self.run_spied(monkeypatch, 0.3, options=options,
+                           params=GaParams(pop_size=10, iterations=15, seed=5))
+        c = r.best_chromosome
+        got = (_digest((c.order, c.locations, c.conf_levels, c.integ_levels)),
+               _digest(tuple(r.best_result)),
+               _digest([(h.generation, h.best_energy, h.best_violation, h.feasible_count)
+                        for h in r.history]),
+               r.evaluations, r.cache_hits, r.risk_repairs, r.deadline_repairs)
+        assert got == pinned
+        assert r.screened == screened
 
 
 class TestGeneRepair:
@@ -481,6 +501,24 @@ class TestGeneRepair:
         assert repr(unchecked) == repr(checked)
         with pytest.raises(ValueError, match="same length"):
             Chromosome((0, 1), (1,), (1, 1), (1, 1))
+
+
+class TestConstraintsValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: GeneConstraints.from_catalog(CAT, fixed_conf_level=6),
+        lambda: GeneConstraints.from_catalog(CAT, fixed_conf_level=-1),
+        lambda: GeneConstraints(integ_level_count=0),
+        lambda: GeneConstraints(strongest_integ_level=6),
+    ], ids=["fixed-above", "fixed-below", "no-levels", "strongest-above"])
+    def test_levels_outside_the_alphabet(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_alphabet_must_match_the_catalog(self):
+        w = with_deadline(chain(5), 50.0)
+        with pytest.raises(ValueError, match="catalog"):
+            run(w, PLATFORM, CAT, RISK, GaParams(pop_size=4, iterations=1),
+                constraints=GeneConstraints(conf_level_count=9))
 
 
 class TestParamsValidation:
