@@ -1,16 +1,20 @@
 """Reference offloading strategies for head-to-head comparisons.
 
+Each strategy is one :class:`seeco.evaluator.EvalOptions`
+(:func:`search_setup`): a mode per security service.  A service in any
+mode but ``ACTIVE`` ignores its level genes, and the GA freezes them.
+
 ========== =====================================================================
 local      everything on the mobile device; no search needed, no transfers,
            zero risk, energy independent of the deadline and risk cap
-max_level  GA over order and placement with both services pinned to their
-           strongest algorithm; workflow risk is exactly zero
-min_level  GA with security absent: no time cost, but crossing data is fully
-           exposed, so risk saturates; evaluated without the risk cap since
-           every offloading solution would otherwise be infeasible
-confi      GA with only the confidentiality service in the threat model
-integ      GA with only the integrity service in the threat model
-seeco      the full GA over all four gene vectors
+max_level  GA over order and placement with both services ``STRONGEST``:
+           always their level-1.0 algorithm, so workflow risk is exactly zero
+min_level  GA with both services ``UNPROTECTED``: no time cost, but crossing
+           data is fully exposed, so risk saturates; evaluated without the
+           risk cap since every offloading solution would otherwise be infeasible
+confi      GA with integrity ``DISABLED``: only confidentiality in the threat model
+integ      GA with confidentiality ``DISABLED``: only integrity in the threat model
+seeco      the full GA over all four gene vectors, both services ``ACTIVE``
 ========== =====================================================================
 """
 
@@ -27,9 +31,9 @@ from .evaluator import (
     better,
     evaluate,
 )
-from .ga import GaParams, GaRun, GeneConstraints, run
+from .ga import GaParams, GaRun, run
 from .platform import Platform
-from .security import RiskModel, SecurityCatalog, Service
+from .security import RiskModel, SecurityCatalog
 from .workflow import Workflow, local_chromosome
 
 
@@ -63,47 +67,43 @@ class SolveOutcome:
     ga_run: GaRun | None  # None for strategies that need no search
 
 
-def search_setup(strategy: Strategy, cat: SecurityCatalog) -> tuple[GeneConstraints, EvalOptions]:
-    """Gene freezes and evaluation modes that realize a strategy."""
-    kind = strategy.kind
-    base = dict(decrypt_producer_core_ratio=strategy.literal_decrypt_ratio)
-    strongest_conf = cat.strongest_id(Service.CONFIDENTIALITY)
-    strongest_integ = cat.strongest_id(Service.INTEGRITY)
-    if kind in (StrategyKind.SEECO, StrategyKind.LOCAL):
-        return GeneConstraints.from_catalog(cat), EvalOptions(**base)
-    if kind is StrategyKind.MAX_LEVEL:
-        cons = GeneConstraints.from_catalog(
-            cat, fixed_conf_level=strongest_conf, fixed_integ_level=strongest_integ)
-        return cons, EvalOptions(**base)
-    if kind is StrategyKind.MIN_LEVEL:
-        cons = GeneConstraints.from_catalog(
-            cat, fixed_conf_level=strongest_conf, fixed_integ_level=strongest_integ)
-        return cons, EvalOptions(conf_mode=ServiceMode.UNPROTECTED,
-                                 integ_mode=ServiceMode.UNPROTECTED,
-                                 ignore_risk_cap=True, **base)
-    if kind is StrategyKind.CONFI_ONLY:
-        cons = GeneConstraints.from_catalog(cat, fixed_integ_level=strongest_integ)
-        return cons, EvalOptions(integ_mode=ServiceMode.DISABLED, **base)
-    if kind is StrategyKind.INTEG_ONLY:
-        cons = GeneConstraints.from_catalog(cat, fixed_conf_level=strongest_conf)
-        return cons, EvalOptions(conf_mode=ServiceMode.DISABLED, **base)
-    raise ValueError(f"unhandled strategy kind {kind}")
+# (confidentiality, integrity) mode per strategy kind; local's all-MD
+# schedule crosses no access point, so its modes never matter
+SERVICE_MODES = {
+    StrategyKind.LOCAL: (ServiceMode.ACTIVE, ServiceMode.ACTIVE),
+    StrategyKind.MAX_LEVEL: (ServiceMode.STRONGEST, ServiceMode.STRONGEST),
+    StrategyKind.MIN_LEVEL: (ServiceMode.UNPROTECTED, ServiceMode.UNPROTECTED),
+    StrategyKind.CONFI_ONLY: (ServiceMode.ACTIVE, ServiceMode.DISABLED),
+    StrategyKind.INTEG_ONLY: (ServiceMode.DISABLED, ServiceMode.ACTIVE),
+    StrategyKind.SEECO: (ServiceMode.ACTIVE, ServiceMode.ACTIVE),
+}
+
+
+def search_setup(strategy: Strategy) -> EvalOptions:
+    """The evaluation options that realize a strategy, its gene freezes included."""
+    conf_mode, integ_mode = SERVICE_MODES[strategy.kind]
+    return EvalOptions(conf_mode, integ_mode, strategy.literal_decrypt_ratio,
+                       ignore_risk_cap=strategy.kind is StrategyKind.MIN_LEVEL)
 
 
 def risk_inputs(strategy: Strategy, risk_cap: float, risk_model: RiskModel) -> tuple:
     """The risk inputs a strategy's solve reads; equal tuples give equal outcomes.
 
-    Local and max-level read neither the cap nor the attack rates: the
-    all-MD schedule has no crossing payload, and max-level pins both
-    services to their level-1.0 algorithm, so every payload survives with
-    ``exp(-lambda * 0) = 1`` and the risk is exactly 0 under any cap.
-    Min-level ignores the cap, but the rates set the risk it reports.
-    The others read both.
+    Derived from :func:`search_setup`'s modes.  Only an ``ACTIVE`` or
+    ``UNPROTECTED`` service can expose a crossing payload: ``STRONGEST``
+    and ``DISABLED`` ones let it survive with factor 1 under any attack
+    rate.  So local (whose all-MD schedule has no crossing payload) and a
+    strategy with no such service (max-level) read neither the cap nor
+    the rates; their risk is exactly 0 under any cap.  A strategy that
+    ignores the cap (min-level) reads only the rates, which set the risk
+    it reports.  The others read both.
     """
-    kind = strategy.kind
-    if kind in (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL):
+    options = search_setup(strategy)
+    exposed = any(mode in (ServiceMode.ACTIVE, ServiceMode.UNPROTECTED)
+                  for mode in (options.conf_mode, options.integ_mode))
+    if strategy.kind is StrategyKind.LOCAL or not exposed:
         return ()
-    if kind is StrategyKind.MIN_LEVEL:
+    if options.ignore_risk_cap:
         return (risk_model,)
     return (risk_cap, risk_model)
 
@@ -118,8 +118,8 @@ def solve_detailed(
 ) -> SolveOutcome:
     """Run one strategy and return its schedule, score and GA trace.
 
-    Every strategy but local is :func:`seeco.ga.run` under the freezes
-    and modes of :func:`search_setup`, from run's one initial population:
+    Every strategy but local is :func:`seeco.ga.run` under the options of
+    :func:`search_setup`, from run's one initial population:
     the greedy witness plus risk-free random individuals, which keep
     tight caps from collapsing the search onto all-MD.
 
@@ -132,12 +132,12 @@ def solve_detailed(
     population seed: seeding it collapses the placement search onto
     that attractor.
     """
-    constraints, options = search_setup(strategy, cat)
+    options = search_setup(strategy)
     local = local_chromosome(w, cat)
     local_result = evaluate(local, w, p, cat, risk_model, options)
     if strategy.kind is StrategyKind.LOCAL:
         return SolveOutcome(local, local_result, None)
-    ga_run = run(w, p, cat, risk_model, params, constraints=constraints, options=options)
+    ga_run = run(w, p, cat, risk_model, params, options=options)
     if better(ga_run.best_result, local_result):
         return SolveOutcome(ga_run.best_chromosome, ga_run.best_result, ga_run)
     return SolveOutcome(local, local_result, ga_run)

@@ -104,14 +104,17 @@ class ServiceMode(Enum):
     """How one security service participates in an evaluation."""
 
     ACTIVE = "active"            # level gene selects the algorithm
+    STRONGEST = "strongest"      # always the level-1.0 algorithm: its cost, no risk
     UNPROTECTED = "unprotected"  # no time cost, crossing data fully exposed
     DISABLED = "disabled"        # service outside the threat model: no cost, no risk
 
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Evaluation variants used by the baseline strategies.
+    """The whole description of a strategy: one mode per service, two variants.
 
+    Only an ``ACTIVE`` service reads its level genes, so the modes alone
+    say which genes a search may change (:class:`seeco.ga.GeneConstraints`).
     ``decrypt_producer_core_ratio`` keeps the literal decryption formula
     whose cost scales with the producing VM's core count; switching it
     off drops that factor.  ``ignore_risk_cap`` evaluates feasibility
@@ -210,48 +213,34 @@ def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: Risk
         rates[0][j] = uplink_rate(p.radio(j))
         rates[j][0] = downlink_rate(p.radio(j))
 
-    # per-gene crypto cost factors (None when the service costs nothing):
-    # seconds per MB on one core at 1 GHz; and survival factors for
-    # crossing tasks, resolved per service mode
-    n_conf = cat.level_count(Service.CONFIDENTIALITY)
-    n_integ = cat.level_count(Service.INTEGRITY)
-    conf_cost = ([0.0] + [overhead(a, 1, 1.0, 1.0) for a in cat.confidentiality]
-                 if options.conf_mode is ServiceMode.ACTIVE else None)
-    integ_cost = ([0.0] + [overhead(a, 1, 1.0, 1.0) for a in cat.integrity]
-                  if options.integ_mode is ServiceMode.ACTIVE else None)
-
-    def survival_table(mode, algs, rate, count):
+    # per level gene of a service, resolved by its mode: crypto seconds per
+    # MB on one core at 1 GHz, and a crossing payload's survival factor
+    def service_table(svc, mode, rate):
+        algs = cat.algorithms(svc)
+        count = len(algs) + 1
         if mode is ServiceMode.ACTIVE:
-            return [1.0] + [math.exp(-rate * (1.0 - a.level)) for a in algs]
+            return ([0.0] + [overhead(a, 1, 1.0, 1.0) for a in algs],
+                    [1.0] + [math.exp(-rate * (1.0 - a.level)) for a in algs])
+        if mode is ServiceMode.STRONGEST:
+            strongest = cat.algorithm(svc, cat.strongest_id(svc))
+            return [overhead(strongest, 1, 1.0, 1.0)] * count, [1.0] * count
         if mode is ServiceMode.UNPROTECTED:
-            return [math.exp(-rate)] * (count + 1)
-        return [1.0] * (count + 1)
+            return [0.0] * count, [math.exp(-rate)] * count
+        return [0.0] * count, [1.0] * count
 
-    conf_surv = survival_table(options.conf_mode, cat.confidentiality,
-                               risk_model.lambda_conf, n_conf)
-    integ_surv = survival_table(options.integ_mode, cat.integrity,
-                                risk_model.lambda_integ, n_integ)
-    stride = n_integ + 1
-    pair_cost = [0.0] * ((n_conf + 1) * stride)
-    pair_surv = [1.0] * ((n_conf + 1) * stride)
-    for cl in range(n_conf + 1):
-        for il in range(stride):
-            per_mb = 0.0
-            if conf_cost is not None:
-                per_mb += conf_cost[cl]
-            if integ_cost is not None:
-                per_mb += integ_cost[il]
-            pair_cost[cl * stride + il] = per_mb
-            pair_surv[cl * stride + il] = conf_surv[cl] * integ_surv[il]
+    conf_cost, conf_surv = service_table(Service.CONFIDENTIALITY, options.conf_mode,
+                                         risk_model.lambda_conf)
+    integ_cost, integ_surv = service_table(Service.INTEGRITY, options.integ_mode,
+                                           risk_model.lambda_integ)
 
     return CostTables(
         vms=tuple(rows.values()),
         by_byte=(None,) + tuple(rows[decode_location(byte, p)]
                                 for byte in range(0x01, 0x100)),
         rate=tuple(map(tuple, rates)),
-        stride=stride,
-        pair_cost=tuple(pair_cost),
-        pair_surv=tuple(pair_surv),
+        stride=len(integ_cost),
+        pair_cost=tuple(cc + ic for cc in conf_cost for ic in integ_cost),
+        pair_surv=tuple(cs * si for cs in conf_surv for si in integ_surv),
         risk_cap=1.0 if options.ignore_risk_cap else w.risk_cap,
     )
 
@@ -417,8 +406,12 @@ def make_evaluator(
     timed = timing_pass(w, p, tables, options)
     n = w.n
     edges = w.edges
-    n_conf = cat.level_count(Service.CONFIDENTIALITY)
-    n_integ = cat.level_count(Service.INTEGRITY)
+    # (gene vector, what its genes are, their range) of the per-gene checks
+    gene_ranges = (("locations", "placement gene", 0x01, 0xFF),
+                   ("conf_levels", "confidentiality level gene", 1,
+                    cat.level_count(Service.CONFIDENTIALITY)),
+                   ("integ_levels", "integrity level gene", 1,
+                    cat.level_count(Service.INTEGRITY)))
 
     def engine(c: Chromosome) -> EvaluationResult:
         if validate:
@@ -439,13 +432,10 @@ def make_evaluator(
             if locations[0] != MD_LOCATION or locations[n - 1] != MD_LOCATION:
                 raise ValueError(
                     "entry and exit placement genes must be pinned to the MD (0x01)")
-            for lev in c.conf_levels:
-                if not 1 <= lev <= n_conf:
-                    raise ValueError(
-                        f"confidentiality level gene {lev} outside 1..{n_conf}")
-            for lev in c.integ_levels:
-                if not 1 <= lev <= n_integ:
-                    raise ValueError(f"integrity level gene {lev} outside 1..{n_integ}")
+            for vector, what, lo, hi in gene_ranges:
+                for gene in getattr(c, vector):
+                    if not lo <= gene <= hi:
+                        raise ValueError(f"{what} {gene} outside {lo}..{hi}")
         return timed(c, exposure(c))
 
     return engine

@@ -3,8 +3,10 @@
 Operators preserve chromosome validity by construction: order crossover
 keeps one parent's prefix and fills the tail in the other parent's
 relative order, order mutation relocates a task only inside the window
-between its last predecessor and first successor, and the entry/exit
-placement genes are re-pinned to the MD after every variation.
+between its last predecessor and first successor, the entry/exit
+placement genes stay pinned to the MD (placement crossover re-pins them,
+placement mutation never draws them), and a level gene that the strategy
+freezes (:class:`GeneConstraints`) is only ever drawn at its frozen value.
 
 Selection is a binary tournament under feasibility-first rules (two
 feasible solutions compare on energy, feasible beats infeasible,
@@ -56,7 +58,7 @@ from .evaluator import (
     timing_pass,
 )
 from .platform import MD_LOCATION, Platform
-from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service
+from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service, default_catalog
 from .workflow import Workflow, greedy_witness
 
 
@@ -80,39 +82,34 @@ class GaParams:
             raise ValueError("elitism must satisfy 0 <= elitism < pop_size")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneConstraints:
-    """Gene alphabets, plus optional frozen level genes for baselines."""
+    """The level gene alphabets of a catalog, and the genes a strategy freezes.
 
-    conf_level_count: int = 5
-    integ_level_count: int = 5
-    fixed_conf_level: int | None = None
-    fixed_integ_level: int | None = None
-    strongest_conf_level: int = 1
-    strongest_integ_level: int = 1
+    Built by :meth:`from_catalog` only, from a catalog and the strategy's
+    :class:`seeco.evaluator.EvalOptions`.  A service in any mode but
+    ``ACTIVE`` ignores its level genes, so they are frozen at the
+    catalog's strongest id; ``fixed_*_level`` is ``None`` for a free gene.
+    """
 
-    def __post_init__(self) -> None:
-        for svc in ("conf", "integ"):
-            count = getattr(self, f"{svc}_level_count")
-            if count < 1:
-                raise ValueError(f"{svc}_level_count must be >= 1, got {count}")
-            for name in (f"fixed_{svc}_level", f"strongest_{svc}_level"):
-                level = getattr(self, name)
-                if level is not None and not 1 <= level <= count:
-                    raise ValueError(f"{name} must lie in 1..{count}, got {level}")
+    conf_level_count: int
+    integ_level_count: int
+    fixed_conf_level: int | None
+    fixed_integ_level: int | None
+
+    def __init__(self) -> None:
+        raise TypeError("GeneConstraints is built by GeneConstraints.from_catalog only")
 
     @classmethod
     def from_catalog(cls, cat: SecurityCatalog,
-                     fixed_conf_level: int | None = None,
-                     fixed_integ_level: int | None = None) -> "GeneConstraints":
-        return cls(
-            conf_level_count=cat.level_count(Service.CONFIDENTIALITY),
-            integ_level_count=cat.level_count(Service.INTEGRITY),
-            fixed_conf_level=fixed_conf_level,
-            fixed_integ_level=fixed_integ_level,
-            strongest_conf_level=cat.strongest_id(Service.CONFIDENTIALITY),
-            strongest_integ_level=cat.strongest_id(Service.INTEGRITY),
-        )
+                     options: EvalOptions = DEFAULT_OPTIONS) -> "GeneConstraints":
+        cons = object.__new__(cls)
+        for name, svc, mode in (("conf", Service.CONFIDENTIALITY, options.conf_mode),
+                                ("integ", Service.INTEGRITY, options.integ_mode)):
+            cons.__dict__[f"{name}_level_count"] = cat.level_count(svc)
+            cons.__dict__[f"fixed_{name}_level"] = (
+                None if mode is ServiceMode.ACTIVE else cat.strongest_id(svc))
+        return cons
 
     def draw_conf(self, rng: random.Random) -> int:
         # always consume one draw so runs that differ only in gene freezes
@@ -127,7 +124,8 @@ class GeneConstraints:
     def repair(self, c: Chromosome) -> Chromosome:
         """Re-pin the endpoint placements and re-impose frozen levels.
 
-        Returns ``c`` itself when it changes nothing.
+        Returns ``c`` itself when it changes nothing, as it does for every
+        chromosome :func:`run` builds, whose operators keep both.
         """
         n = len(c.order)
         loc, conf, integ = c.locations, c.conf_levels, c.integ_levels
@@ -142,6 +140,9 @@ class GeneConstraints:
         if loc is c.locations and conf is c.conf_levels and integ is c.integ_levels:
             return c
         return Chromosome.unchecked(c.order, loc, conf, integ)
+
+
+DEFAULT_CONSTRAINTS = GeneConstraints.from_catalog(default_catalog())
 
 
 @dataclass(frozen=True)
@@ -201,21 +202,20 @@ def init_order(w: Workflow, rng: random.Random) -> list[int]:
 def init_vectors(
     w: Workflow,
     rng: random.Random,
-    constraints: GeneConstraints | None = None,
+    constraints: GeneConstraints = DEFAULT_CONSTRAINTS,
 ) -> tuple[list[int], list[int], list[int]]:
     """Random placement bytes and level genes; endpoints pinned to the MD."""
-    cons = constraints or GeneConstraints()
     n = w.n
     loc = [MD_LOCATION] * n
     for i in range(1, n - 1):
         loc[i] = rng.randint(0x01, 0xFF)
-    conf = [cons.draw_conf(rng) for _ in range(n)]
-    integ = [cons.draw_integ(rng) for _ in range(n)]
+    conf = [constraints.draw_conf(rng) for _ in range(n)]
+    integ = [constraints.draw_integ(rng) for _ in range(n)]
     return loc, conf, integ
 
 
 def init_chromosome(w: Workflow, rng: random.Random,
-                    constraints: GeneConstraints | None = None) -> Chromosome:
+                    constraints: GeneConstraints = DEFAULT_CONSTRAINTS) -> Chromosome:
     order = init_order(w, rng)
     loc, conf, integ = init_vectors(w, rng, constraints)
     return Chromosome.unchecked(tuple(order), tuple(loc), tuple(conf), tuple(integ))
@@ -299,10 +299,9 @@ def mutate_order(
 def mutate_vectors(
     c: Chromosome,
     rng: random.Random,
-    constraints: GeneConstraints | None = None,
+    constraints: GeneConstraints = DEFAULT_CONSTRAINTS,
 ) -> Chromosome:
     """Replace one interior placement byte and one level gene per service."""
-    cons = constraints or GeneConstraints()
     n = len(c.order)
     if n < 3:
         return c
@@ -310,8 +309,8 @@ def mutate_vectors(
     conf = list(c.conf_levels)
     integ = list(c.integ_levels)
     loc[rng.randint(1, n - 2)] = rng.randint(0x01, 0xFF)
-    conf[rng.randint(1, n - 2)] = cons.draw_conf(rng)
-    integ[rng.randint(1, n - 2)] = cons.draw_integ(rng)
+    conf[rng.randint(1, n - 2)] = constraints.draw_conf(rng)
+    integ[rng.randint(1, n - 2)] = constraints.draw_integ(rng)
     return Chromosome.unchecked(c.order, tuple(loc), tuple(conf), tuple(integ))
 
 
@@ -339,7 +338,6 @@ def make_deadline_repair(
     tables: CostTables,
     cat: SecurityCatalog,
     risk_model: RiskModel,
-    constraints: GeneConstraints,
     options: EvalOptions = DEFAULT_OPTIONS,
 ) -> Callable[[Chromosome, Score | EvaluationResult], Chromosome]:
     """Build the deadline repair: weaken free level genes to buy slack.
@@ -352,10 +350,9 @@ def make_deadline_repair(
     encryption plus every crossing consumer's decryption) per unit of
     ``-log`` survival first, and each move must fit the remaining budget
     (less a relative margin of 1e-9, so decoder rounding cannot push the
-    risk over the cap).  Only level genes of services that are free (not
-    frozen by ``constraints``) and active (``ServiceMode.ACTIVE``)
-    change; order and placements never do, so energy stays
-    bit-identical.
+    risk over the cap).  Only level genes of ``ServiceMode.ACTIVE``
+    services, the free ones, change; order and placements never do, so
+    energy stays bit-identical.
 
     The makespan can fall by at most the crypto seconds saved in total,
     so a weakening that saves less than the deadline miss cannot make
@@ -387,12 +384,10 @@ def make_deadline_repair(
     # level) for every cheaper level of free service s, best gain (cost
     # saved per -log survival spent) first
     moves: list[list[list[tuple[float, float, float, int]]]] = [[], []]
-    for s, (svc, mode, fixed, rate) in enumerate((
-            (Service.CONFIDENTIALITY, options.conf_mode, constraints.fixed_conf_level,
-             risk_model.lambda_conf),
-            (Service.INTEGRITY, options.integ_mode, constraints.fixed_integ_level,
-             risk_model.lambda_integ))):
-        if mode is not ServiceMode.ACTIVE or fixed is not None:
+    for s, (svc, mode, rate) in enumerate((
+            (Service.CONFIDENTIALITY, options.conf_mode, risk_model.lambda_conf),
+            (Service.INTEGRITY, options.integ_mode, risk_model.lambda_integ))):
+        if mode is not ServiceMode.ACTIVE:
             continue
         algs = (None,) + cat.algorithms(svc)
         for a in algs:
@@ -493,7 +488,6 @@ def run(
     cat: SecurityCatalog,
     risk_model: RiskModel,
     params: GaParams | None = None,
-    constraints: GeneConstraints | None = None,
     options: EvalOptions = DEFAULT_OPTIONS,
 ) -> GaRun:
     """Evolve a population and return the best individual ever evaluated.
@@ -504,10 +498,10 @@ def run(
 
     The initial population is fixed: individual 0 is the greedy witness
     (:func:`seeco.workflow.greedy_witness`), and every other individual
-    gets a random order and random placements at the strongest levels
-    (the frozen level where ``constraints`` fixes one), so it starts
-    risk-free and the search relaxes security where the cap allows.  A
-    purely random population drifts back to the all-MD attractor under
+    gets a random order and random placements at the catalog's strongest
+    levels, where every frozen level gene sits, so it starts risk-free
+    and the search relaxes security where the cap allows.  A purely
+    random population drifts back to the all-MD attractor under
     tight risk caps: offloading one task then needs placement and both
     level genes to line up in one variation step.  Under a degenerate
     deadline (see :func:`seeco.workflow.compute_deadline`) the witness
@@ -532,23 +526,21 @@ def run(
     weakening of :func:`make_deadline_repair`, is re-scored once, and
     keeps the weaker levels only if :func:`better` strictly prefers the
     result (a Lamarckian step: the repaired genes enter the population).
-    It acts on free level genes only, so among the reference strategies
-    it changes SEECO and the single-service ones (confi, integ), never
-    max-level or min-level.  Variation operators themselves are never
-    touched.
+    It acts on free level genes only, those of ``ACTIVE`` services, so
+    among the reference strategies it changes SEECO and the single-service
+    ones (confi, integ), never max-level or min-level.  Variation operators
+    themselves are never touched.  ``options`` is the whole strategy: the
+    genes it freezes are :meth:`GeneConstraints.from_catalog`'s.
     """
     params = params or GaParams()
-    cons = constraints or GeneConstraints.from_catalog(cat)
-    if (cons.conf_level_count, cons.integ_level_count) != (
-            cat.level_count(Service.CONFIDENTIALITY), cat.level_count(Service.INTEGRITY)):
-        raise ValueError("gene constraints' level counts differ from the catalog's")
+    cons = GeneConstraints.from_catalog(cat, options)
     rng = random.Random(params.seed)
     tables = cost_tables(w, p, cat, risk_model, options)
     exposure = order_free_pass(w, tables)
     timed = timing_pass(w, p, tables, options, timeline=False)
     risk_cap = tables.risk_cap
-    strong_conf = (cons.fixed_conf_level or cons.strongest_conf_level,) * w.n
-    strong_integ = (cons.fixed_integ_level or cons.strongest_integ_level,) * w.n
+    strong_conf = (cat.strongest_id(Service.CONFIDENTIALITY),) * w.n
+    strong_integ = (cat.strongest_id(Service.INTEGRITY),) * w.n
     # the risk repair raises the at-risk tasks to these levels; where they
     # are risk-free it leaves every child at risk 0, so a child over the cap
     # need not be timed, and the population never keeps it
@@ -584,7 +576,7 @@ def run(
                 integ[pos] = strong_integ[0]
         return Chromosome.unchecked(c.order, c.locations, tuple(conf), tuple(integ))
 
-    weaken = make_deadline_repair(w, tables, cat, risk_model, cons, options)
+    weaken = make_deadline_repair(w, tables, cat, risk_model, options)
 
     def scored(c: Chromosome) -> Individual:
         nonlocal risk_repairs, deadline_repairs
@@ -605,7 +597,7 @@ def run(
     for i in range(params.pop_size):
         c = init_chromosome(w, rng, cons)  # individual 0 draws too, so later draws stay put
         if i == 0:
-            c = cons.repair(greedy_witness(w, p, cat))
+            c = greedy_witness(w, p, cat)
         else:
             c = Chromosome.unchecked(c.order, c.locations, strong_conf, strong_integ)
         pop.append(scored(c))
@@ -645,7 +637,6 @@ def run(
                     child = mutate_vectors(Chromosome.unchecked(
                         tuple(mutated_order), child.locations, child.conf_levels,
                         child.integ_levels), rng, cons)
-                child = cons.repair(child)
                 if len(nxt) < params.pop_size:
                     nxt.append(scored(child))
         pop = nxt

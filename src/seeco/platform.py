@@ -240,6 +240,19 @@ def finite_float(value, where: str) -> float:
     return x
 
 
+def exact_int(value, where: str) -> int:
+    """``value`` as an ``int``, refusing bools and numbers with a fractional part.
+
+    ``where`` names the source in the error message.  ``int`` would read
+    ``2.5`` as 2 and ``true`` as 1.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r} in {where}")
+    return value
+
+
 def read_json(path: str | Path, kind: str):
     """Parse a JSON file, refusing ``NaN``, ``Infinity`` and overflowing numbers.
 
@@ -259,8 +272,8 @@ def _vm_to_dict(vm: VmSpec) -> dict:
             "capability_ghz": vm.capability_ghz}
 
 
-def _vm_from_dict(d: dict, num) -> VmSpec:
-    return VmSpec(frequency_ghz=num(d["frequency_ghz"]), cores=int(d["cores"]),
+def _vm_from_dict(d: dict, num, whole) -> VmSpec:
+    return VmSpec(frequency_ghz=num(d["frequency_ghz"]), cores=whole(d["cores"]),
                   capability_ghz=num(d["capability_ghz"]))
 
 
@@ -295,18 +308,19 @@ def save_platform(platform: Platform, path: str | Path) -> None:
 def load_platform(path: str | Path) -> Platform:
     payload = read_json(path, "platform")
     num = partial(finite_float, where=f"platform file {path}")
+    whole = partial(exact_int, where=f"platform file {path}")
     try:
         md = payload["md"]
         platform = Platform(
             md=MobileDevice(
-                vm=_vm_from_dict(md["vm"], num),
+                vm=_vm_from_dict(md["vm"], num, whole),
                 p_comp_w=num(md["p_comp_w"]),
                 p_ul_w=num(md["p_ul_w"]),
                 p_dl_w=num(md["p_dl_w"]),
             ),
             aps=tuple(
                 AccessPoint(
-                    vms=tuple(_vm_from_dict(v, num) for v in ap["vms"]),
+                    vms=tuple(_vm_from_dict(v, num, whole) for v in ap["vms"]),
                     radio=RadioParams(**{k: num(v) for k, v in ap["radio"].items()}),
                 )
                 for ap in payload["aps"]

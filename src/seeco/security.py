@@ -22,7 +22,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from .platform import finite_float, read_json
+from .platform import exact_int, finite_float, read_json
 
 REF_FREQUENCY_GHZ = 2.2
 REF_DATA_MB = 100.0
@@ -261,10 +261,11 @@ def load_catalog(path: str | Path) -> SecurityCatalog:
     """
     payload = read_json(path, "catalog")
     num = partial(finite_float, where=f"catalog file {path}")
+    whole = partial(exact_int, where=f"catalog file {path}")
     try:
         ladders = {
             service: tuple(
-                CryptoAlgorithm(int(e["id"]), service, str(e["name"]),
+                CryptoAlgorithm(whole(e["id"]), service, str(e["name"]),
                                 num(e["level"]), num(e["speed_mb_s"]))
                 for e in payload[service.value])
             for service in Service

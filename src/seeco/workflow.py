@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-from .platform import Platform, finite_float, read_json
+from .platform import Platform, exact_int, finite_float, read_json
 from .security import RiskModel, SecurityCatalog, Service
 
 
@@ -164,15 +164,13 @@ def random_workflow(
     gen_cfg: GeneratorConfig | None = None,
     seed: int = 0,
     risk_cap: float = 0.5,
-    deadline_s: float = math.inf,
 ) -> Workflow:
     """Random single-entry/single-exit DAG, reproducible per seed.
 
     Each forward pair (i, j), i < j, becomes an edge with probability
     ``density``; nodes left without predecessors are then wired to the
-    entry and nodes without successors to the exit.  The deadline
-    defaults to +inf; callers normally fill it via
-    :func:`compute_deadline`.
+    entry and nodes without successors to the exit.  The deadline is
+    +inf; callers normally fill it via :func:`compute_deadline`.
     """
     if n < 2:
         raise ValueError(f"random workflows need n >= 2, got {n}")
@@ -211,7 +209,7 @@ def random_workflow(
             edges.add((u, n - 1))
 
     return Workflow(tasks=tasks, edges=tuple(sorted(edges)),
-                    deadline_s=deadline_s, risk_cap=risk_cap)
+                    deadline_s=math.inf, risk_cap=risk_cap)
 
 
 def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog):
@@ -325,14 +323,17 @@ def save_workflow(w: Workflow, path: str | Path) -> None:
 def load_workflow(path: str | Path) -> Workflow:
     payload = read_json(path, "workflow")
     num = partial(finite_float, where=f"workflow file {path}")
+    whole = partial(exact_int, where=f"workflow file {path}")
     try:
         tasks = tuple(
-            Task(id=int(t["id"]), input_mb=num(t["alpha_mb"]),
+            Task(id=whole(t["id"]), input_mb=num(t["alpha_mb"]),
                  output_mb=num(t["beta_mb"]),
                  workload_gcycles=num(t["workload_gcycles"]))
-            for t in sorted(payload["tasks"], key=lambda t: int(t["id"]))
+            for t in sorted(payload["tasks"], key=lambda t: whole(t["id"]))
         )
-        edges = tuple((int(u), int(v)) for u, v in payload["edges"])
+        # JSON integers parse as int: check only the rest of the (many) endpoints
+        edges = tuple((u, v) if type(u) is type(v) is int else (whole(u), whole(v))
+                      for u, v in payload["edges"])
         deadline = num(payload["deadline_s"])
         risk_cap = num(payload["risk_cap"])
     except (KeyError, TypeError) as exc:

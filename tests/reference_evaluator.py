@@ -52,12 +52,19 @@ def reference_evaluate(chromosome, workflow, platform, catalog, risk_model,
     def crypto_seconds(megabytes, vm, service_speed):
         return megabytes * 2.2 / (service_speed * vm.frequency_ghz * vm.cores)
 
+    def strongest_speed(ladder):
+        return next(alg.speed_mb_s for alg in ladder if alg.level == 1.0)
+
     def service_speeds(task):
         speeds = []
         if conf_mode == "active":
             speeds.append(catalog.confidentiality[conf_gene[task] - 1].speed_mb_s)
+        elif conf_mode == "strongest":
+            speeds.append(strongest_speed(catalog.confidentiality))
         if integ_mode == "active":
             speeds.append(catalog.integrity[integ_gene[task] - 1].speed_mb_s)
+        elif integ_mode == "strongest":
+            speeds.append(strongest_speed(catalog.integrity))
         return speeds
 
     def wire_seconds(src, dst, megabytes):

@@ -173,7 +173,7 @@ class TestNeverLosesToAllMd:
         w = with_deadline(w, compute_deadline(w, p, CAT) * slack)
         params = GaParams(pop_size=6, iterations=4, seed=ga_seed)
         for kind in StrategyKind:
-            _, options = search_setup(Strategy(kind), CAT)
+            options = search_setup(Strategy(kind))
             all_md = evaluate(local_chromosome(w, CAT), w, p, CAT, RISK, options)
             _, res = solve(Strategy(kind), w, p, CAT, RISK, params)
             if all_md.feasible:
@@ -247,8 +247,7 @@ class TestRunIsTheSolversGa:
             p = default_platform(servers)
             w = with_deadline(w, compute_deadline(w, p, CAT))
             params = GaParams(pop_size=8, iterations=6, seed=seed)
-            cons, opts = search_setup(Strategy(kind), CAT)
-            direct = run(w, p, CAT, RISK, params, constraints=cons, options=opts)
+            direct = run(w, p, CAT, RISK, params, options=search_setup(Strategy(kind)))
             solved = solve_detailed(Strategy(kind), w, p, CAT, RISK, params).ga_run
             assert (direct.best_chromosome, direct.best_result, direct.history,
                     direct.evaluations, direct.cache_hits) == (

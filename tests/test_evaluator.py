@@ -322,6 +322,8 @@ class TestEvaluate:
              dict(conf_mode="disabled")),
             (EvalOptions(decrypt_producer_core_ratio=False),
              dict(producer_core_ratio=False)),
+            (EvalOptions(conf_mode=ServiceMode.STRONGEST, integ_mode=ServiceMode.STRONGEST),
+             dict(conf_mode="strongest", integ_mode="strongest")),
         ]
         for _ in range(50):
             w, p, c = random_instance(rng)
@@ -351,6 +353,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="level gene"):
             evaluate(c, w, PLATFORM, CAT, RISK)
 
+    @pytest.mark.parametrize("byte", [-1, 0, 0x100])
+    def test_rejects_interior_placement_gene_outside_a_byte(self, byte):
+        w = Workflow(tasks=tuple(Task(i, 10.0, 10.0, 2.36) for i in range(3)),
+                     edges=((0, 1), (1, 2)), deadline_s=10.0, risk_cap=0.5)
+        c = Chromosome((0, 1, 2), (0x01, byte, 0x01), (1, 1, 1), (1, 1, 1))
+        with pytest.raises(ValueError, match="placement gene"):
+            evaluate(c, w, PLATFORM, CAT, RISK)
+        # the unvalidated decoder trusts its caller's genes
+        if byte == -1:
+            make_evaluator(w, PLATFORM, CAT, RISK, validate=False)(c)
+
 
 @st.composite
 def small_platforms(draw):
@@ -379,7 +392,7 @@ class TestScoreOnlyDecode:
                           deadline)
         chromosomes = [random_chromosome(w, genes) for _ in range(3)]
         for kind in StrategyKind:
-            _, options = search_setup(Strategy(kind, literal), CAT)
+            options = search_setup(Strategy(kind, literal))
             tables = cost_tables(w, platform, CAT, RISK, options)
             exposure = order_free_pass(w, tables)
             timed = timing_pass(w, platform, tables, options, timeline=False)
@@ -401,6 +414,32 @@ class TestScoreOnlyDecode:
                     assert math.isclose(value, expected, rel_tol=1e-9, abs_tol=1e-12)
 
 
+class TestStrongestMode:
+    """A ``STRONGEST`` service decodes as ``ACTIVE`` with its genes at the strongest id."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 9), density=st.floats(0.1, 0.8), seed=st.integers(0, 10**6),
+           risk_cap=st.floats(0.0, 1.0), platform=small_platforms(),
+           genes=st.randoms(use_true_random=False), service=st.sampled_from(Service),
+           other_mode=st.sampled_from(ServiceMode), literal=st.booleans())
+    def test_equals_active_at_the_strongest_id(self, n, density, seed, risk_cap, platform,
+                                               genes, service, other_mode, literal):
+        w = with_deadline(random_workflow(n, density, seed=seed, risk_cap=risk_cap), 30.0)
+        c = random_chromosome(w, genes)
+        strongest = (CAT.strongest_id(service),) * n
+        if service is Service.CONFIDENTIALITY:
+            pinned = Chromosome(c.order, c.locations, strongest, c.integ_levels)
+            mode, others = "conf_mode", dict(integ_mode=other_mode)
+        else:
+            pinned = Chromosome(c.order, c.locations, c.conf_levels, strongest)
+            mode, others = "integ_mode", dict(conf_mode=other_mode)
+        got = evaluate(c, w, platform, CAT, RISK, EvalOptions(
+            **{mode: ServiceMode.STRONGEST}, **others, decrypt_producer_core_ratio=literal))
+        want = evaluate(pinned, w, platform, CAT, RISK, EvalOptions(
+            **{mode: ServiceMode.ACTIVE}, **others, decrypt_producer_core_ratio=literal))
+        assert repr(got) == repr(want)  # every float, timings included, bit for bit
+
+
 class TestOrderFreePass:
     """The order-free pass alone finds the full decode's risk and at-risk tasks."""
 
@@ -412,7 +451,7 @@ class TestOrderFreePass:
         w = with_deadline(random_workflow(n, density, seed=seed, risk_cap=risk_cap), 30.0)
         chromosomes = [random_chromosome(w, genes) for _ in range(3)]
         for kind in StrategyKind:
-            _, options = search_setup(Strategy(kind, literal), CAT)
+            options = search_setup(Strategy(kind, literal))
             tables = cost_tables(w, platform, CAT, RISK, options)
             exposure = order_free_pass(w, tables)
             timed = timing_pass(w, platform, tables, options, timeline=False)

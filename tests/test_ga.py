@@ -34,7 +34,7 @@ from seeco.ga import (
     write_history_csv,
 )
 from seeco.platform import MD_LOCATION, default_platform, encode_location
-from seeco.security import RiskModel, default_catalog
+from seeco.security import RiskModel, Service, default_catalog
 from seeco.workflow import (
     GeneratorConfig,
     Task,
@@ -48,6 +48,15 @@ from seeco.workflow import (
 CAT = default_catalog()
 RISK = RiskModel()
 PLATFORM = default_platform()
+STRONGEST = (CAT.strongest_id(Service.CONFIDENTIALITY), CAT.strongest_id(Service.INTEGRITY))
+GA_KINDS = [k for k in StrategyKind if k is not StrategyKind.LOCAL]
+
+
+def frozen_services(cons):
+    """(gene vector name, frozen level) for each service ``cons`` freezes."""
+    return [(vec, fixed) for vec, fixed in (("conf_levels", cons.fixed_conf_level),
+                                            ("integ_levels", cons.fixed_integ_level))
+            if fixed is not None]
 
 
 def _digest(value) -> str:
@@ -129,9 +138,15 @@ class TestInitVectors:
 
     def test_fixed_levels(self):
         rng = random.Random(7)
-        cons = GeneConstraints(fixed_conf_level=1, fixed_integ_level=2)
-        _, conf, integ = init_vectors(random_workflow(8, 0.4, seed=3), rng, cons)
-        assert set(conf) == {1} and set(integ) == {2}
+        modes = EvalOptions(conf_mode=ServiceMode.STRONGEST, integ_mode=ServiceMode.ACTIVE)
+        cons = GeneConstraints.from_catalog(CAT, modes)
+        conf_seen, integ_seen = set(), set()
+        for _ in range(50):
+            _, conf, integ = init_vectors(random_workflow(8, 0.4, seed=3), rng, cons)
+            conf_seen.update(conf)
+            integ_seen.update(integ)
+        assert conf_seen == {STRONGEST[0]}
+        assert integ_seen == set(range(1, 6))  # the active service's gene stays free
 
 
 class TestCrossoverOrder:
@@ -278,6 +293,8 @@ class TestRun:
             assert later <= earlier
 
     def test_every_generation_satisfies_invariants(self, monkeypatch):
+        # run calls no gene repair, so its operators alone must keep the
+        # endpoints pinned and every frozen gene at the strongest id
         w = random_workflow(9, 0.35, seed=24)
         w = with_deadline(w, 25.0)
         seen: list[Chromosome] = []
@@ -292,24 +309,32 @@ class TestRun:
             return spy
 
         monkeypatch.setattr(ga, "timing_pass", spy_timing_pass)
-        r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=10, seed=2))
-        # initial pop + per-gen fills minus elite, plus the repairs' rescores
-        assert r.evaluations == 8 + 8 * 10 - 10 + r.risk_repairs + r.deadline_repairs
-        assert len(seen) == r.evaluations - r.cache_hits - r.screened
-        for c in seen:
-            assert is_valid_order(w, list(c.order))
-            assert c.locations[0] == MD_LOCATION and c.locations[-1] == MD_LOCATION
-            assert all(0x01 <= b <= 0xFF for b in c.locations)
-            assert all(1 <= v <= 5 for v in c.conf_levels + c.integ_levels)
+        for kind in GA_KINDS:
+            seen.clear()
+            options = search_setup(Strategy(kind))
+            r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=10, seed=2),
+                    options=options)
+            # initial pop + per-gen fills minus elite, plus the repairs' rescores
+            assert r.evaluations == 8 + 8 * 10 - 10 + r.risk_repairs + r.deadline_repairs
+            assert len(seen) == r.evaluations - r.cache_hits - r.screened
+            frozen = frozen_services(GeneConstraints.from_catalog(CAT, options))
+            for c in seen:
+                assert is_valid_order(w, list(c.order))
+                assert c.locations[0] == MD_LOCATION and c.locations[-1] == MD_LOCATION
+                assert all(0x01 <= b <= 0xFF for b in c.locations)
+                assert all(1 <= v <= 5 for v in c.conf_levels + c.integ_levels)
+                for vec, fixed in frozen:
+                    assert set(getattr(c, vec)) == {fixed}, kind
 
     def test_fixed_level_constraints_respected(self):
         w = random_workflow(7, 0.4, seed=25)
         w = with_deadline(w, 30.0)
-        cons = GeneConstraints.from_catalog(CAT, fixed_conf_level=1, fixed_integ_level=1)
-        r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=6, seed=4),
-                constraints=cons)
-        assert set(r.best_chromosome.conf_levels) == {1}
-        assert set(r.best_chromosome.integ_levels) == {1}
+        for kind in GA_KINDS:
+            options = search_setup(Strategy(kind))
+            r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=6, seed=4),
+                    options=options)
+            for vec, fixed in frozen_services(GeneConstraints.from_catalog(CAT, options)):
+                assert set(getattr(r.best_chromosome, vec)) == {fixed}, kind
 
     def test_best_never_reported_infeasible_when_feasible_seen(self):
         w = random_workflow(6, 0.4, seed=26)
@@ -339,12 +364,13 @@ class TestDeadlineRepair:
         w = random_workflow(n, 0.4, cfg, seed=seed, risk_cap=risk_cap)
         w = with_deadline(w, deadline)
         p = default_platform(servers)
-        cons, options = search_setup(Strategy(kind), CAT)
+        options = search_setup(Strategy(kind))
+        cons = GeneConstraints.from_catalog(CAT, options)
         c = init_chromosome(w, random.Random(gene_seed), cons)
         score = make_evaluator(w, p, CAT, RISK, options)
         res = score(c)
         tables = cost_tables(w, p, CAT, RISK, options)
-        repaired = make_deadline_repair(w, tables, CAT, RISK, cons, options)(c, res)
+        repaired = make_deadline_repair(w, tables, CAT, RISK, options)(c, res)
         if res.makespan_s <= w.deadline_s:
             assert repaired is c
         rep_res = score(repaired)
@@ -375,8 +401,7 @@ class TestDeadlineRepair:
         w = with_deadline(w, strong.makespan_s - 2.0)
         res = evaluate(c, w, p, CAT, RISK)
         assert not res.feasible
-        cons = GeneConstraints.from_catalog(CAT)
-        repaired = make_deadline_repair(w, cost_tables(w, p, CAT, RISK), CAT, RISK, cons)(c, res)
+        repaired = make_deadline_repair(w, cost_tables(w, p, CAT, RISK), CAT, RISK)(c, res)
         fixed = evaluate(repaired, w, p, CAT, RISK)
         assert fixed.feasible
         assert 0.0 < fixed.risk <= w.risk_cap
@@ -385,11 +410,13 @@ class TestDeadlineRepair:
     def test_frozen_levels_leave_nothing_to_repair(self):
         w = with_deadline(chain(5), 1.0)
         p = default_platform(2)
-        cons = GeneConstraints.from_catalog(CAT, fixed_conf_level=1, fixed_integ_level=1)
-        c = init_chromosome(w, random.Random(3), cons)
-        res = evaluate(c, w, p, CAT, RISK)
-        assert not res.feasible
-        assert make_deadline_repair(w, cost_tables(w, p, CAT, RISK), CAT, RISK, cons)(c, res) is c
+        for kind in (StrategyKind.MAX_LEVEL, StrategyKind.MIN_LEVEL):
+            options = search_setup(Strategy(kind))
+            c = init_chromosome(w, random.Random(3), GeneConstraints.from_catalog(CAT, options))
+            res = evaluate(c, w, p, CAT, RISK, options)
+            assert not res.feasible
+            tables = cost_tables(w, p, CAT, RISK, options)
+            assert make_deadline_repair(w, tables, CAT, RISK, options)(c, res) is c
 
 
 class TestRiskScreen:
@@ -400,7 +427,7 @@ class TestRiskScreen:
         p = default_platform(3)
         return with_deadline(w, compute_deadline(w, p, CAT)), p
 
-    def run_spied(self, monkeypatch, risk_cap, constraints=None, options=EvalOptions(),
+    def run_spied(self, monkeypatch, risk_cap, options=EvalOptions(),
                   params=GaParams(pop_size=10, iterations=12, seed=3)):
         w, p = self.tight_instance(risk_cap)
         passes, timings = [], []
@@ -423,7 +450,7 @@ class TestRiskScreen:
 
         monkeypatch.setattr(ga, "order_free_pass", spy_order_free_pass)
         monkeypatch.setattr(ga, "timing_pass", spy_timing_pass)
-        r = run(w, p, CAT, RISK, params, constraints=constraints, options=options)
+        r = run(w, p, CAT, RISK, params, options=options)
         # each memo miss runs the order-free pass once, and only the
         # children it does not screen are timed
         assert len(passes) == r.evaluations - r.cache_hits
@@ -437,8 +464,7 @@ class TestRiskScreen:
 
     @pytest.mark.parametrize("kind", [StrategyKind.MAX_LEVEL, StrategyKind.MIN_LEVEL])
     def test_never_fires_where_no_child_can_exceed_the_cap(self, monkeypatch, kind):
-        cons, options = search_setup(Strategy(kind), CAT)
-        assert self.run_spied(monkeypatch, 0.02, cons, options).screened == 0
+        assert self.run_spied(monkeypatch, 0.02, search_setup(Strategy(kind))).screened == 0
 
     def test_never_fires_under_a_cap_of_one(self, monkeypatch):
         assert self.run_spied(monkeypatch, 1.0).screened == 0
@@ -451,9 +477,11 @@ class TestRiskScreen:
         (EvalOptions(), ('01a872d6c0d5ec34', '649248e41c26c219', '89b8069cffff63ee',
                          193, 66, 48, 0), 48),
         # the risk repair cannot lower an unprotected service's risk, so
-        # screening is off: a child it stopped could be kept unscored
+        # screening is off: a child it stopped could be kept unscored.  The
+        # moot conf gene is frozen since the freezes follow the modes, so
+        # more children repeat: cache hits went from 197 to 206, nothing else moved
         (EvalOptions(conf_mode=ServiceMode.UNPROTECTED),
-         ('bda70ef86bdbc879', '57c971eb3ec284aa', 'b3a0c79fa93a410b', 290, 197, 145, 0), 0),
+         ('bda70ef86bdbc879', '57c971eb3ec284aa', 'b3a0c79fa93a410b', 290, 206, 145, 0), 0),
     ], ids=["active", "unprotected"])
     def test_matches_recorded_run(self, monkeypatch, options, pinned, screened):
         r = self.run_spied(monkeypatch, 0.3, options=options,
@@ -472,13 +500,14 @@ class TestGeneRepair:
     @settings(max_examples=100, deadline=None)
     @given(genes=st.lists(st.tuples(st.integers(0x01, 0xFF), st.integers(1, 5),
                                     st.integers(1, 5)), min_size=1, max_size=8),
-           fixed_conf=st.sampled_from([None, 1, 3]), fixed_integ=st.sampled_from([None, 1, 4]))
-    def test_matches_rebuilt_chromosome(self, genes, fixed_conf, fixed_integ):
+           conf_mode=st.sampled_from(ServiceMode), integ_mode=st.sampled_from(ServiceMode))
+    def test_matches_rebuilt_chromosome(self, genes, conf_mode, integ_mode):
         n = len(genes)
         loc, conf, integ = (list(v) for v in zip(*genes))
         c = Chromosome(range(n), loc, conf, integ)
-        cons = GeneConstraints.from_catalog(CAT, fixed_conf_level=fixed_conf,
-                                            fixed_integ_level=fixed_integ)
+        cons = GeneConstraints.from_catalog(CAT, EvalOptions(conf_mode, integ_mode))
+        fixed_conf = None if conf_mode is ServiceMode.ACTIVE else STRONGEST[0]
+        fixed_integ = None if integ_mode is ServiceMode.ACTIVE else STRONGEST[1]
         pinned = list(loc)
         pinned[0] = pinned[n - 1] = MD_LOCATION
         expected = Chromosome(range(n), pinned, [fixed_conf] * n if fixed_conf else conf,
@@ -503,22 +532,34 @@ class TestGeneRepair:
             Chromosome((0, 1), (1,), (1, 1), (1, 1))
 
 
-class TestConstraintsValidation:
-    @pytest.mark.parametrize("make", [
-        lambda: GeneConstraints.from_catalog(CAT, fixed_conf_level=6),
-        lambda: GeneConstraints.from_catalog(CAT, fixed_conf_level=-1),
-        lambda: GeneConstraints(integ_level_count=0),
-        lambda: GeneConstraints(strongest_integ_level=6),
-    ], ids=["fixed-above", "fixed-below", "no-levels", "strongest-above"])
-    def test_levels_outside_the_alphabet(self, make):
-        with pytest.raises(ValueError):
-            make()
+class TestGeneFreezes:
+    """A strategy's modes alone decide which level genes the GA freezes."""
 
-    def test_alphabet_must_match_the_catalog(self):
-        w = with_deadline(chain(5), 50.0)
-        with pytest.raises(ValueError, match="catalog"):
-            run(w, PLATFORM, CAT, RISK, GaParams(pop_size=4, iterations=1),
-                constraints=GeneConstraints(conf_level_count=9))
+    # the (confidentiality, integrity) levels each strategy froze when
+    # the freezes were set by hand, beside its modes
+    HAND_SET = {StrategyKind.LOCAL: (None, None), StrategyKind.MAX_LEVEL: STRONGEST,
+                StrategyKind.MIN_LEVEL: STRONGEST, StrategyKind.CONFI_ONLY: (None, STRONGEST[1]),
+                StrategyKind.INTEG_ONLY: (STRONGEST[0], None), StrategyKind.SEECO: (None, None)}
+
+    @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+    def test_exactly_the_services_that_are_not_active(self, kind):
+        options = search_setup(Strategy(kind))
+        cons = GeneConstraints.from_catalog(CAT, options)
+        assert (cons.conf_level_count, cons.integ_level_count) == (
+            CAT.level_count(Service.CONFIDENTIALITY), CAT.level_count(Service.INTEGRITY))
+        frozen = (cons.fixed_conf_level, cons.fixed_integ_level)
+        assert frozen == self.HAND_SET[kind]
+        for mode, fixed, strongest in zip((options.conf_mode, options.integ_mode), frozen,
+                                          STRONGEST):
+            assert fixed == (None if mode is ServiceMode.ACTIVE else strongest)
+
+    def test_no_state_is_set_by_hand(self):
+        for make in (GeneConstraints, lambda: GeneConstraints(conf_level_count=9)):
+            with pytest.raises(TypeError):
+                make()
+        with pytest.raises(TypeError):
+            run(with_deadline(chain(5), 50.0), PLATFORM, CAT, RISK,
+                GaParams(pop_size=4, iterations=1), constraints=ga.DEFAULT_CONSTRAINTS)
 
 
 class TestParamsValidation:

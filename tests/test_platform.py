@@ -183,6 +183,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="at most 15"):
             load_platform(path)
 
+    @pytest.mark.parametrize("cores", [2.5, True], ids=["fraction", "bool"])
+    def test_non_integral_cores_rejected(self, tmp_path, cores):
+        path = tmp_path / "platform.json"
+        save_platform(default_platform(1), path)
+        payload = json.loads(path.read_text())
+        payload["aps"][0]["vms"][0]["cores"] = cores
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_platform(path)
+
     @pytest.mark.parametrize("bad", [
         "Infinity", "NaN", "1e999",
         # JSON strings, which float() also reads, and an integer it overflows on

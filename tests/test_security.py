@@ -165,6 +165,15 @@ class TestCatalog:
         with pytest.raises(ValueError, match="non-finite"):
             load_catalog(path)
 
+    def test_non_integral_id_rejected(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        save_catalog(CAT, path)
+        payload = json.loads(path.read_text())
+        payload["confidentiality"][1]["id"] = 2.9
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_catalog(path)
+
     @pytest.mark.parametrize("bad", ["NaN", "inf", "-Infinity", "1e999"])
     def test_non_finite_string_rejected(self, tmp_path, bad):
         path = tmp_path / "catalog.json"

@@ -327,6 +327,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="cycle"):
             load_workflow(path)
 
+    @pytest.mark.parametrize("edge, task_id", [([0.9, 1.7], 1), ([0, 1], 1.6)],
+                             ids=["edge", "task-id"])
+    def test_non_integral_ids_rejected(self, tmp_path, edge, task_id):
+        path = tmp_path / "wf.json"
+        payload = {
+            "tasks": [{"id": i, "alpha_mb": 1, "beta_mb": 1, "workload_gcycles": 1}
+                      for i in (0, task_id, 2)],
+            "edges": [edge, [1, 2]],
+            "deadline_s": 10.0, "risk_cap": 0.5,
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_workflow(path)
+
     def test_two_entries_rejected(self, tmp_path):
         path = tmp_path / "wf.json"
         payload = {
