@@ -43,7 +43,7 @@ from .baselines import Strategy, risk_inputs, solve_detailed
 from .evaluator import write_schedule_csv
 from .ga import GaParams, write_history_csv
 from .platform import Platform, default_platform, load_platform, read_json
-from .security import RiskModel, default_catalog, load_catalog
+from .security import RiskModel, SecurityCatalog, default_catalog, load_catalog
 from .workflow import (
     GeneratorConfig,
     Workflow,
@@ -115,25 +115,22 @@ def parse_bool(spec: str | bool) -> bool:
 class SweepJob:
     sweep: str
     value: float | int
-    strategy: str
+    strategy: Strategy
     seed: int
     workflow: Workflow
     platform: Platform
     risk_model: RiskModel
     params: GaParams
-    literal_eq11: bool
-    catalog_path: str | None
+    catalog: SecurityCatalog
 
 
 def run_job(job: SweepJob) -> dict:
     """Execute one sweep point; used directly and by worker processes."""
-    cat = load_catalog(job.catalog_path) if job.catalog_path else default_catalog()
-    strategy = Strategy.parse(job.strategy, literal_decrypt_ratio=job.literal_eq11)
-    outcome = solve_detailed(strategy, job.workflow, job.platform, cat,
+    outcome = solve_detailed(job.strategy, job.workflow, job.platform, job.catalog,
                              job.risk_model, job.params)
     res = outcome.result
     return {
-        "sweep": job.sweep, "value": job.value, "strategy": job.strategy,
+        "sweep": job.sweep, "value": job.value, "strategy": job.strategy.kind.value,
         "seed": job.seed, "pop": job.params.pop_size, "iters": job.params.iterations,
         "pc": job.params.p_c, "pm": job.params.p_m,
         "energy": res.energy_j, "makespan": res.makespan_s, "risk": res.risk,
@@ -167,6 +164,7 @@ def build_sweep_jobs(
     sets grow with the server count), and ``tasks`` regenerates the
     workflow per value.
     """
+    parsed = [Strategy.parse(name, literal_decrypt_ratio=literal_eq11) for name in strategies]
     if sweep not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable {sweep!r}; expected one of "
                          f"{', '.join(SWEEP_VARIABLES)}")
@@ -205,23 +203,21 @@ def build_sweep_jobs(
             plat = default_platform(int(value))
         elif sweep == "tasks":
             w = make_workflow(int(value))
-        for strategy in strategies:
+        for strategy in parsed:
             for seed in seeds:
                 jobs.append(SweepJob(
                     sweep=sweep, value=value, strategy=strategy, seed=seed,
                     workflow=w, platform=plat, risk_model=rm,
-                    params=replace(params, seed=seed),
-                    literal_eq11=literal_eq11, catalog_path=catalog_path))
+                    params=replace(params, seed=seed), catalog=cat))
     return jobs
 
 
 def solve_key(job: SweepJob) -> tuple:
     """Everything the solve of ``job`` reads: jobs with equal keys pose one problem."""
     w = job.workflow
-    strategy = Strategy.parse(job.strategy, literal_decrypt_ratio=job.literal_eq11)
-    return (job.strategy, job.literal_eq11, job.catalog_path, job.params, job.platform,
+    return (job.strategy, job.catalog, job.params, job.platform,
             w.tasks, w.edges, w.deadline_s,
-            risk_inputs(strategy, w.risk_cap, job.risk_model))
+            risk_inputs(job.strategy, w.risk_cap, job.risk_model))
 
 
 def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict]:
@@ -381,8 +377,6 @@ def cmd_sweep(args) -> int:
     # only an unknown --sweep has no default range; build_sweep_jobs names it
     values = parse_range(args.range, args.sweep in _INT_SWEEPS) if args.range else []
     strategies = [s.strip() for s in args.strategies.split(",")]
-    for name in strategies:
-        Strategy.parse(name)
     seeds = parse_seeds(args.seeds)
     jobs = build_sweep_jobs(
         sweep=args.sweep, values=values, strategies=strategies, seeds=seeds,

@@ -28,9 +28,9 @@ device energy.
 ``evaluate`` is a pure function; any number of chromosomes may be
 evaluated concurrently over shared workflow/platform/catalog values.
 
-:func:`cost_tables` resolves the cost model of a problem into one
-:class:`CostTables` object, which the decoder, the GA's deadline repair
-and the deadline calibration's greedy witness all read.
+:func:`cost_tables` resolves the whole cost model of a problem into one
+:class:`CostTables` object.  The decoder, the GA's deadline repair and
+the deadline calibration's greedy witness read it and the workflow only.
 
 The decoder runs in two passes over those tables.  The order-free pass
 (:func:`order_free_pass`) needs only placements and levels: it maps the
@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .platform import MD_LOCATION, Platform, VmSpec, decode_location, downlink_rate, uplink_rate
-from .security import RiskModel, SecurityCatalog, Service, overhead
+from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service, overhead
 from .workflow import Workflow
 
 
@@ -117,7 +117,8 @@ class EvalOptions:
     say which genes a search may change (:class:`seeco.ga.GeneConstraints`).
     ``decrypt_producer_core_ratio`` keeps the literal decryption formula
     whose cost scales with the producing VM's core count; switching it
-    off drops that factor.  ``ignore_risk_cap`` evaluates feasibility
+    off drops that factor.  :func:`cost_tables` alone reads it, into
+    ``CostTables.dec_ratio``.  ``ignore_risk_cap`` evaluates feasibility
     against a risk cap of 1.0 (deadline only).
     """
 
@@ -185,62 +186,83 @@ class CostTables(NamedTuple):
     """The cost model of one problem as lookup tables; built by :func:`cost_tables`."""
 
     # one row per VM, the MD's first, then AP by AP: (ap, vm index, flat id,
-    # 1/capability, frequency*cores, cores); flat ids count rows in that order
-    vms: tuple[tuple[int, int, int, float, float, int], ...]
+    # 1/capability, frequency*cores); flat ids count rows in that order
+    vms: tuple[tuple[int, int, int, float, float], ...]
     by_byte: tuple  # the row each placement byte decodes to; by_byte[0] is None
     # rate[i][j]: MB/s from AP i to AP j (0: the MD), over the uplink of j,
     # the downlink of i or the backhaul; only crossings (i != j) read it
     rate: tuple[tuple[float, ...], ...]
+    md_power: tuple[float, float, float]  # the MD's compute, uplink and downlink W
+    # dec_ratio[x][y]: the factor on what VM y decrypts of VM x's output, by
+    # flat id: cores_x / cores_y under the literal formula, 1.0 otherwise
+    dec_ratio: tuple[tuple[float, ...], ...]
     # per (conf, integ) level gene pair, at index conf * stride + integ: the
     # crypto seconds per MB times frequency*cores, and a crossing payload's survival
     stride: int
     pair_cost: tuple[float, ...]
     pair_surv: tuple[float, ...]
+    # ladders[s][gene]: the deadline repair's moves from a level gene of service s
+    # (0: conf, 1: integ), one per faster algorithm: (gain, -log survival spent,
+    # per-MB cost saved, target id), best gain first; () for a service not ACTIVE
+    ladders: tuple[tuple[tuple[tuple[float, float, float, int], ...], ...], ...]
     risk_cap: float  # the cap that feasibility is judged against
 
 
 def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: RiskModel,
                 options: EvalOptions = DEFAULT_OPTIONS) -> CostTables:
     """Resolve the cost model of one problem into lookup tables."""
-    rows: dict[tuple[int, int], tuple[int, int, int, float, float, int]] = {}
+    rows: dict[tuple[int, int], tuple[int, int, int, float, float]] = {}
     for ap in range(p.num_aps + 1):
         for k in range(1, p.vm_count(ap) + 1):
             vm = p.vm_at(ap, k)
             rows[ap, k] = (ap, k, len(rows), 1.0 / vm.capability_ghz,
-                           vm.frequency_ghz * vm.cores, vm.cores)
+                           vm.frequency_ghz * vm.cores)
+    cores = [p.vm_at(ap, k).cores for ap, k in rows]
     rates = [[p.inter_ap_bandwidth_mb_s] * (p.num_aps + 1) for _ in range(p.num_aps + 1)]
     for j in range(1, p.num_aps + 1):
         rates[0][j] = uplink_rate(p.radio(j))
         rates[j][0] = downlink_rate(p.radio(j))
+    literal = options.decrypt_producer_core_ratio
 
     # per level gene of a service, resolved by its mode: crypto seconds per
-    # MB on one core at 1 GHz, and a crossing payload's survival factor
+    # MB on one core at 1 GHz, a crossing payload's survival factor, and
+    # the deadline repair's ladder
     def service_table(svc, mode, rate):
         algs = cat.algorithms(svc)
         count = len(algs) + 1
         if mode is ServiceMode.ACTIVE:
+            def move(a, b):  # from algorithm a to the faster b
+                saved = REF_FREQUENCY_GHZ * (1.0 / a.speed_mb_s - 1.0 / b.speed_mb_s)
+                spent = rate * (a.level - b.level)
+                return saved / spent if spent > 0.0 else math.inf, spent, saved, b.id
+            ladders = [tuple(sorted((move(a, b) for b in algs if b.speed_mb_s > a.speed_mb_s),
+                                    key=lambda m: -m[0])) for a in algs]
             return ([0.0] + [overhead(a, 1, 1.0, 1.0) for a in algs],
-                    [1.0] + [math.exp(-rate * (1.0 - a.level)) for a in algs])
+                    [1.0] + [math.exp(-rate * (1.0 - a.level)) for a in algs],
+                    ((),) + tuple(ladders))
         if mode is ServiceMode.STRONGEST:
             strongest = cat.algorithm(svc, cat.strongest_id(svc))
-            return [overhead(strongest, 1, 1.0, 1.0)] * count, [1.0] * count
+            return [overhead(strongest, 1, 1.0, 1.0)] * count, [1.0] * count, ()
         if mode is ServiceMode.UNPROTECTED:
-            return [0.0] * count, [math.exp(-rate)] * count
-        return [0.0] * count, [1.0] * count
+            return [0.0] * count, [math.exp(-rate)] * count, ()
+        return [0.0] * count, [1.0] * count, ()
 
-    conf_cost, conf_surv = service_table(Service.CONFIDENTIALITY, options.conf_mode,
-                                         risk_model.lambda_conf)
-    integ_cost, integ_surv = service_table(Service.INTEGRITY, options.integ_mode,
-                                           risk_model.lambda_integ)
+    conf_cost, conf_surv, conf_ladders = service_table(
+        Service.CONFIDENTIALITY, options.conf_mode, risk_model.lambda_conf)
+    integ_cost, integ_surv, integ_ladders = service_table(
+        Service.INTEGRITY, options.integ_mode, risk_model.lambda_integ)
 
     return CostTables(
         vms=tuple(rows.values()),
         by_byte=(None,) + tuple(rows[decode_location(byte, p)]
                                 for byte in range(0x01, 0x100)),
         rate=tuple(map(tuple, rates)),
+        md_power=(p.md.p_comp_w, p.md.p_ul_w, p.md.p_dl_w),
+        dec_ratio=tuple(tuple(cx / cy if literal else 1.0 for cy in cores) for cx in cores),
         stride=len(integ_cost),
         pair_cost=tuple(cc + ic for cc in conf_cost for ic in integ_cost),
         pair_surv=tuple(cs * si for cs in conf_surv for si in integ_surv),
+        ladders=(conf_ladders, integ_ladders),
         risk_cap=1.0 if options.ignore_risk_cap else w.risk_cap,
     )
 
@@ -292,16 +314,16 @@ def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], E
 
 def timing_pass(
     w: Workflow,
-    p: Platform,
     tables: CostTables,
-    options: EvalOptions = DEFAULT_OPTIONS,
     timeline: bool = True,
 ) -> Callable[[Chromosome, Exposure], EvaluationResult | Score]:
     """Build the decoder's timing pass over one problem's tables.
 
     The returned ``timed(c, exposure)`` walks ``c``'s order, where
     ``exposure`` is what :func:`order_free_pass` found for ``c``, and fills
-    in start times, durations and device energy.  It returns the per-task
+    in start times, durations and device energy.  It reads the workflow and
+    ``tables`` only: crypto seconds from the pair costs and the decryption
+    core ratio, energy from the MD's powers.  It returns the per-task
     timeline (:class:`EvaluationResult`) or, with ``timeline=False``, only
     the totals and the tasks at nonzero risk (:class:`Score`).  One loop
     produces both, with the same floating-point operations in the same
@@ -316,9 +338,9 @@ def timing_pass(
     risk_cap = tables.risk_cap
     num_vms = len(tables.vms)
     rate = tables.rate
-    md_p_comp, md_p_ul, md_p_dl = p.md.p_comp_w, p.md.p_ul_w, p.md.p_dl_w
+    md_p_comp, md_p_ul, md_p_dl = tables.md_power
     pair_cost = tables.pair_cost
-    literal_ratio = options.decrypt_producer_core_ratio
+    ratio = tables.dec_ratio
 
     def timed(c: Chromosome, exposure: Exposure) -> EvaluationResult | Score:
         vm_of, ap_of, pair_of, crossing, task_risk, total_risk, at_risk = exposure
@@ -328,7 +350,7 @@ def timing_pass(
         energy = 0.0
 
         for t in c.order:
-            ap, vm_k, vid, inv_cap, denom, cores = vm_of[t]
+            ap, vm_k, vid, inv_cap, denom = vm_of[t]
 
             start = vm_avail[vid]
             dec = 0.0
@@ -336,8 +358,7 @@ def timing_pass(
                 if end[r] > start:
                     start = end[r]
                 if ap_of[r] != ap:
-                    ratio = (vm_of[r][5] / cores) if literal_ratio else 1.0
-                    dec += ratio * out_mb[r] * pair_cost[pair_of[r]] / denom
+                    dec += ratio[vm_of[r][2]][vid] * out_mb[r] * pair_cost[pair_of[r]] / denom
 
             ex = load[t] * inv_cap
             if ap == 0:
@@ -403,7 +424,7 @@ def make_evaluator(
     """
     tables = cost_tables(w, p, cat, risk_model, options)
     exposure = order_free_pass(w, tables)
-    timed = timing_pass(w, p, tables, options)
+    timed = timing_pass(w, tables)
     n = w.n
     edges = w.edges
     # (gene vector, what its genes are, their range) of the per-gene checks

@@ -39,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .evaluator import (
     Chromosome,
@@ -58,18 +58,20 @@ from .evaluator import (
     timing_pass,
 )
 from .platform import MD_LOCATION, Platform
-from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service, default_catalog
+from .security import RiskModel, SecurityCatalog, Service, default_catalog
 from .workflow import Workflow, greedy_witness
 
 
 @dataclass(frozen=True)
 class GaParams:
+    """The GA's settings; each generation carries one elite individual over."""
+
     pop_size: int = 40
     iterations: int = 150
     p_c: float = 0.5
     p_m: float = 0.3
     seed: int = 0
-    elitism: int = 1
+    elitism: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.pop_size < 2:
@@ -78,8 +80,6 @@ class GaParams:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 <= self.p_c <= 1.0 or not 0.0 <= self.p_m <= 1.0:
             raise ValueError("p_c and p_m must be probabilities")
-        if not 0 <= self.elitism < self.pop_size:
-            raise ValueError("elitism must satisfy 0 <= elitism < pop_size")
 
 
 @dataclass(frozen=True, init=False)
@@ -336,9 +336,6 @@ def _make_ranking_key(options: EvalOptions) -> Callable[[Score], tuple]:
 def make_deadline_repair(
     w: Workflow,
     tables: CostTables,
-    cat: SecurityCatalog,
-    risk_model: RiskModel,
-    options: EvalOptions = DEFAULT_OPTIONS,
 ) -> Callable[[Chromosome, Score | EvaluationResult], Chromosome]:
     """Build the deadline repair: weaken free level genes to buy slack.
 
@@ -358,7 +355,9 @@ def make_deadline_repair(
     so a weakening that saves less than the deadline miss cannot make
     the schedule feasible; it is dropped.  The chromosome comes back as
     the very same object then, and whenever there is nothing to repair.
-    ``tables`` is the problem's :func:`seeco.evaluator.cost_tables`.
+    ``tables`` is the problem's :func:`seeco.evaluator.cost_tables`, and
+    the repair reads nothing else but the workflow: its moves are the
+    tables' ``ladders``, its decryption cost the tables' ``dec_ratio``.
     """
     n = w.n
     deadline = w.deadline_s
@@ -371,8 +370,7 @@ def make_deadline_repair(
     # on it, and to decrypt on VM y what it produced (the decoder's core
     # ratio included)
     enc_coef = [1.0 / x[4] for x in tables.vms]
-    dec_coef = [[(x[5] / y[5] if options.decrypt_producer_core_ratio else 1.0) / y[4]
-                 for y in tables.vms] for x in tables.vms]
+    dec_coef = [[r / y[4] for r, y in zip(ratio, tables.vms)] for ratio in tables.dec_ratio]
     by_byte = tables.by_byte
     # per task and VM id: a bound on the task's weight (see below) there,
     # as if every successor sat on the VM costliest to decrypt on
@@ -380,26 +378,7 @@ def make_deadline_repair(
                      for x in range(len(tables.vms))] for t in w.tasks]
     max_weight = max(map(max, weight_bound))
 
-    # moves[s][a]: (gain, -log survival spent, per-MB cost saved, target
-    # level) for every cheaper level of free service s, best gain (cost
-    # saved per -log survival spent) first
-    moves: list[list[list[tuple[float, float, float, int]]]] = [[], []]
-    for s, (svc, mode, rate) in enumerate((
-            (Service.CONFIDENTIALITY, options.conf_mode, risk_model.lambda_conf),
-            (Service.INTEGRITY, options.integ_mode, risk_model.lambda_integ))):
-        if mode is not ServiceMode.ACTIVE:
-            continue
-        algs = (None,) + cat.algorithms(svc)
-        for a in algs:
-            ladder = []
-            for b in algs[1:]:
-                if a is not None and b.speed_mb_s > a.speed_mb_s:
-                    saved = REF_FREQUENCY_GHZ * (1.0 / a.speed_mb_s - 1.0 / b.speed_mb_s)
-                    spent = rate * (a.level - b.level)
-                    gain = saved / spent if spent > 0.0 else math.inf
-                    ladder.append((gain, spent, saved, b.id))
-            ladder.sort(key=lambda m: -m[0])
-            moves[s].append(ladder)
+    moves = tables.ladders
     free = [s for s in (0, 1) if moves[s]]
     min_spent = min((m[1] for s in free for ladder in moves[s] for m in ladder),
                     default=math.inf)
@@ -537,7 +516,7 @@ def run(
     rng = random.Random(params.seed)
     tables = cost_tables(w, p, cat, risk_model, options)
     exposure = order_free_pass(w, tables)
-    timed = timing_pass(w, p, tables, options, timeline=False)
+    timed = timing_pass(w, tables, timeline=False)
     risk_cap = tables.risk_cap
     strong_conf = (cat.strongest_id(Service.CONFIDENTIALITY),) * w.n
     strong_integ = (cat.strongest_id(Service.INTEGRITY),) * w.n
@@ -576,7 +555,7 @@ def run(
                 integ[pos] = strong_integ[0]
         return Chromosome.unchecked(c.order, c.locations, tuple(conf), tuple(integ))
 
-    weaken = make_deadline_repair(w, tables, cat, risk_model, options)
+    weaken = make_deadline_repair(w, tables)
 
     def scored(c: Chromosome) -> Individual:
         nonlocal risk_repairs, deadline_repairs

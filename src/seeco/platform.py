@@ -39,6 +39,7 @@ class VmSpec:
     capability_ghz: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cores", exact_int(self.cores, "VM cores"))
         if self.frequency_ghz <= 0.0:
             raise ValueError(f"frequency must be positive, got {self.frequency_ghz}")
         if self.cores < 1:

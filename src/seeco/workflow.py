@@ -59,8 +59,9 @@ class Workflow:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "edges",
-                           tuple(sorted({(int(u), int(v)) for u, v in self.edges})))
+        object.__setattr__(self, "edges", tuple(sorted(  # ``int`` would read 1.7 as 1
+            {(u, v) if type(u) is type(v) is int else
+             (exact_int(u, "an edge"), exact_int(v, "an edge")) for u, v in self.edges})))
         n = len(self.tasks)
         if n < 1:
             raise ValueError("workflow needs at least one task")
@@ -219,7 +220,7 @@ def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog):
     estimated finish time; the estimate charges each crossing edge's
     encrypt+wire time on the consumer's ready time (the real model bills
     the producer's window; the proxy only steers placement) and prices it
-    with :func:`seeco.evaluator.cost_tables`.  Entry and exit stay on the
+    from :func:`seeco.evaluator.cost_tables` alone.  Entry and exit stay on the
     MD.  Returns the corresponding chromosome with all level genes at full
     strength, which makes its risk exactly zero.
     """
@@ -240,16 +241,16 @@ def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog):
         load = w.tasks[t].workload_gcycles
         best, best_finish = md, math.inf
         for row in (md,) if t in (0, w.n - 1) else tables.vms:
-            ap, _, vid, inv_cap, denom, cores = row
+            ap, _, vid, inv_cap, denom = row
             ready = dec = 0.0
             for r in w.predecessors(t):
-                r_ap, _, _, _, r_denom, r_cores = placed[r]
+                r_ap, _, r_vid, _, r_denom = placed[r]
                 arrival = end[r]
                 if r_ap != ap:
                     out = w.tasks[r].output_mb
                     arrival += out * cost / r_denom
                     arrival += out / tables.rate[r_ap][ap]
-                    dec += (r_cores / cores) * out * cost / denom
+                    dec += tables.dec_ratio[r_vid][vid] * out * cost / denom
                 ready = max(ready, arrival)
             finish = max(avail[vid], ready) + dec + load * inv_cap
             if finish < best_finish:

@@ -308,3 +308,48 @@ class TestPinnedTrajectories:
             got = (evaluations, _digest((c.order, c.locations, c.conf_levels, c.integ_levels)),
                    res.energy_j, res.makespan_s, res.risk, history)
             assert got == PINNED_TRAJECTORIES[kind.value, seed]
+
+
+# as PINNED_TRAJECTORIES, with the decryption core ratio off, recorded before
+# cost_tables took over the ratio from the timing pass, the deadline repair
+# and the greedy witness; min-level pays no crypto, so its rows match the
+# ratio-on ones
+PINNED_RATIO_OFF_TRAJECTORIES = {
+    ('max', 1): (316, '811b4e7e6bf3f87f', 5.174024630753193, 47.54676570930955, 0.0, '0a0a7febec6a703b'),
+    ('max', 2): (316, '7d0371d266b4ec6d', 5.174024630753193, 48.9755155386433, 0.0, '3ceac3930277c2b7'),
+    ('max', 3): (316, '69cf2e6088b97716', 5.174024630753193, 48.83568537124083, 0.0, 'ae032c26a47d7366'),
+    ('min', 1): (316, '811b4e7e6bf3f87f', 5.174024630753193, 44.243135444569106, 1.0, 'fb2a304a5ef0243e'),
+    ('min', 2): (316, '4eec44f4b42df6f3', 5.174024630753193, 40.16320372190536, 1.0, '66ee954f776a9941'),
+    ('min', 3): (316, '0cb7f83747664f85', 5.174024630753193, 47.54017912684491, 1.0, '577df1f2b728bbdf'),
+    ('confi', 1): (374, '811b4e7e6bf3f87f', 5.174024630753193, 47.10285926605832, 0.0, '607b18136fe3527d'),
+    ('confi', 2): (370, '361ddba36793bac5', 5.174024630753193, 48.17458435380784, 0.0, 'e5f3810bb04ba9ce'),
+    ('confi', 3): (385, 'ac411dd9f7aa8574', 5.174024630753193, 48.352169463695944, 0.0, 'd3ccaf7237a187f4'),
+    ('integ', 1): (377, '811b4e7e6bf3f87f', 5.174024630753193, 44.687041887820335, 0.0, 'b432286f31dbe41e'),
+    ('integ', 2): (378, '4eec44f4b42df6f3', 5.174024630753193, 40.65963099572143, 0.0, '02dcf1b8d2521f3d'),
+    ('integ', 3): (392, '0cb7f83747664f85', 5.174024630753193, 47.97653488145984, 0.0, '6a79cd6d44bee656'),
+    ('seeco', 1): (392, '811b4e7e6bf3f87f', 5.174024630753193, 47.54676570930955, 0.0, '0a0a7febec6a703b'),
+    ('seeco', 2): (395, '7d0371d266b4ec6d', 5.174024630753193, 48.9755155386433, 0.0, '3ceac3930277c2b7'),
+    ('seeco', 3): (402, 'ac411dd9f7aa8574', 5.174024630753193, 48.83568537124083, 0.0, 'ae032c26a47d7366'),
+}
+
+
+class TestPinnedRatioOffTrajectories:
+    """``TestPinnedTrajectories``' instance and GA runs, decryption core ratio off."""
+
+    @pytest.mark.parametrize("kind", [k for k in StrategyKind if k is not StrategyKind.LOCAL],
+                             ids=lambda k: k.value)
+    def test_matches_recorded_run(self, kind):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(12, 0.3, cfg, seed=6, risk_cap=0.3)
+        w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
+        for seed in (1, 2, 3):
+            run = solve_detailed(Strategy(kind, literal_decrypt_ratio=False), w, PLATFORM,
+                                 CAT, RISK, GaParams(pop_size=16, iterations=20,
+                                                     seed=seed)).ga_run
+            c, res = run.best_chromosome, run.best_result
+            history = _digest([(h.generation, h.best_energy, h.best_violation,
+                                h.feasible_count) for h in run.history])
+            got = (run.evaluations, _digest((c.order, c.locations, c.conf_levels,
+                                              c.integ_levels)),
+                   res.energy_j, res.makespan_s, res.risk, history)
+            assert got == PINNED_RATIO_OFF_TRAJECTORIES[kind.value, seed]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from seeco import cli
+from seeco.baselines import Strategy, StrategyKind
 from seeco.cli import (
     SOLVE_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -405,7 +406,7 @@ class TestSweepDeduplication:
         rows = run_sweep(jobs, max_workers=1)
         assert len(rows) == 60
         assert len(solved) == 33
-        assert sorted(j.strategy for j in solved).count("seeco") == 10
+        assert [j.strategy.kind for j in solved].count(StrategyKind.SEECO) == 10
 
     def test_pool_clamped_to_distinct_solves(self, monkeypatch):
         sizes = []
@@ -439,8 +440,8 @@ class TestSweepDeduplication:
         w = random_workflow(8, 0.3, GeneratorConfig(), seed=4, risk_cap=0.5)
         w = with_deadline(w, compute_deadline(w, platform, default_catalog()))
         assert jobs == [
-            SweepJob(sweep="risk_cap", value=cap, strategy=strategy, seed=seed,
-                     workflow=replace(w, risk_cap=cap), platform=platform,
+            SweepJob(sweep="risk_cap", value=cap, strategy=Strategy.parse(strategy),
+                     seed=seed, workflow=replace(w, risk_cap=cap), platform=platform,
                      risk_model=RiskModel(), params=replace(params, seed=seed),
-                     literal_eq11=True, catalog_path=None)
+                     catalog=default_catalog())
             for cap in caps for strategy in ["max", "seeco"] for seed in [1, 2]]

@@ -395,7 +395,7 @@ class TestScoreOnlyDecode:
             options = search_setup(Strategy(kind, literal))
             tables = cost_tables(w, platform, CAT, RISK, options)
             exposure = order_free_pass(w, tables)
-            timed = timing_pass(w, platform, tables, options, timeline=False)
+            timed = timing_pass(w, tables, timeline=False)
             full = make_evaluator(w, platform, CAT, RISK, options)
             for c in chromosomes:
                 res, got = full(c), timed(c, exposure(c))
@@ -454,7 +454,7 @@ class TestOrderFreePass:
             options = search_setup(Strategy(kind, literal))
             tables = cost_tables(w, platform, CAT, RISK, options)
             exposure = order_free_pass(w, tables)
-            timed = timing_pass(w, platform, tables, options, timeline=False)
+            timed = timing_pass(w, tables, timeline=False)
             full = make_evaluator(w, platform, CAT, RISK, options)
             for c in chromosomes:
                 found, res = exposure(c), full(c)
@@ -472,6 +472,42 @@ class TestOrderFreePass:
                     producer_core_ratio=options.decrypt_producer_core_ratio,
                     ignore_risk_cap=options.ignore_risk_cap)
                 assert math.isclose(found.risk, ref[2], rel_tol=1e-9, abs_tol=1e-12)
+
+
+class TestCostTables:
+    """The cost model's parts that the timing pass and the deadline repair read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(platform=small_platforms(), literal=st.booleans())
+    def test_dec_ratio_and_md_power(self, platform, literal):
+        w = with_deadline(random_workflow(4, 0.5, seed=1), 30.0)
+        tables = cost_tables(w, platform, CAT, RISK,
+                             EvalOptions(decrypt_producer_core_ratio=literal))
+        cores = [platform.md.vm.cores] + [vm.cores for ap in platform.aps for vm in ap.vms]
+        assert [len(row) for row in tables.vms] == [5] * len(cores)
+        assert tables.dec_ratio == tuple(
+            tuple(cx / cy if literal else 1.0 for cy in cores) for cx in cores)
+        md = platform.md
+        assert tables.md_power == (md.p_comp_w, md.p_ul_w, md.p_dl_w)
+
+    @pytest.mark.parametrize("mode", list(ServiceMode), ids=lambda m: m.value)
+    def test_ladders(self, mode):
+        w = with_deadline(random_workflow(4, 0.5, seed=1), 30.0)
+        tables = cost_tables(w, PLATFORM, CAT, RISK, EvalOptions(mode, mode))
+        for s, service in enumerate(Service):
+            if mode is not ServiceMode.ACTIVE:
+                assert tables.ladders[s] == ()
+                continue
+            algs = CAT.algorithms(service)
+            assert len(tables.ladders[s]) == len(algs) + 1 and tables.ladders[s][0] == ()
+            for a in algs:
+                ladder = tables.ladders[s][a.id]
+                # every faster algorithm, and only those, best gain first
+                assert sorted(m[3] for m in ladder) == [
+                    b.id for b in algs if b.speed_mb_s > a.speed_mb_s]
+                gains = [m[0] for m in ladder]
+                assert gains == sorted(gains, reverse=True)
+                assert all(spent > 0.0 and saved > 0.0 for _, spent, saved, _ in ladder)
 
 
 class TestViolationAndDeb:

@@ -370,7 +370,7 @@ class TestDeadlineRepair:
         score = make_evaluator(w, p, CAT, RISK, options)
         res = score(c)
         tables = cost_tables(w, p, CAT, RISK, options)
-        repaired = make_deadline_repair(w, tables, CAT, RISK, options)(c, res)
+        repaired = make_deadline_repair(w, tables)(c, res)
         if res.makespan_s <= w.deadline_s:
             assert repaired is c
         rep_res = score(repaired)
@@ -401,7 +401,7 @@ class TestDeadlineRepair:
         w = with_deadline(w, strong.makespan_s - 2.0)
         res = evaluate(c, w, p, CAT, RISK)
         assert not res.feasible
-        repaired = make_deadline_repair(w, cost_tables(w, p, CAT, RISK), CAT, RISK)(c, res)
+        repaired = make_deadline_repair(w, cost_tables(w, p, CAT, RISK))(c, res)
         fixed = evaluate(repaired, w, p, CAT, RISK)
         assert fixed.feasible
         assert 0.0 < fixed.risk <= w.risk_cap
@@ -416,7 +416,7 @@ class TestDeadlineRepair:
             res = evaluate(c, w, p, CAT, RISK, options)
             assert not res.feasible
             tables = cost_tables(w, p, CAT, RISK, options)
-            assert make_deadline_repair(w, tables, CAT, RISK, options)(c, res) is c
+            assert make_deadline_repair(w, tables)(c, res) is c
 
 
 class TestRiskScreen:
@@ -567,9 +567,11 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             GaParams(pop_size=1)
 
-    def test_bad_elitism(self):
-        with pytest.raises(ValueError):
-            GaParams(pop_size=4, elitism=4)
+    def test_elitism_is_not_a_parameter(self):
+        # one elite individual per generation, always
+        assert GaParams().elitism == 1
+        with pytest.raises(TypeError):
+            GaParams(elitism=4)
 
     def test_bad_probs(self):
         with pytest.raises(ValueError):

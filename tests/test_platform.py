@@ -126,6 +126,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             VmSpec(1.0, 0, 1.0)
 
+    @pytest.mark.parametrize("cores", [2.5, True], ids=["fraction", "bool"])
+    def test_vm_spec_rejects_non_integral_cores(self, cores):
+        with pytest.raises(ValueError, match="expected an integer"):
+            VmSpec(1.0, cores, 1.0)
+
     def test_radio_rejects_non_positive(self):
         with pytest.raises(ValueError):
             RadioParams(20.0, 20.0, 0.0, 1.0, 1.0, 1.0, 1.0)

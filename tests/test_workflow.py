@@ -99,6 +99,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="missing task"):
             Workflow(tasks=make_tasks(2), edges=((0, 5),), deadline_s=1.0, risk_cap=0.5)
 
+    @pytest.mark.parametrize("edge", [(0.9, 1.7), (0, True)], ids=["fraction", "bool"])
+    def test_rejects_non_integral_edge_endpoint(self, edge):
+        with pytest.raises(ValueError, match="expected an integer"):
+            Workflow(tasks=make_tasks(2), edges=(edge,), deadline_s=1.0, risk_cap=0.5)
+
     def test_single_task_workflow_is_legal(self):
         w = Workflow(tasks=make_tasks(1), edges=(), deadline_s=1.0, risk_cap=0.5)
         assert w.n == 1
