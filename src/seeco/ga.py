@@ -59,7 +59,7 @@ from .evaluator import (
 )
 from .platform import MD_LOCATION, Platform
 from .security import RiskModel, SecurityCatalog, Service, default_catalog
-from .workflow import Workflow, greedy_witness
+from .workflow import Workflow, greedy_witness_over
 
 
 @dataclass(frozen=True)
@@ -476,7 +476,8 @@ def run(
     ``best_result`` is the winner's full decode, timeline included.
 
     The initial population is fixed: individual 0 is the greedy witness
-    (:func:`seeco.workflow.greedy_witness`), and every other individual
+    (:func:`seeco.workflow.greedy_witness`), priced with the strategy's
+    decryption core ratio, and every other individual
     gets a random order and random placements at the catalog's strongest
     levels, where every frozen level gene sits, so it starts risk-free
     and the search relaxes security where the cap allows.  A purely
@@ -575,8 +576,9 @@ def run(
     pop: list[Individual] = []
     for i in range(params.pop_size):
         c = init_chromosome(w, rng, cons)  # individual 0 draws too, so later draws stay put
-        if i == 0:
-            c = greedy_witness(w, p, cat)
+        if i == 0:  # full security, under the strategy's decryption core ratio
+            c = greedy_witness_over(w, cost_tables(w, p, cat, risk_model, EvalOptions(
+                decrypt_producer_core_ratio=options.decrypt_producer_core_ratio)), cat)
         else:
             c = Chromosome.unchecked(c.order, c.locations, strong_conf, strong_integ)
         pop.append(scored(c))

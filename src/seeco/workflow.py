@@ -9,13 +9,15 @@ share across threads; the generator is deterministic per seed.
 
 from __future__ import annotations
 
-import graphlib
+import copy
 import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import chain
+from operator import add
 from pathlib import Path
 
 from .platform import Platform, exact_int, finite_float, read_json
@@ -41,13 +43,19 @@ class Task:
             raise ValueError(f"task {self.id}: workload must be >= 0")
 
 
+def _check_deadline(deadline_s: float) -> None:
+    if deadline_s <= 0.0:
+        raise ValueError(f"deadline must be positive, got {deadline_s}")
+
+
 @dataclass(frozen=True)
 class Workflow:
     """Tasks, precedence edges, deadline (s), and risk-probability cap.
 
     Frozen: evaluators capture the deadline and risk cap when they are
-    built, so derive a changed workflow with :func:`with_deadline` or
-    :func:`dataclasses.replace` instead of assigning.
+    built, so derive a changed workflow instead of assigning.
+    :func:`with_deadline` copies it and checks only the new deadline;
+    :func:`dataclasses.replace` builds it anew and re-checks everything.
     """
 
     tasks: tuple[Task, ...]
@@ -59,9 +67,11 @@ class Workflow:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "edges", tuple(sorted(  # ``int`` would read 1.7 as 1
-            {(u, v) if type(u) is type(v) is int else
-             (exact_int(u, "an edge"), exact_int(v, "an edge")) for u, v in self.edges})))
+        edges = tuple(self.edges)
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:  # ``int`` reads 1.7 as 1
+            edges = [(exact_int(u, "an edge"), exact_int(v, "an edge")) for u, v in edges]
+        # sorting is linear on sorted input; dict.fromkeys then drops repeats in order
+        object.__setattr__(self, "edges", tuple(dict.fromkeys(sorted(map(tuple, edges)))))
         n = len(self.tasks)
         if n < 1:
             raise ValueError("workflow needs at least one task")
@@ -69,8 +79,7 @@ class Workflow:
             raise ValueError("task ids must be contiguous 0..n-1 in order")
         if not 0.0 <= self.risk_cap <= 1.0:
             raise ValueError(f"risk cap must be in [0, 1], got {self.risk_cap}")
-        if self.deadline_s <= 0.0:
-            raise ValueError(f"deadline must be positive, got {self.deadline_s}")
+        _check_deadline(self.deadline_s)
 
         preds: list[set[int]] = [set() for _ in range(n)]
         succs: list[set[int]] = [set() for _ in range(n)]
@@ -82,12 +91,24 @@ class Workflow:
             preds[v].add(u)
             succs[u].add(v)
 
-        try:
-            list(graphlib.TopologicalSorter({i: preds[i] for i in range(n)}).static_order())
-        except graphlib.CycleError as exc:
-            raise ValueError(f"workflow edges contain a cycle: {exc.args[1]}") from exc
-
+        # Kahn (1962): a task is ready once all its predecessors are
         entries = [i for i in range(n) if not preds[i]]
+        indegree = list(map(len, preds))
+        ready = list(entries)
+        for t in ready:
+            for s in succs[t]:
+                indegree[s] -= 1
+                if not indegree[s]:
+                    ready.append(s)
+        if len(ready) < n:
+            # a task never ready has a predecessor never ready: walk back to a repeat
+            t, path = next(i for i in range(n) if indegree[i]), []
+            while t not in path:
+                path.append(t)
+                t = next(r for r in preds[t] if indegree[r])
+            cycle = (path[path.index(t):] + [t])[::-1]
+            raise ValueError(f"workflow edges contain a cycle: {cycle}")
+
         exits = [i for i in range(n) if not succs[i]]
         if n == 1:
             pass  # the single task is both entry and exit
@@ -97,8 +118,8 @@ class Workflow:
             if exits != [n - 1]:
                 raise ValueError(f"expected task {n - 1} as the unique exit, found {exits}")
 
-        object.__setattr__(self, "_preds", tuple(frozenset(s) for s in preds))
-        object.__setattr__(self, "_succs", tuple(frozenset(s) for s in succs))
+        object.__setattr__(self, "_preds", tuple(map(frozenset, preds)))
+        object.__setattr__(self, "_succs", tuple(map(frozenset, succs)))
 
     @property
     def n(self) -> int:
@@ -190,12 +211,12 @@ def random_workflow(
         for i in range(n)
     )
 
-    edges = {
+    edges = [
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
         if rng.random() < density
-    }
+    ]
     has_pred = [False] * n
     has_succ = [False] * n
     for u, v in edges:
@@ -203,13 +224,13 @@ def random_workflow(
         has_succ[u] = True
     for v in range(1, n):
         if not has_pred[v]:
-            edges.add((0, v))
+            edges.append((0, v))
             has_succ[0] = True
     for u in range(n - 1):
         if not has_succ[u]:
-            edges.add((u, n - 1))
+            edges.append((u, n - 1))
 
-    return Workflow(tasks=tasks, edges=tuple(sorted(edges)),
+    return Workflow(tasks=tasks, edges=tuple(edges),
                     deadline_s=math.inf, risk_cap=risk_cap)
 
 
@@ -219,45 +240,62 @@ def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog):
     Tasks are placed in canonical order, each on the VM minimizing its
     estimated finish time; the estimate charges each crossing edge's
     encrypt+wire time on the consumer's ready time (the real model bills
-    the producer's window; the proxy only steers placement) and prices it
-    from :func:`seeco.evaluator.cost_tables` alone.  Entry and exit stay on the
-    MD.  Returns the corresponding chromosome with all level genes at full
-    strength, which makes its risk exactly zero.
+    the producer's window; the proxy only steers placement).  Entry and
+    exit stay on the MD.  Returns the corresponding chromosome with all
+    level genes at full strength, which makes its risk exactly zero.
+    Priced with the literal decryption core ratio; see
+    :func:`greedy_witness_over` for another.
     """
-    from .evaluator import Chromosome, cost_tables
+    from .evaluator import cost_tables
+
+    return greedy_witness_over(w, cost_tables(w, p, cat, RiskModel()), cat)
+
+
+def greedy_witness_over(w: Workflow, tables, cat: SecurityCatalog):
+    """:func:`greedy_witness`, priced from ``tables`` alone.
+
+    ``tables`` are :func:`seeco.evaluator.cost_tables` under any options
+    that price ``cat``'s strongest levels, such as the default ones; their
+    ``dec_ratio`` decides the decryption core ratio.
+    """
+    from .evaluator import Chromosome
     from .platform import encode_location
 
-    tables = cost_tables(w, p, cat, RiskModel())
     conf = cat.strongest_id(Service.CONFIDENTIALITY)
     integ = cat.strongest_id(Service.INTEGRITY)
     cost = tables.pair_cost[conf * tables.stride + integ]
-    md = tables.vms[0]
-    avail = [0.0] * len(tables.vms)
-    end = [0.0] * w.n
+    vms, rate = tables.vms, tables.rate
+    md = vms[0]
+    avail = [0.0] * len(vms)
     placed = [md] * w.n
+    # what each placed task r offers its consumers: arrival[a][r], its
+    # output's arrival time at AP a, and decrypt[y][r], the seconds VM y
+    # spends decrypting it (0.0 on r's own AP, where nothing is encrypted)
+    arrival = [[0.0] * w.n for _ in rate]
+    decrypt = [[0.0] * w.n for _ in vms]
     order = canonical_order(w)
 
     for t in order:
+        preds = w.predecessors(t)
         load = w.tasks[t].workload_gcycles
         best, best_finish = md, math.inf
-        for row in (md,) if t in (0, w.n - 1) else tables.vms:
-            ap, _, vid, inv_cap, denom = row
-            ready = dec = 0.0
-            for r in w.predecessors(t):
-                r_ap, _, r_vid, _, r_denom = placed[r]
-                arrival = end[r]
-                if r_ap != ap:
-                    out = w.tasks[r].output_mb
-                    arrival += out * cost / r_denom
-                    arrival += out / tables.rate[r_ap][ap]
-                    dec += tables.dec_ratio[r_vid][vid] * out * cost / denom
-                ready = max(ready, arrival)
+        for row in (md,) if t in (0, w.n - 1) else vms:
+            ap, _, vid, inv_cap, _ = row
+            ready = max(map(arrival[ap].__getitem__, preds), default=0.0)
+            dec = reduce(add, map(decrypt[vid].__getitem__, preds), 0.0)
             finish = max(avail[vid], ready) + dec + load * inv_cap
             if finish < best_finish:
                 best, best_finish = row, finish
         placed[t] = best
-        end[t] = best_finish
-        avail[best[2]] = best_finish
+        ap, _, vid, _, denom = best
+        avail[vid] = best_finish
+        out = w.tasks[t].output_mb
+        sent = best_finish + out * cost / denom
+        for a, at_a in enumerate(arrival):
+            at_a[t] = best_finish if a == ap else sent + out / rate[ap][a]
+        for y_ap, _, y, _, y_denom in vms:
+            if y_ap != ap:
+                decrypt[y][t] = tables.dec_ratio[vid][y] * out * cost / y_denom
 
     return Chromosome(
         order=tuple(order),
@@ -303,22 +341,31 @@ def compute_deadline(w: Workflow, p: Platform, cat: SecurityCatalog) -> float:
 
 
 def with_deadline(w: Workflow, deadline_s: float) -> Workflow:
-    """A copy of ``w`` with another deadline."""
-    return replace(w, deadline_s=deadline_s)
+    """A copy of ``w`` with another deadline; only the deadline is checked."""
+    _check_deadline(deadline_s)
+    out = copy.copy(w)
+    object.__setattr__(out, "deadline_s", deadline_s)
+    return out
 
 
 def save_workflow(w: Workflow, path: str | Path) -> None:
+    """Write ``w`` as compact JSON: one line, no spaces after separators.
+
+    The compact layout keeps ``json`` on its C encoder, which ``indent``
+    would swap for the pure-Python one.  :func:`load_workflow` reads any
+    layout of the same keys.
+    """
     payload = {
         "tasks": [
             {"id": t.id, "alpha_mb": t.input_mb, "beta_mb": t.output_mb,
              "workload_gcycles": t.workload_gcycles}
             for t in w.tasks
         ],
-        "edges": [list(e) for e in w.edges],
+        "edges": w.edges,
         "deadline_s": w.deadline_s,
         "risk_cap": w.risk_cap,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def load_workflow(path: str | Path) -> Workflow:
@@ -332,11 +379,9 @@ def load_workflow(path: str | Path) -> Workflow:
                  workload_gcycles=num(t["workload_gcycles"]))
             for t in sorted(payload["tasks"], key=lambda t: whole(t["id"]))
         )
-        # JSON integers parse as int: check only the rest of the (many) endpoints
-        edges = tuple((u, v) if type(u) is type(v) is int else (whole(u), whole(v))
-                      for u, v in payload["edges"])
-        deadline = num(payload["deadline_s"])
-        risk_cap = num(payload["risk_cap"])
+        # Workflow checks that the endpoints are integers, as it does for every caller
+        return Workflow(tasks=tasks, edges=payload["edges"],
+                        deadline_s=num(payload["deadline_s"]),
+                        risk_cap=num(payload["risk_cap"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed workflow file {path}: {exc}") from exc
-    return Workflow(tasks=tasks, edges=edges, deadline_s=deadline, risk_cap=risk_cap)

@@ -40,6 +40,8 @@ from seeco.workflow import (
     Task,
     Workflow,
     compute_deadline,
+    greedy_witness,
+    greedy_witness_over,
     is_valid_order,
     random_workflow,
     with_deadline,
@@ -417,6 +419,34 @@ class TestDeadlineRepair:
             assert not res.feasible
             tables = cost_tables(w, p, CAT, RISK, options)
             assert make_deadline_repair(w, tables)(c, res) is c
+
+
+class TestWitnessSeed:
+    """Individual 0 is the greedy witness at full security, under the run's decryption ratio."""
+
+    @pytest.mark.parametrize("literal", [True, False], ids=["literal", "ratio-off"])
+    def test_individual_zero(self, monkeypatch, literal):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(12, 0.3, cfg, seed=6, risk_cap=0.3)
+        w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
+        scored: list[Chromosome] = []
+
+        def spy_order_free_pass(*args, **kwargs):
+            exposure = order_free_pass(*args, **kwargs)
+
+            def spy(c):
+                scored.append(c)
+                return exposure(c)
+            return spy
+
+        monkeypatch.setattr(ga, "order_free_pass", spy_order_free_pass)
+        run(w, PLATFORM, CAT, RISK, GaParams(pop_size=4, iterations=1),
+            options=search_setup(Strategy(StrategyKind.SEECO, literal)))
+        witness = greedy_witness_over(w, cost_tables(
+            w, PLATFORM, CAT, RISK, EvalOptions(decrypt_producer_core_ratio=literal)), CAT)
+        assert scored[0] == witness
+        # on this instance the ratio moves two tasks between APs
+        assert (witness == greedy_witness(w, PLATFORM, CAT)) is literal
 
 
 class TestRiskScreen:

@@ -1,4 +1,5 @@
 import dataclasses
+import graphlib
 import json
 import math
 import random
@@ -15,7 +16,7 @@ from seeco.platform import (
     VmSpec,
     default_platform,
 )
-from seeco.security import RiskModel, default_catalog
+from seeco.security import RiskModel, Service, default_catalog
 from seeco.workflow import (
     GeneratorConfig,
     Task,
@@ -84,6 +85,31 @@ class TestValidation:
             Workflow(tasks=make_tasks(3), edges=((0, 1), (1, 2), (2, 1)),
                      deadline_s=1.0, risk_cap=0.5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12))
+    def test_cycle_iff_graphlib_finds_one(self, data, n):
+        # graphlib is only the oracle here: Workflow runs its own Kahn pass
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(pair, max_size=3 * n))
+        preds = {i: {u for u, v in edges if v == i} for i in range(n)}
+        try:
+            list(graphlib.TopologicalSorter(preds).static_order())
+            cyclic = False
+        except graphlib.CycleError:
+            cyclic = True
+        try:
+            Workflow(tasks=make_tasks(n), edges=tuple(edges), deadline_s=1.0, risk_cap=0.5)
+        except ValueError as exc:
+            assert ("cycle" in str(exc)) is cyclic, str(exc)
+        else:
+            assert not cyclic
+
+    def test_cycle_message_names_a_cycle(self):
+        with pytest.raises(ValueError, match=r"cycle: \[1, 2, 3, 1\]"):
+            Workflow(tasks=make_tasks(5), edges=((0, 1), (1, 2), (2, 3), (3, 1), (3, 4)),
+                     deadline_s=1.0, risk_cap=0.5)
+
     def test_rejects_second_entry(self):
         # task 1 has no predecessors
         with pytest.raises(ValueError, match="entry"):
@@ -119,6 +145,33 @@ class TestValidation:
         later = with_deadline(w, 2.0)
         assert (w.deadline_s, later.deadline_s) == (1.0, 2.0)
         assert later.successors(0) == w.successors(0) == {1}
+
+
+class TestWithDeadline:
+    def test_equals_replace(self):
+        w = random_workflow(15, 0.3, seed=8)
+        got, want = with_deadline(w, 12.5), dataclasses.replace(w, deadline_s=12.5)
+        assert got == want
+        for i in range(w.n):
+            assert got.predecessors(i) == want.predecessors(i)
+            assert got.successors(i) == want.successors(i)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_rejects_non_positive_deadline(self, bad):
+        w = random_workflow(4, 0.5, seed=1)
+        with pytest.raises(ValueError) as from_constructor:
+            dataclasses.replace(w, deadline_s=bad)
+        with pytest.raises(ValueError, match="deadline must be positive") as from_copy:
+            with_deadline(w, bad)
+        assert str(from_copy.value) == str(from_constructor.value)
+
+    def test_leaves_the_original_unchanged(self):
+        w = random_workflow(6, 0.4, seed=2)
+        before = (w.tasks, w.edges, w.deadline_s, w.risk_cap,
+                  [w.predecessors(i) for i in range(w.n)])
+        with_deadline(w, 3.0)
+        assert (w.tasks, w.edges, w.deadline_s, w.risk_cap,
+                [w.predecessors(i) for i in range(w.n)]) == before
 
 
 class TestOrderValidity:
@@ -304,6 +357,40 @@ def test_calibration_pinned():
     assert got == PINNED_DEADLINES
 
 
+# greedy_witness's placement genes (hex, in order position) for each
+# calibration instance, recorded before the witness kept each placed task's
+# arrival times and decryption seconds; its order is the canonical one and
+# every level gene is the strongest
+PINNED_WITNESS_LOCATIONS = [
+    '01210111210111312101',
+    '012101011121012131213121211121312131213111211121213121013101',
+    '0121012121211121113121210131010121312121213111312131213111212121213121213121212121113121112111313101',
+    '0101212131110121212121313111213121213111011131312111311121312121212131112131212131113121212131213101',
+    '0101211101312121112121311121213111312111312121311131211121312131212121213121112131212131312121311101',
+    '0101010121211131312131213121213111211131213121312121312131213121312111312111313111212121313121312101',
+    '0121012111311121311121311121213121311121313121112111211121213121313121313121311111212131213121311101',
+    '014234312121422101',
+    '0133221322133321223122131221333331133211323312113322131333333333331301',
+    '01131211131213131112121113121112131211131213121111131213111312111213131301',
+    '011211111201111112121111120111121101121112111201111211011211121101',
+    '0111112122242221232231112124112222112421222111112221112301',
+    '013131233223122123312323233131312301',
+    '01111211121112110101111101',
+    '01111121012111211101',
+    '012131311211312112212101',
+    '0113131313131213121313121313111312131112131101',
+]
+
+
+def test_witness_pinned():
+    strongest = (CAT.strongest_id(Service.CONFIDENTIALITY), CAT.strongest_id(Service.INTEGRITY))
+    for (w, p), locations in zip(calibration_instances(), PINNED_WITNESS_LOCATIONS, strict=True):
+        c = greedy_witness(w, p, CAT)
+        assert c.order == tuple(canonical_order(w))
+        assert bytes(c.locations).hex() == locations
+        assert (set(c.conf_levels), set(c.integ_levels)) == ({strongest[0]}, {strongest[1]})
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         w = random_workflow(8, 0.4, seed=5, risk_cap=0.3)
@@ -311,6 +398,14 @@ class TestSerialization:
         path = tmp_path / "wf.json"
         save_workflow(w, path)
         assert load_workflow(path) == w
+
+    def test_reads_the_indented_layout(self, tmp_path):
+        w = with_deadline(random_workflow(8, 0.4, seed=5, risk_cap=0.3), 42.5)
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_workflow(w, compact)
+        indented.write_text(json.dumps(json.loads(compact.read_text()), indent=2) + "\n")
+        assert load_workflow(indented) == load_workflow(compact) == w
+        assert len(compact.read_text().splitlines()) == 1
 
     def test_schema_keys(self, tmp_path):
         w = random_workflow(3, 0.5, seed=1)
