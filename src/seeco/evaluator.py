@@ -30,7 +30,8 @@ evaluated concurrently over shared workflow/platform/catalog values.
 
 :func:`cost_tables` resolves the whole cost model of a problem into one
 :class:`CostTables` object.  The decoder, the GA's deadline repair and
-the deadline calibration's greedy witness read it and the workflow only.
+the deadline calibration's greedy witness read it and the workflow only,
+and so does :func:`energy_floor`, a lower bound on every decode's energy.
 
 The decoder runs in two passes over those tables.  The order-free pass
 (:func:`order_free_pass`) needs only placements and levels: it maps the
@@ -265,6 +266,72 @@ def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: Risk
         ladders=(conf_ladders, integ_ladders),
         risk_cap=1.0 if options.ignore_risk_cap else w.risk_cap,
     )
+
+
+# the relative slack between energy_floor and a decoded energy: both sum the
+# same float terms in different orders, a few ulps apart, while two placements
+# differ by a whole term, orders of magnitude more
+FLOOR_RTOL = 1e-12
+
+
+def energy_floor(w: Workflow, tables: CostTables) -> float:
+    """The least device energy of any schedule of ``w``, by min cut (Stone 1977).
+
+    Without the deadline and the risk cap, only which tasks run on the MD
+    matters: the MD pays each such task's compute, one upload per edge from
+    an MD task to an edge task and one download per edge the other way, at
+    the best uplink and downlink.  That is a min s-t cut: the MD is the
+    source, holding the entry and exit; a task's compute is its arc to the
+    sink, and edge ``(u, v)`` is the arcs ``u -> v`` (upload of ``u``'s
+    output) and ``v -> u`` (its download).  Security costs time, not
+    energy, so no schedule under any strategy is below the floor, which is
+    exact up to float rounding (:data:`FLOOR_RTOL`).  It reads the tables'
+    MD row, ``md_power`` and ``rate``, and with no access point it is the
+    all-MD energy.
+    """
+    n = w.n
+    p_comp, p_ul, p_dl = tables.md_power
+    inv_cap = tables.vms[0][3]
+    compute = [p_comp * (t.workload_gcycles * inv_cap) for t in w.tasks]
+    if len(tables.rate) == 1:
+        return sum(compute)
+    up = max(tables.rate[0][1:])
+    down = max(row[0] for row in tables.rate[1:])
+    source, sink = n, n + 1
+    # residual capacities res[x][y]; in a DAG no other edge joins u and v, so
+    # the upload and download arcs of (u, v) are each other's reverse
+    res: list[dict[int, float]] = [{sink: e} for e in compute]
+    res += [{0: math.inf, n - 1: math.inf}, {}]
+    for u, v in w.edges:
+        beta = w.tasks[u].output_mb
+        res[u][v] = p_ul * (beta / up)
+        res[v][u] = p_dl * (beta / down)
+
+    # Edmonds-Karp: augment along shortest paths until the sink is cut off
+    flow = 0.0
+    while True:
+        parent = {source: source}
+        frontier = [source]
+        while frontier and sink not in parent:
+            nxt = []
+            for x in frontier:
+                for y, cap in res[x].items():
+                    if cap > 0.0 and y not in parent:
+                        parent[y] = x
+                        nxt.append(y)
+            frontier = nxt
+        if sink not in parent:
+            return flow
+        path = []
+        y = sink
+        while y != source:
+            path.append((parent[y], y))
+            y = parent[y]
+        push = min(res[x][y] for x, y in path)
+        for x, y in path:
+            res[x][y] -= push
+            res[y][x] = res[y].get(x, 0.0) + push
+        flow += push
 
 
 def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], Exposure]:

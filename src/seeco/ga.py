@@ -29,6 +29,12 @@ straight to the risk repair, which reads only its risk and at-risk
 tasks, so it is never timed.  Scoring draws no random numbers, so hits
 and screened children leave the trajectory as it was.  The winner alone
 is decoded in full.
+
+A run stops once its best is feasible and at the energy floor
+(:func:`seeco.evaluator.energy_floor`), which no schedule undercuts: the
+best is only ever replaced by a strictly better individual, so the
+generations left could not change the winner.  ``len(history)`` is the
+generation the run stopped at (``iterations`` if it never reached the floor).
 """
 
 from __future__ import annotations
@@ -48,11 +54,13 @@ from .evaluator import (
     EvalOptions,
     EvaluationResult,
     Exposure,
+    FLOOR_RTOL,
     Score,
     ServiceMode,
     better,
     cost_tables,
     deb_key,
+    energy_floor,
     evaluate,
     order_free_pass,
     timing_pass,
@@ -164,7 +172,11 @@ class GaRun:
     ``evaluations - cache_hits - screened`` chromosomes.  Screening is on
     only where the risk repair's levels are risk-free (see :func:`run`).
     ``risk_repairs`` and ``deadline_repairs`` count the two repairs'
-    rescores; the rest are ``pop_size + iterations * (pop_size - elitism)``.
+    rescores; the rest are ``pop_size + len(history) * (pop_size - elitism)``.
+    ``history`` holds one row per generation run, so ``len(history)`` is the
+    stop generation: ``params.iterations``, or fewer when the best reached
+    ``energy_floor``, the run's lower bound on device energy in J (and 0 rows
+    when the initial population did).
     """
 
     best_chromosome: Chromosome
@@ -176,6 +188,7 @@ class GaRun:
     risk_repairs: int = 0
     deadline_repairs: int = 0
     screened: int = 0
+    energy_floor: float = 0.0
 
 
 def init_order(w: Workflow, rng: random.Random) -> list[int]:
@@ -471,9 +484,15 @@ def run(
 ) -> GaRun:
     """Evolve a population and return the best individual ever evaluated.
 
-    ``history`` holds one row per generation (the post-variation
+    ``history`` holds one row per generation run (the post-variation
     population's best under the feasibility-first ordering), and
     ``best_result`` is the winner's full decode, timeline included.
+    Before each generation the run stops if its best is feasible and within
+    :data:`seeco.evaluator.FLOOR_RTOL` of the energy floor
+    (:func:`seeco.evaluator.energy_floor` of its own tables, reported as
+    ``GaRun.energy_floor``): only a strictly better individual replaces the
+    best, and none is below the floor.  So ``len(history)`` is the stop
+    generation, and the winner is the one the full run would return.
 
     The initial population is fixed: individual 0 is the greedy witness
     (:func:`seeco.workflow.greedy_witness`), priced with the strategy's
@@ -595,8 +614,12 @@ def run(
 
     best = min(pop, key=lambda ind: deb_key(ind[1]))
     history: list[GenerationStats] = []
+    floor = energy_floor(w, tables)
+    at_floor = floor * (1.0 + FLOOR_RTOL)
 
     for gen in range(params.iterations):
+        if best[1].feasible and best[1].energy_j <= at_floor:
+            break
         memo, older = {}, memo
         nxt: list[Individual] = sorted(
             pop, key=lambda ind: ranking_key(ind[1]))[:params.elitism]
@@ -635,7 +658,8 @@ def run(
                  best_result=evaluate(best[0], w, p, cat, risk_model, options),
                  history=history, params=params, evaluations=evaluations,
                  cache_hits=cache_hits, risk_repairs=risk_repairs,
-                 deadline_repairs=deadline_repairs, screened=screened)
+                 deadline_repairs=deadline_repairs, screened=screened,
+                 energy_floor=floor)
 
 
 HISTORY_CSV_HEADER = ["generation", "best_energy", "best_violation", "feasible_count"]

@@ -321,22 +321,29 @@ def local_chromosome(w: Workflow, cat: SecurityCatalog):
 def compute_deadline(w: Workflow, p: Platform, cat: SecurityCatalog) -> float:
     """Deadline halfway between the best and worst makespan bounds.
 
-    Both bounds are makespans of real schedules, decoded by one
-    evaluator.  The upper (serial) bound is the all-MD schedule of
-    :func:`local_chromosome` (no transfers, no security); the lower
-    bound is the greedy witness schedule at full-strength security,
-    clamped to the serial bound.  Decoding both, rather than summing
-    workloads in closed form, keeps the deadline bit-consistent with
-    the decoder's own rounding: when the witness is no faster, the
-    deadline equals the all-MD makespan exactly.  So a schedule meeting
-    the midpoint deadline always exists, at zero risk, since
-    full-strength security and the MD are risk-free.
+    Both bounds are makespans of real schedules, decoded by the decoder's
+    two passes over one set of cost tables.  The upper (serial) bound is
+    the all-MD schedule of :func:`local_chromosome` (no transfers, no
+    security); the lower bound is the greedy witness schedule at
+    full-strength security, clamped to the serial bound.  Decoding both,
+    rather than summing workloads in closed form, keeps the deadline
+    bit-consistent with the decoder's own rounding: when the witness is
+    no faster, the deadline equals the all-MD makespan exactly.  So a
+    schedule meeting the midpoint deadline always exists, at zero risk,
+    since full-strength security and the MD are risk-free.
     """
-    from .evaluator import make_evaluator
+    from .evaluator import Chromosome, cost_tables, order_free_pass, timing_pass
+    from .platform import MD_LOCATION
 
-    score = make_evaluator(w, p, cat, RiskModel())
-    serial = score(local_chromosome(w, cat)).makespan_s
-    greedy = score(greedy_witness(w, p, cat)).makespan_s
+    tables = cost_tables(w, p, cat, RiskModel())
+    exposure = order_free_pass(w, tables)
+    timed = timing_pass(w, tables, timeline=False)
+    witness = greedy_witness_over(w, tables, cat)
+    # local_chromosome: the witness's canonical order and levels, all on the MD
+    local = Chromosome.unchecked(witness.order, (MD_LOCATION,) * w.n,
+                                 witness.conf_levels, witness.integ_levels)
+    serial = timed(local, exposure(local)).makespan_s
+    greedy = timed(witness, exposure(witness)).makespan_s
     return (min(greedy, serial) + serial) / 2.0
 
 

@@ -23,7 +23,15 @@ import pytest
 
 from seeco.baselines import Strategy, StrategyKind, solve
 from seeco.cli import build_sweep_jobs, run_sweep, summarize_rows
-from seeco.evaluator import Chromosome, evaluate, exec_time, make_evaluator
+from seeco.evaluator import (
+    FLOOR_RTOL,
+    Chromosome,
+    cost_tables,
+    energy_floor,
+    evaluate,
+    exec_time,
+    make_evaluator,
+)
 from seeco.ga import (
     GaParams,
     GeneConstraints,
@@ -263,6 +271,20 @@ def test_06_brute_force_optimality():
                     attained += 1
         assert attained >= 8, f"optimum attained only {attained}/10 times"
         assert time.monotonic() - start < 30.0
+
+
+def test_06_enumerated_optima_respect_the_energy_floor():
+    """No schedule that test_06 enumerates, on its instances, undercuts the floor."""
+    cat = _two_level_catalog()
+    p = default_platform(1)
+    rng = random.Random(66)
+    for i in range(10):
+        n = 4 if i % 2 == 0 else 5
+        cfg = GeneratorConfig(data_range_mb=(1.0, 6.0), workload_range_gcycles=(3.0, 10.0))
+        w = random_workflow(n, 0.4, cfg, seed=100 + i, risk_cap=rng.choice([0.2, 0.4, 0.6]))
+        w = with_deadline(w, compute_deadline(w, p, cat))
+        floor = energy_floor(w, cost_tables(w, p, cat, RISK))
+        assert _enumerate_optimum(w, p, cat) >= floor * (1.0 - FLOOR_RTOL), i
 
 
 def _offload_friendly(n, seed, risk_cap=0.5):

@@ -20,12 +20,14 @@ from seeco.cli import (
     run_sweep,
     summarize_rows,
 )
-from seeco.ga import GaParams
+from seeco.evaluator import FLOOR_RTOL, cost_tables, energy_floor, evaluate
+from seeco.ga import HISTORY_CSV_HEADER, GaParams
 from seeco.platform import default_platform, save_platform
 from seeco.security import RiskModel, default_catalog
 from seeco.workflow import (
     GeneratorConfig,
     compute_deadline,
+    greedy_witness,
     load_workflow,
     random_workflow,
     with_deadline,
@@ -124,6 +126,22 @@ class TestSolve:
         assert rc == 0
         history = read_csv(out_dir / "history.csv")
         assert len(history) == 5
+
+    def test_history_is_header_only_when_the_witness_sits_at_the_floor(self, tmp_path):
+        wf = tmp_path / "chain.json"
+        main(["generate", "--tasks", "8", "--density", "0.6", "--data-min", "1",
+              "--data-max", "3", "--load-min", "8", "--load-max", "15", "--seed", "1",
+              "--out", str(wf)])
+        w, p, cat = load_workflow(wf), default_platform(), default_catalog()
+        witness = evaluate(greedy_witness(w, p, cat), w, p, cat, RiskModel())
+        floor = energy_floor(w, cost_tables(w, p, cat, RiskModel()))
+        assert witness.feasible and witness.energy_j <= floor * (1.0 + FLOOR_RTOL)
+        out_dir = tmp_path / "res"
+        assert main(["solve", "--workflow", str(wf), "--strategy", "seeco", "--pop", "8",
+                     "--iters", "5", "--seed", "1", "--out", str(out_dir)]) == 0
+        lines = (out_dir / "history.csv").read_text().splitlines()
+        assert lines == [",".join(HISTORY_CSV_HEADER)]
+        assert float(read_csv(out_dir / "summary.csv")[0]["energy"]) == witness.energy_j
 
     def test_reproducible(self, tmp_path, workflow_file):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from seeco.baselines import Strategy, StrategyKind, search_setup
 from seeco.evaluator import (
     Chromosome,
+    FLOOR_RTOL,
     EvalOptions,
     EvaluationResult,
     Score,
@@ -15,6 +18,7 @@ from seeco.evaluator import (
     better,
     cost_tables,
     deb_key,
+    energy_floor,
     evaluate,
     exec_time,
     make_evaluator,
@@ -23,6 +27,7 @@ from seeco.evaluator import (
     write_schedule_csv,
 )
 from seeco.platform import (
+    MD_LOCATION,
     AccessPoint,
     Platform,
     VmSpec,
@@ -30,10 +35,19 @@ from seeco.platform import (
     default_platform,
     default_radio,
     downlink_rate,
+    encode_location,
     uplink_rate,
 )
 from seeco.security import RiskModel, Service, default_catalog
-from seeco.workflow import Task, Workflow, is_valid_order, random_workflow, with_deadline
+from seeco.workflow import (
+    GeneratorConfig,
+    Task,
+    Workflow,
+    is_valid_order,
+    local_chromosome,
+    random_workflow,
+    with_deadline,
+)
 
 from reference_evaluator import reference_evaluate
 
@@ -508,6 +522,87 @@ class TestCostTables:
                 gains = [m[0] for m in ladder]
                 assert gains == sorted(gains, reverse=True)
                 assert all(spent > 0.0 and saved > 0.0 for _, spent, saved, _ in ladder)
+
+
+@st.composite
+def floor_platforms(draw):
+    """:func:`small_platforms`, each access point with its own radio bandwidths."""
+    platform = draw(small_platforms())
+    bandwidth = st.floats(1.0, 40.0)
+    return replace(platform, aps=tuple(
+        replace(ap, radio=replace(ap.radio, b_ul_mhz=draw(bandwidth), b_dl_mhz=draw(bandwidth)))
+        for ap in platform.aps))
+
+
+def partition_energy(w, platform, on_md):
+    """The device energy of running the tasks with ``on_md[t]`` on the MD, the rest
+    on the edge, paying the best uplink and downlink per crossing edge."""
+    md = platform.md
+    up = max(uplink_rate(ap.radio) for ap in platform.aps)
+    down = max(downlink_rate(ap.radio) for ap in platform.aps)
+    energy = sum(md.p_comp_w * (t.workload_gcycles / md.vm.capability_ghz)
+                 for t in w.tasks if on_md[t.id])
+    for u, v in w.edges:
+        beta = w.tasks[u].output_mb
+        if on_md[u] and not on_md[v]:
+            energy += md.p_ul_w * (beta / up)
+        elif on_md[v] and not on_md[u]:
+            energy += md.p_dl_w * (beta / down)
+    return energy
+
+
+class TestEnergyFloor:
+    """``energy_floor`` is below every decode and is the least partition energy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 9), density=st.floats(0.1, 0.9), seed=st.integers(0, 10**6),
+           risk_cap=st.floats(0.0, 1.0), platform=floor_platforms(),
+           genes=st.randoms(use_true_random=False), literal=st.booleans())
+    def test_no_decode_is_below_the_floor(self, n, density, seed, risk_cap, platform,
+                                          genes, literal):
+        w = with_deadline(random_workflow(n, density, seed=seed, risk_cap=risk_cap), 30.0)
+        chromosomes = [random_chromosome(w, genes) for _ in range(3)]
+        # every interior task on one VM: the decodes nearest the floor
+        for ap in range(platform.num_aps + 1):
+            for k in range(1, platform.vm_count(ap) + 1):
+                c = chromosomes[0]
+                loc = (MD_LOCATION,) + (encode_location(ap, k),) * (n - 2) + (MD_LOCATION,)
+                chromosomes.append(Chromosome(c.order, loc, c.conf_levels,
+                                              c.integ_levels))
+        for kind in StrategyKind:
+            options = search_setup(Strategy(kind, literal))
+            floor = energy_floor(w, cost_tables(w, platform, CAT, RISK, options))
+            for c in chromosomes:
+                energy = evaluate(c, w, platform, CAT, RISK, options).energy_j
+                assert energy >= floor * (1.0 - FLOOR_RTOL), (kind, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 10), density=st.floats(0.1, 0.9), seed=st.integers(0, 10**6),
+           platform=floor_platforms(), data=st.floats(0.1, 60.0),
+           load=st.floats(0.5, 20.0))
+    def test_equals_brute_force_over_partitions(self, n, density, seed, platform, data, load):
+        cfg = GeneratorConfig(data_range_mb=(0.0, data), workload_range_gcycles=(0.1, load))
+        w = with_deadline(random_workflow(n, density, cfg, seed=seed), 30.0)
+        floor = energy_floor(w, cost_tables(w, platform, CAT, RISK))
+        if platform.num_aps == 0:
+            all_md = evaluate(local_chromosome(w, CAT), w, platform, CAT, RISK).energy_j
+            assert math.isclose(floor, all_md, rel_tol=FLOOR_RTOL)
+            return
+        least = min(partition_energy(w, platform, (True,) + interior + (True,))
+                    for interior in itertools.product((True, False), repeat=n - 2))
+        assert math.isclose(floor, least, rel_tol=FLOOR_RTOL)
+
+    def test_reached_by_one_access_point(self):
+        # equal radios: the least partition is a schedule, all its edge tasks on AP 1
+        w = with_deadline(random_workflow(10, 0.3, seed=4), 30.0)
+        floor = energy_floor(w, cost_tables(w, PLATFORM, CAT, RISK))
+        best = min(
+            evaluate(Chromosome(tuple(range(10)), (MD_LOCATION,) + tuple(
+                MD_LOCATION if md else 0x11 for md in interior) + (MD_LOCATION,),
+                (1,) * 10, (1,) * 10), w, PLATFORM, CAT, RISK).energy_j
+            for interior in itertools.product((True, False), repeat=8))
+        assert math.isclose(floor, best, rel_tol=FLOOR_RTOL)
+        assert floor < evaluate(local_chromosome(w, CAT), w, PLATFORM, CAT, RISK).energy_j
 
 
 class TestViolationAndDeb:

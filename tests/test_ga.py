@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -8,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from seeco import ga
 from seeco.baselines import Strategy, StrategyKind, search_setup
 from seeco.evaluator import (
+    FLOOR_RTOL,
     Chromosome,
     EvalOptions,
     ServiceMode,
     cost_tables,
     deb_key,
+    energy_floor,
     evaluate,
     make_evaluator,
     order_free_pass,
@@ -447,6 +450,50 @@ class TestWitnessSeed:
         assert scored[0] == witness
         # on this instance the ratio moves two tasks between APs
         assert (witness == greedy_witness(w, PLATFORM, CAT)) is literal
+
+
+class TestFloorStop:
+    """A run stops at the energy floor with the winner the full run returns."""
+
+    @pytest.mark.parametrize("kind", GA_KINDS, ids=lambda k: k.value)
+    def test_stop_changes_nothing_before_it(self, monkeypatch, kind):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(12, 0.3, cfg, seed=6, risk_cap=0.3)
+        w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
+        stopped = []
+        for literal in (True, False):
+            options = search_setup(Strategy(kind, literal))
+            floor = energy_floor(w, cost_tables(w, PLATFORM, CAT, RISK, options))
+            for seed in (1, 2, 3):
+                params = GaParams(pop_size=16, iterations=20, seed=seed)
+                with monkeypatch.context() as m:
+                    m.setattr(ga, "energy_floor", lambda *args: -math.inf)
+                    full = run(w, PLATFORM, CAT, RISK, params, options=options)
+                r = run(w, PLATFORM, CAT, RISK, params, options=options)
+                assert r.energy_floor == floor
+                assert len(full.history) == params.iterations
+                assert (r.best_chromosome, r.best_result) == (
+                    full.best_chromosome, full.best_result), (literal, seed)
+                assert r.history == full.history[:len(r.history)]
+                assert r.evaluations == (16 + len(r.history) * (16 - GaParams.elitism)
+                                         + r.risk_repairs + r.deadline_repairs)
+                if len(r.history) < params.iterations:
+                    # it stopped because its best sat at the floor
+                    assert r.best_result.feasible
+                    assert math.isclose(r.best_result.energy_j, floor, rel_tol=FLOOR_RTOL)
+                    stopped.append(len(r.history))
+        # with the ratio off, every one of these runs reaches the floor
+        assert len(stopped) >= 3
+
+    def test_an_infeasible_best_at_the_floor_runs_on(self):
+        cfg = GeneratorConfig(data_range_mb=(1.0, 3.0), workload_range_gcycles=(8.0, 15.0))
+        w = random_workflow(8, 0.6, cfg, seed=1)
+        witness = evaluate(greedy_witness(w, PLATFORM, CAT), w, PLATFORM, CAT, RISK)
+        w = with_deadline(w, witness.makespan_s / 2)  # far below what the witness makes
+        r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=8, iterations=5, seed=1))
+        assert not r.best_result.feasible
+        assert r.best_result.energy_j <= r.energy_floor * (1.0 + FLOOR_RTOL)
+        assert len(r.history) == 5
 
 
 class TestRiskScreen:
