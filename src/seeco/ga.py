@@ -35,6 +35,14 @@ A run stops once its best is feasible and at the energy floor
 best is only ever replaced by a strictly better individual, so the
 generations left could not change the winner.  ``len(history)`` is the
 generation the run stopped at (``iterations`` if it never reached the floor).
+
+Before generation 0 a run polishes the greedy witness
+(:func:`polish_placements`, the local-search step of a memetic algorithm,
+Moscato 1989): single placement moves, taken while they improve it.  A
+polished witness that is feasible and at the floor is the winner, and the
+run ends there, with no population built and no random number drawn.
+Otherwise the polished schedule is dropped and the GA runs as it would
+without the polish.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ from .evaluator import (
     order_free_pass,
     timing_pass,
 )
-from .platform import MD_LOCATION, Platform
+from .platform import MD_LOCATION, Platform, encode_location
 from .security import RiskModel, SecurityCatalog, Service, default_catalog
 from .workflow import Workflow, greedy_witness_over
 
@@ -176,7 +184,10 @@ class GaRun:
     ``history`` holds one row per generation run, so ``len(history)`` is the
     stop generation: ``params.iterations``, or fewer when the best reached
     ``energy_floor``, the run's lower bound on device energy in J (and 0 rows
-    when the initial population did).
+    when the initial population did).  ``polish_decodes`` counts the
+    decodes of the witness's polish, which none of the other counters
+    include.  A run whose polished witness reached the floor ends before
+    generation 0: its history is empty and every other counter is 0.
     """
 
     best_chromosome: Chromosome
@@ -189,6 +200,7 @@ class GaRun:
     deadline_repairs: int = 0
     screened: int = 0
     energy_floor: float = 0.0
+    polish_decodes: int = 0
 
 
 def init_order(w: Workflow, rng: random.Random) -> list[int]:
@@ -346,6 +358,49 @@ def _make_ranking_key(options: EvalOptions) -> Callable[[Score], tuple]:
     return lambda res: deb_key(res) + (res.risk, res.makespan_s)
 
 
+def polish_placements(
+    c: Chromosome,
+    tables: CostTables,
+    decode: Callable[[Chromosome], Score],
+    key: Callable[[Score], tuple],
+    done: Callable[[Score], bool],
+) -> tuple[Chromosome, Score, int]:
+    """First-improvement descent over single placement moves.
+
+    For each interior order position in turn, tries moving its task to
+    each other VM row of ``tables``, in flat-id order, and takes the
+    first move that lowers ``key``; order and level genes never change.
+    Stops as soon as ``done`` holds for the current schedule, or after a
+    full pass with no improving move.  Returns the schedule, its
+    ``decode`` and the number of decodes, the start's included.
+    """
+    by_byte = tables.by_byte
+    row_bytes = [encode_location(ap, k) for ap, k, *_ in tables.vms]
+    res = decode(c)
+    res_key = key(res)
+    decodes = 1
+    improved = True
+    while improved and not done(res):
+        improved = False
+        for pos in range(1, len(c.order) - 1):
+            here = by_byte[c.locations[pos]][2]
+            for vid, byte in enumerate(row_bytes):
+                if vid == here:
+                    continue
+                loc = list(c.locations)
+                loc[pos] = byte
+                cand = Chromosome.unchecked(c.order, tuple(loc), c.conf_levels, c.integ_levels)
+                cand_res = decode(cand)
+                decodes += 1
+                cand_key = key(cand_res)
+                if cand_key < res_key:
+                    c, res, res_key, improved = cand, cand_res, cand_key, True
+                    if done(res):
+                        return c, res, decodes
+                    break
+    return c, res, decodes
+
+
 def make_deadline_repair(
     w: Workflow,
     tables: CostTables,
@@ -494,6 +549,15 @@ def run(
     best, and none is below the floor.  So ``len(history)`` is the stop
     generation, and the winner is the one the full run would return.
 
+    First of all, the run polishes the greedy witness (below) with
+    :func:`polish_placements` under its own tables and ranking key,
+    decoding without screening.  If the polished schedule is feasible and
+    at the floor, no schedule beats it, and it is the winner: the run
+    returns before building a population, with an empty history, no
+    random number drawn and only ``GaRun.polish_decodes`` counted.
+    Otherwise it is dropped, and the run goes on from the unpolished
+    witness exactly as if there were no polish.
+
     The initial population is fixed: individual 0 is the greedy witness
     (:func:`seeco.workflow.greedy_witness`), priced with the strategy's
     decryption core ratio, and every other individual
@@ -533,10 +597,27 @@ def run(
     """
     params = params or GaParams()
     cons = GeneConstraints.from_catalog(cat, options)
-    rng = random.Random(params.seed)
     tables = cost_tables(w, p, cat, risk_model, options)
     exposure = order_free_pass(w, tables)
     timed = timing_pass(w, tables, timeline=False)
+    ranking_key = _make_ranking_key(options)
+    floor = energy_floor(w, tables)
+    at_floor = floor * (1.0 + FLOOR_RTOL)
+
+    def reached_floor(res: Score) -> bool:
+        return res.feasible and res.energy_j <= at_floor
+
+    # full security, under the strategy's decryption core ratio
+    witness = greedy_witness_over(w, cost_tables(w, p, cat, risk_model, EvalOptions(
+        decrypt_producer_core_ratio=options.decrypt_producer_core_ratio)), cat)
+    polished, polished_res, polish_decodes = polish_placements(
+        witness, tables, lambda c: timed(c, exposure(c)), ranking_key, reached_floor)
+    if reached_floor(polished_res):
+        return GaRun(best_chromosome=polished,
+                     best_result=evaluate(polished, w, p, cat, risk_model, options),
+                     params=params, energy_floor=floor, polish_decodes=polish_decodes)
+
+    rng = random.Random(params.seed)
     risk_cap = tables.risk_cap
     strong_conf = (cat.strongest_id(Service.CONFIDENTIALITY),) * w.n
     strong_integ = (cat.strongest_id(Service.INTEGRITY),) * w.n
@@ -595,14 +676,11 @@ def run(
     pop: list[Individual] = []
     for i in range(params.pop_size):
         c = init_chromosome(w, rng, cons)  # individual 0 draws too, so later draws stay put
-        if i == 0:  # full security, under the strategy's decryption core ratio
-            c = greedy_witness_over(w, cost_tables(w, p, cat, risk_model, EvalOptions(
-                decrypt_producer_core_ratio=options.decrypt_producer_core_ratio)), cat)
+        if i == 0:
+            c = witness
         else:
             c = Chromosome.unchecked(c.order, c.locations, strong_conf, strong_integ)
         pop.append(scored(c))
-
-    ranking_key = _make_ranking_key(options)
 
     def tournament(population: list[Individual]) -> Individual:
         i = rng.randrange(len(population))
@@ -614,11 +692,9 @@ def run(
 
     best = min(pop, key=lambda ind: deb_key(ind[1]))
     history: list[GenerationStats] = []
-    floor = energy_floor(w, tables)
-    at_floor = floor * (1.0 + FLOOR_RTOL)
 
     for gen in range(params.iterations):
-        if best[1].feasible and best[1].energy_j <= at_floor:
+        if reached_floor(best[1]):
             break
         memo, older = {}, memo
         nxt: list[Individual] = sorted(
@@ -659,7 +735,7 @@ def run(
                  history=history, params=params, evaluations=evaluations,
                  cache_hits=cache_hits, risk_repairs=risk_repairs,
                  deadline_repairs=deadline_repairs, screened=screened,
-                 energy_floor=floor)
+                 energy_floor=floor, polish_decodes=polish_decodes)
 
 
 HISTORY_CSV_HEADER = ["generation", "best_energy", "best_violation", "feasible_count"]

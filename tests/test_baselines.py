@@ -10,6 +10,7 @@ from seeco.baselines import (
     StrategyKind,
     local_chromosome,
     risk_inputs,
+    search_risk_inputs,
     search_setup,
     solve,
     solve_detailed,
@@ -191,10 +192,12 @@ def _outcome(outcome):
 
 
 class TestRiskInputs:
-    """Strategies that :func:`risk_inputs` says ignore an input give equal outcomes."""
+    """Strategies that :func:`risk_inputs` says ignore an input give equal outcomes,
+    and those whose search :func:`search_risk_inputs` says ignores it, equal schedules."""
 
     CAP_BLIND = (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL, StrategyKind.MIN_LEVEL)
     RATE_BLIND = (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL)
+    SEARCH_RATE_BLIND = RATE_BLIND + (StrategyKind.MIN_LEVEL,)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(3, 8), seed=st.integers(0, 10**6), cap=st.floats(0.0, 1.0),
@@ -223,6 +226,16 @@ class TestRiskInputs:
             a, b = (_outcome(solve_detailed(strategy, w_cap, p, CAT, rm, params))
                     for rm in models)
             assert a == b, kind
+        for kind in self.SEARCH_RATE_BLIND:
+            # the same schedule under any rates; decoded again, it is each one's outcome
+            strategy = Strategy(kind)
+            assert (search_risk_inputs(strategy, cap, models[0])
+                    == search_risk_inputs(strategy, cap, models[1]))
+            w_cap = replace(w, risk_cap=cap)
+            a, b = (solve_detailed(strategy, w_cap, p, CAT, rm, params) for rm in models)
+            assert a.chromosome == b.chromosome, kind
+            assert evaluate(a.chromosome, w_cap, p, CAT, models[1],
+                            search_setup(strategy)) == b.result, kind
 
     def test_other_strategies_read_cap_and_rates(self):
         for kind in StrategyKind:
@@ -231,8 +244,11 @@ class TestRiskInputs:
                          != risk_inputs(strategy, 0.7, RISK))
             reads_rates = (risk_inputs(strategy, 0.2, RISK)
                            != risk_inputs(strategy, 0.2, RiskModel(1.0, 1.0)))
+            search_reads_rates = (search_risk_inputs(strategy, 0.2, RISK)
+                                  != search_risk_inputs(strategy, 0.2, RiskModel(1.0, 1.0)))
             assert reads_cap is (kind not in self.CAP_BLIND), kind
             assert reads_rates is (kind not in self.RATE_BLIND), kind
+            assert search_reads_rates is (kind not in self.SEARCH_RATE_BLIND), kind
 
 
 class TestRunIsTheSolversGa:
@@ -264,7 +280,10 @@ def _digest(value) -> str:
 # before scoring went through the score-only decode and the memo; local
 # runs no GA, so its row holds the all-MD outcome.  Runs that reach the
 # energy floor stop there; their evaluations and history digests were
-# re-recorded when the stop came in, each new history the old one cut short
+# re-recorded when the stop came in, each new history the old one cut short.
+# The min, confi and integ runs polish the witness to the floor and end
+# before generation 0 (0 evaluations, empty history); their rows were
+# re-recorded then, each energy no higher than before
 PINNED_TRAJECTORIES = {
     ('local', 1): (None, '964beecb36264b64', 27.886689224088542, 55.773378448177084, 0.0, None),
     ('local', 2): (None, '964beecb36264b64', 27.886689224088542, 55.773378448177084, 0.0, None),
@@ -272,15 +291,15 @@ PINNED_TRAJECTORIES = {
     ('max', 1): (316, 'b094a754a99dfc45', 7.280393102680995, 47.63681146947546, 0.0, 'e15144ccaad7bb6e'),
     ('max', 2): (316, '4e28efe0421c108a', 7.280393102680995, 49.402927177548314, 0.0, '9768f464a44e3eb0'),
     ('max', 3): (316, 'b14bbe5fea852847', 7.0653652396518645, 47.75691852799319, 0.0, '5ef3d9c9457d1b28'),
-    ('min', 1): (16, '811b4e7e6bf3f87f', 5.174024630753193, 44.243135444569106, 1.0, '4f53cda18c2baa0c'),
-    ('min', 2): (61, '4eec44f4b42df6f3', 5.174024630753193, 40.16320372190536, 1.0, '0a17e424c8134c50'),
-    ('min', 3): (16, '0cb7f83747664f85', 5.174024630753193, 47.54017912684491, 1.0, '4f53cda18c2baa0c'),
-    ('confi', 1): (375, '89e5aaf7e9f3ea6b', 7.0653652396518645, 49.232554395475624, 0.0, 'be561efd34f03696'),
-    ('confi', 2): (365, '1493d56291b39eef', 7.0653652396518645, 46.305793089349756, 0.0, '2f019d68ea81e508'),
-    ('confi', 3): (375, '9faf0cf318e85600', 7.0653652396518645, 47.94467943048939, 0.0, '4d7af9339763279e'),
-    ('integ', 1): (16, '811b4e7e6bf3f87f', 5.174024630753193, 46.08242816688765, 0.0, '4f53cda18c2baa0c'),
-    ('integ', 2): (67, 'f7e711120db70603', 5.174024630753193, 44.46520555426804, 0.0, '690ede57ea8b7c65'),
-    ('integ', 3): (16, '0cb7f83747664f85', 5.174024630753193, 49.71229604305868, 0.0, '4f53cda18c2baa0c'),
+    ('min', 1): (0, '8a95d607597d0213', 5.174024630753193, 41.443361033769236, 0.9999999999999989, '4f53cda18c2baa0c'),
+    ('min', 2): (0, '8a95d607597d0213', 5.174024630753193, 41.443361033769236, 0.9999999999999989, '4f53cda18c2baa0c'),
+    ('min', 3): (0, '8a95d607597d0213', 5.174024630753193, 41.443361033769236, 0.9999999999999989, '4f53cda18c2baa0c'),
+    ('confi', 1): (0, 'fd68cdbf0e3ccf08', 5.174024630753193, 49.52246747039784, 0.0, '4f53cda18c2baa0c'),
+    ('confi', 2): (0, 'fd68cdbf0e3ccf08', 5.174024630753193, 49.52246747039784, 0.0, '4f53cda18c2baa0c'),
+    ('confi', 3): (0, 'fd68cdbf0e3ccf08', 5.174024630753193, 49.52246747039784, 0.0, '4f53cda18c2baa0c'),
+    ('integ', 1): (0, '8a95d607597d0213', 5.174024630753193, 42.92417252407073, 0.0, '4f53cda18c2baa0c'),
+    ('integ', 2): (0, '8a95d607597d0213', 5.174024630753193, 42.92417252407073, 0.0, '4f53cda18c2baa0c'),
+    ('integ', 3): (0, '8a95d607597d0213', 5.174024630753193, 42.92417252407073, 0.0, '4f53cda18c2baa0c'),
     ('seeco', 1): (396, 'b094a754a99dfc45', 7.280393102680995, 47.63681146947546, 0.0, 'e15144ccaad7bb6e'),
     ('seeco', 2): (388, '4e28efe0421c108a', 7.280393102680995, 49.402927177548314, 0.0, '9768f464a44e3eb0'),
     ('seeco', 3): (401, 'b14bbe5fea852847', 7.0653652396518645, 47.75691852799319, 0.0, '5ef3d9c9457d1b28'),
@@ -314,25 +333,27 @@ class TestPinnedTrajectories:
 
 # as PINNED_TRAJECTORIES, with the decryption core ratio off, recorded before
 # cost_tables took over the ratio from the timing pass, the deadline repair
-# and the greedy witness; min-level pays no crypto, so its rows match the
-# ratio-on ones.  Every run here reaches the energy floor, so the evaluations
-# and history digests were re-recorded as in PINNED_TRAJECTORIES
+# and the greedy witness.  Every run here polishes the witness to the energy
+# floor and ends before generation 0, so all rows were re-recorded as in
+# PINNED_TRAJECTORIES, each energy bit-identical to before.  Min-level pays no
+# crypto, but its witness is built under the ratio, so its polished schedule
+# differs from the ratio-on one
 PINNED_RATIO_OFF_TRAJECTORIES = {
-    ('max', 1): (16, '811b4e7e6bf3f87f', 5.174024630753193, 47.54676570930955, 0.0, '4f53cda18c2baa0c'),
-    ('max', 2): (76, '7d0371d266b4ec6d', 5.174024630753193, 48.9755155386433, 0.0, '84c99a0887a56cab'),
-    ('max', 3): (136, '69cf2e6088b97716', 5.174024630753193, 48.83568537124083, 0.0, '226c958b276710bd'),
-    ('min', 1): (16, '811b4e7e6bf3f87f', 5.174024630753193, 44.243135444569106, 1.0, '4f53cda18c2baa0c'),
-    ('min', 2): (61, '4eec44f4b42df6f3', 5.174024630753193, 40.16320372190536, 1.0, '0a17e424c8134c50'),
-    ('min', 3): (16, '0cb7f83747664f85', 5.174024630753193, 47.54017912684491, 1.0, '4f53cda18c2baa0c'),
-    ('confi', 1): (16, '811b4e7e6bf3f87f', 5.174024630753193, 47.10285926605832, 0.0, '4f53cda18c2baa0c'),
-    ('confi', 2): (174, '361ddba36793bac5', 5.174024630753193, 48.17458435380784, 0.0, '4b8ef95be409b5b0'),
-    ('confi', 3): (170, 'ac411dd9f7aa8574', 5.174024630753193, 48.352169463695944, 0.0, '2027d50dd0109b65'),
-    ('integ', 1): (16, '811b4e7e6bf3f87f', 5.174024630753193, 44.687041887820335, 0.0, '4f53cda18c2baa0c'),
-    ('integ', 2): (66, '4eec44f4b42df6f3', 5.174024630753193, 40.65963099572143, 0.0, '0a17e424c8134c50'),
-    ('integ', 3): (16, '0cb7f83747664f85', 5.174024630753193, 47.97653488145984, 0.0, '4f53cda18c2baa0c'),
-    ('seeco', 1): (16, '811b4e7e6bf3f87f', 5.174024630753193, 47.54676570930955, 0.0, '4f53cda18c2baa0c'),
-    ('seeco', 2): (88, '7d0371d266b4ec6d', 5.174024630753193, 48.9755155386433, 0.0, '84c99a0887a56cab'),
-    ('seeco', 3): (176, 'ac411dd9f7aa8574', 5.174024630753193, 48.83568537124083, 0.0, '226c958b276710bd'),
+    ('max', 1): (0, '9855d253472d8f64', 5.174024630753193, 42.63774854081662, 0.0, '4f53cda18c2baa0c'),
+    ('max', 2): (0, '9855d253472d8f64', 5.174024630753193, 42.63774854081662, 0.0, '4f53cda18c2baa0c'),
+    ('max', 3): (0, '9855d253472d8f64', 5.174024630753193, 42.63774854081662, 0.0, '4f53cda18c2baa0c'),
+    ('min', 1): (0, '9855d253472d8f64', 5.174024630753193, 38.84860811156119, 0.9999999999999989, '4f53cda18c2baa0c'),
+    ('min', 2): (0, '9855d253472d8f64', 5.174024630753193, 38.84860811156119, 0.9999999999999989, '4f53cda18c2baa0c'),
+    ('min', 3): (0, '9855d253472d8f64', 5.174024630753193, 38.84860811156119, 0.9999999999999989, '4f53cda18c2baa0c'),
+    ('confi', 1): (0, '9855d253472d8f64', 5.174024630753193, 42.1286044429185, 0.0, '4f53cda18c2baa0c'),
+    ('confi', 2): (0, '9855d253472d8f64', 5.174024630753193, 42.1286044429185, 0.0, '4f53cda18c2baa0c'),
+    ('confi', 3): (0, '9855d253472d8f64', 5.174024630753193, 42.1286044429185, 0.0, '4f53cda18c2baa0c'),
+    ('integ', 1): (0, '9855d253472d8f64', 5.174024630753193, 39.35775220945931, 0.0, '4f53cda18c2baa0c'),
+    ('integ', 2): (0, '9855d253472d8f64', 5.174024630753193, 39.35775220945931, 0.0, '4f53cda18c2baa0c'),
+    ('integ', 3): (0, '9855d253472d8f64', 5.174024630753193, 39.35775220945931, 0.0, '4f53cda18c2baa0c'),
+    ('seeco', 1): (0, '9855d253472d8f64', 5.174024630753193, 42.63774854081662, 0.0, '4f53cda18c2baa0c'),
+    ('seeco', 2): (0, '9855d253472d8f64', 5.174024630753193, 42.63774854081662, 0.0, '4f53cda18c2baa0c'),
+    ('seeco', 3): (0, '9855d253472d8f64', 5.174024630753193, 42.63774854081662, 0.0, '4f53cda18c2baa0c'),
 }
 
 

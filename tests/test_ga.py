@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,7 +282,9 @@ class TestRun:
         assert r1.best_result == r2.best_result
         assert r1.history == r2.history
 
-    def test_history_shape_minimal(self):
+    def test_history_shape_minimal(self, monkeypatch):
+        # the polished witness sits at the floor here; without a floor the GA runs
+        monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
         w = random_workflow(4, 0.4, seed=22)
         w = with_deadline(w, 50.0)
         r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=2, iterations=1, seed=1))
@@ -321,7 +324,8 @@ class TestRun:
                     options=options)
             # initial pop + per-gen fills minus elite, plus the repairs' rescores
             assert r.evaluations == 8 + 8 * 10 - 10 + r.risk_repairs + r.deadline_repairs
-            assert len(seen) == r.evaluations - r.cache_hits - r.screened
+            # the polish decodes with the same timing pass
+            assert len(seen) == r.evaluations - r.cache_hits - r.screened + r.polish_decodes
             frozen = frozen_services(GeneConstraints.from_catalog(CAT, options))
             for c in seen:
                 assert is_valid_order(w, list(c.order))
@@ -455,35 +459,54 @@ class TestWitnessSeed:
 class TestFloorStop:
     """A run stops at the energy floor with the winner the full run returns."""
 
+    @staticmethod
+    def stop_generation(monkeypatch, w, options, params):
+        """Run with and without the floor, check what each stop promises, and
+        return the stop generation (-1 for a run that ended before generation 0)."""
+        floor = energy_floor(w, cost_tables(w, PLATFORM, CAT, RISK, options))
+        with monkeypatch.context() as m:
+            m.setattr(ga, "energy_floor", lambda *args: -math.inf)
+            full = run(w, PLATFORM, CAT, RISK, params, options=options)
+        r = run(w, PLATFORM, CAT, RISK, params, options=options)
+        assert r.energy_floor == floor
+        assert len(full.history) == params.iterations
+        assert r.polish_decodes > 0
+        if r.evaluations == 0:
+            # the polished witness sat at the floor: no schedule beats it
+            assert (r.history, r.cache_hits) == ([], 0)
+            assert r.best_result.feasible
+            assert r.best_result.energy_j <= floor * (1.0 + FLOOR_RTOL)
+            assert r.best_result.energy_j <= full.best_result.energy_j * (1.0 + FLOOR_RTOL)
+            return -1
+        assert (r.best_chromosome, r.best_result) == (full.best_chromosome, full.best_result)
+        assert r.history == full.history[:len(r.history)]
+        assert r.evaluations == (params.pop_size
+                                 + len(r.history) * (params.pop_size - GaParams.elitism)
+                                 + r.risk_repairs + r.deadline_repairs)
+        if len(r.history) < params.iterations:
+            # it stopped because its best sat at the floor
+            assert r.best_result.feasible
+            assert math.isclose(r.best_result.energy_j, floor, rel_tol=FLOOR_RTOL)
+        return len(r.history)
+
     @pytest.mark.parametrize("kind", GA_KINDS, ids=lambda k: k.value)
     def test_stop_changes_nothing_before_it(self, monkeypatch, kind):
         cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
         w = random_workflow(12, 0.3, cfg, seed=6, risk_cap=0.3)
         w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
-        stopped = []
-        for literal in (True, False):
-            options = search_setup(Strategy(kind, literal))
-            floor = energy_floor(w, cost_tables(w, PLATFORM, CAT, RISK, options))
-            for seed in (1, 2, 3):
-                params = GaParams(pop_size=16, iterations=20, seed=seed)
-                with monkeypatch.context() as m:
-                    m.setattr(ga, "energy_floor", lambda *args: -math.inf)
-                    full = run(w, PLATFORM, CAT, RISK, params, options=options)
-                r = run(w, PLATFORM, CAT, RISK, params, options=options)
-                assert r.energy_floor == floor
-                assert len(full.history) == params.iterations
-                assert (r.best_chromosome, r.best_result) == (
-                    full.best_chromosome, full.best_result), (literal, seed)
-                assert r.history == full.history[:len(r.history)]
-                assert r.evaluations == (16 + len(r.history) * (16 - GaParams.elitism)
-                                         + r.risk_repairs + r.deadline_repairs)
-                if len(r.history) < params.iterations:
-                    # it stopped because its best sat at the floor
-                    assert r.best_result.feasible
-                    assert math.isclose(r.best_result.energy_j, floor, rel_tol=FLOOR_RTOL)
-                    stopped.append(len(r.history))
-        # with the ratio off, every one of these runs reaches the floor
-        assert len(stopped) >= 3
+        stops = [self.stop_generation(monkeypatch, w, search_setup(Strategy(kind, literal)),
+                                      GaParams(pop_size=16, iterations=20, seed=seed))
+                 for literal in (True, False) for seed in (1, 2, 3)]
+        # with the ratio off, every one of these runs ends before generation 0
+        assert stops[3:] == [-1] * 3
+
+    def test_the_ga_stops_where_the_polish_falls_short(self, monkeypatch):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(8, 0.3, cfg, seed=4, risk_cap=0.5)
+        w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
+        options = search_setup(Strategy(StrategyKind.CONFI_ONLY))
+        params = GaParams(pop_size=16, iterations=20, seed=1)
+        assert self.stop_generation(monkeypatch, w, options, params) == 10
 
     def test_an_infeasible_best_at_the_floor_runs_on(self):
         cfg = GeneratorConfig(data_range_mb=(1.0, 3.0), workload_range_gcycles=(8.0, 15.0))
@@ -494,6 +517,60 @@ class TestFloorStop:
         assert not r.best_result.feasible
         assert r.best_result.energy_j <= r.energy_floor * (1.0 + FLOOR_RTOL)
         assert len(r.history) == 5
+
+
+class TestPolishedWitness:
+    """A witness polished to the floor ends the run before generation 0."""
+
+    @pytest.mark.parametrize("kind", GA_KINDS, ids=lambda k: k.value)
+    def test_sweep_workflow_ends_before_the_ga(self, monkeypatch, kind):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(30, 0.3, cfg, seed=7)
+        w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
+        witness = greedy_witness(w, PLATFORM, CAT)
+
+        def no_draws(*args):
+            raise AssertionError("the run drew a random number")
+
+        monkeypatch.setattr(ga.random, "Random", no_draws)
+        options = search_setup(Strategy(kind))
+        for cap in (0.1, 0.5, 1.0):
+            w_cap = replace(w, risk_cap=cap)
+            r = run(w_cap, PLATFORM, CAT, RISK, GaParams(pop_size=30, iterations=80, seed=1),
+                    options=options)
+            assert (r.history, r.evaluations, r.cache_hits) == ([], 0, 0)
+            assert r.polish_decodes > 0
+            assert r.best_result.feasible
+            assert r.best_result.energy_j <= r.energy_floor * (1.0 + FLOOR_RTOL)
+            c = r.best_chromosome
+            assert (c.order, c.conf_levels, c.integ_levels) == (
+                witness.order, witness.conf_levels, witness.integ_levels)
+            assert c.locations[0] == c.locations[-1] == MD_LOCATION
+            assert r.best_result == evaluate(c, w_cap, PLATFORM, CAT, RISK, options)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 9), seed=st.integers(0, 10**6), kind=st.sampled_from(GA_KINDS),
+           literal=st.booleans(), servers=st.integers(0, 3), cap=st.floats(0.0, 1.0),
+           slack=st.sampled_from([0.8, 1.0, 1.3]), ga_seed=st.integers(0, 100))
+    def test_never_worse_than_the_full_run(self, n, seed, kind, literal, servers, cap, slack,
+                                           ga_seed):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        p = default_platform(servers)
+        w = random_workflow(n, 0.4, cfg, seed=seed, risk_cap=cap)
+        w = with_deadline(w, compute_deadline(w, p, CAT) * slack)
+        options = search_setup(Strategy(kind, literal))
+        params = GaParams(pop_size=6, iterations=5, seed=ga_seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ga, "energy_floor", lambda *args: -math.inf)
+            full = run(w, p, CAT, RISK, params, options=options).best_result
+        r = run(w, p, CAT, RISK, params, options=options)
+        real = r.best_result
+        if r.evaluations == 0:  # it ended before generation 0, so at the floor
+            assert real.feasible
+            assert real.energy_j <= r.energy_floor * (1.0 + FLOOR_RTOL)
+        if full.feasible:
+            assert real.feasible
+            assert real.energy_j <= full.energy_j * (1.0 + FLOOR_RTOL)
 
 
 class TestRiskScreen:
@@ -529,9 +606,9 @@ class TestRiskScreen:
         monkeypatch.setattr(ga, "timing_pass", spy_timing_pass)
         r = run(w, p, CAT, RISK, params, options=options)
         # each memo miss runs the order-free pass once, and only the
-        # children it does not screen are timed
-        assert len(passes) == r.evaluations - r.cache_hits
-        assert len(timings) == r.evaluations - r.cache_hits - r.screened
+        # children it does not screen are timed; the polish screens nothing
+        assert len(passes) == r.evaluations - r.cache_hits + r.polish_decodes
+        assert len(timings) == r.evaluations - r.cache_hits - r.screened + r.polish_decodes
         return r
 
     def test_seeco_screens_children_over_a_tight_cap(self, monkeypatch):
