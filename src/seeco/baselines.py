@@ -108,23 +108,6 @@ def risk_inputs(strategy: Strategy, risk_cap: float, risk_model: RiskModel) -> t
     return (risk_cap, risk_model)
 
 
-def search_risk_inputs(strategy: Strategy, risk_cap: float, risk_model: RiskModel) -> tuple:
-    """The risk inputs a strategy's search reads; equal tuples give equal schedules.
-
-    :func:`risk_inputs`, less what only the reported risk reads.  A
-    strategy that ignores the cap and has no ``ACTIVE`` service
-    (min-level) has no use for risk while it searches: feasibility, the
-    ranking key, the witness's polish and the all-MD fallback all leave
-    it out, and neither repair can act.  Its schedule is the same under
-    any rates, and only decoding it again gives the risk each one sets.
-    """
-    options = search_setup(strategy)
-    if options.ignore_risk_cap and ServiceMode.ACTIVE not in (options.conf_mode,
-                                                               options.integ_mode):
-        return ()
-    return risk_inputs(strategy, risk_cap, risk_model)
-
-
 def solve_detailed(
     strategy: Strategy,
     w: Workflow,

@@ -19,11 +19,9 @@ dashes as underscores.  Each flag takes the first value it finds in:
      ``RiskModel`` and ``GeneratorConfig`` where the library has one.
 
 A sweep solves each distinct problem once: jobs that differ only in an
-input their strategy's search does not read (the risk cap for local,
-max-level and min-level; the attack rates for local, max-level and
-min-level) share one solve.  Each gets a copy of its row, or, where only
-the reported risk reads the input (min-level's rates), the solved
-schedule decoded under its own inputs.  The environment variable
+input their strategy does not read (the risk cap for local, max-level
+and min-level; the attack rates for local and max-level) share one
+solve, and each gets a copy of its row.  The environment variable
 ``SEECO_THREADS`` caps the worker processes that run those solves
 (default 1, meaning strictly sequential; never more than there are
 distinct solves); results are gathered and written in sorted order
@@ -41,8 +39,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .baselines import Strategy, risk_inputs, search_risk_inputs, search_setup, solve_detailed
-from .evaluator import Chromosome, EvaluationResult, evaluate, write_schedule_csv
+from .baselines import Strategy, risk_inputs, solve_detailed
+from .evaluator import write_schedule_csv
 from .ga import GaParams, write_history_csv
 from .platform import Platform, default_platform, load_platform, read_json
 from .security import RiskModel, SecurityCatalog, default_catalog, load_catalog
@@ -126,18 +124,11 @@ class SweepJob:
     catalog: SecurityCatalog
 
 
-def run_job(job: SweepJob) -> tuple[dict, Chromosome]:
-    """Execute one sweep point: its row and the schedule it chose.
-
-    Used directly and by worker processes.
-    """
+def run_job(job: SweepJob) -> dict:
+    """Execute one sweep point; used directly and by worker processes."""
     outcome = solve_detailed(job.strategy, job.workflow, job.platform, job.catalog,
                              job.risk_model, job.params)
-    return job_row(job, outcome.result), outcome.chromosome
-
-
-def job_row(job: SweepJob, res: EvaluationResult) -> dict:
-    """The sweep row of ``job``, whose schedule decodes to ``res``."""
+    res = outcome.result
     return {
         "sweep": job.sweep, "value": job.value, "strategy": job.strategy.kind.value,
         "seed": job.seed, "pop": job.params.pop_size, "iters": job.params.iterations,
@@ -222,25 +213,22 @@ def build_sweep_jobs(
 
 
 def solve_key(job: SweepJob) -> tuple:
-    """Everything the search of ``job`` reads: jobs with equal keys get one schedule."""
+    """Everything the solve of ``job`` reads: jobs with equal keys pose one problem."""
     w = job.workflow
     return (job.strategy, job.catalog, job.params, job.platform,
             w.tasks, w.edges, w.deadline_s,
-            search_risk_inputs(job.strategy, w.risk_cap, job.risk_model))
+            risk_inputs(job.strategy, w.risk_cap, job.risk_model))
 
 
 def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict]:
     """Run all jobs and return rows sorted by (value, strategy, seed).
 
-    Each distinct search (:func:`solve_key`) is solved once, by
+    Each distinct problem (:func:`solve_key`) is solved once, by
     :func:`run_job`, and its row is copied to every job that poses it,
-    with that job's sweep, value and seed.  A strategy whose search cannot
-    read the swept input (local, max-level and min-level under a risk-cap
-    or attack-rate sweep) is therefore solved once per seed, not once per
-    value.  Where the outcome still reads the input (min-level's risk
-    reads the rates, :func:`seeco.baselines.risk_inputs`), the solved
-    schedule is decoded again under the job's own inputs instead of
-    copied.  Either way the rows are the same as solving every job.
+    with that job's sweep, value and seed.  A strategy that cannot read
+    the swept input (local and max-level under a risk-cap or attack-rate
+    sweep, min-level under a risk-cap sweep) is therefore solved once per
+    seed, not once per value; the rows are the same as solving every job.
     """
     if max_workers is None:
         max_workers = int(os.environ.get("SEECO_THREADS", "1"))
@@ -255,17 +243,9 @@ def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict
             solved = list(pool.map(run_job, distinct.values()))
     else:
         solved = [run_job(job) for job in distinct.values()]
-    solved_of = dict(zip(distinct, solved))
-    rows = []
-    for key, job in zip(keys, jobs):
-        row, chromosome = solved_of[key]
-        solved_job = distinct[key]
-        if (risk_inputs(job.strategy, job.workflow.risk_cap, job.risk_model)
-                != risk_inputs(solved_job.strategy, solved_job.workflow.risk_cap,
-                               solved_job.risk_model)):
-            row = job_row(job, evaluate(chromosome, job.workflow, job.platform, job.catalog,
-                                        job.risk_model, search_setup(job.strategy)))
-        rows.append({**row, "sweep": job.sweep, "value": job.value, "seed": job.seed})
+    row_of = dict(zip(distinct, solved))
+    rows = [{**row_of[key], "sweep": job.sweep, "value": job.value, "seed": job.seed}
+            for key, job in zip(keys, jobs)]
     rows.sort(key=lambda r: (r["value"], r["strategy"], r["seed"]))
     return rows
 

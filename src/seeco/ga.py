@@ -38,7 +38,8 @@ generation the run stopped at (``iterations`` if it never reached the floor).
 
 Before generation 0 a run polishes the greedy witness
 (:func:`polish_placements`, the local-search step of a memetic algorithm,
-Moscato 1989): single placement moves, taken while they improve it.  A
+Moscato 1989): single placement moves, taken while they improve it, on
+a budget of a tenth of the GA's scorings (:data:`POLISH_SHARE`).  A
 polished witness that is feasible and at the floor is the winner, and the
 run ends there, with no population built and no random number drawn.
 Otherwise the polished schedule is dropped and the GA runs as it would
@@ -358,21 +359,29 @@ def _make_ranking_key(options: EvalOptions) -> Callable[[Score], tuple]:
     return lambda res: deb_key(res) + (res.risk, res.makespan_s)
 
 
+# the witness's polish tries at most this share of pop_size * iterations
+# moves (about the scorings of a full GA run): a polish that falls short
+# of the floor is dropped, so it must cost little beside the GA
+POLISH_SHARE = 0.1
+
+
 def polish_placements(
     c: Chromosome,
     tables: CostTables,
     decode: Callable[[Chromosome], Score],
     key: Callable[[Score], tuple],
     done: Callable[[Score], bool],
+    budget: int,
 ) -> tuple[Chromosome, Score, int]:
     """First-improvement descent over single placement moves.
 
     For each interior order position in turn, tries moving its task to
     each other VM row of ``tables``, in flat-id order, and takes the
     first move that lowers ``key``; order and level genes never change.
-    Stops as soon as ``done`` holds for the current schedule, or after a
-    full pass with no improving move.  Returns the schedule, its
-    ``decode`` and the number of decodes, the start's included.
+    Stops as soon as ``done`` holds for the current schedule, after a
+    full pass with no improving move, or once it has tried ``budget``
+    moves.  Returns the schedule, its ``decode`` and the number of
+    decodes, the start's included.
     """
     by_byte = tables.by_byte
     row_bytes = [encode_location(ap, k) for ap, k, *_ in tables.vms]
@@ -387,6 +396,8 @@ def polish_placements(
             for vid, byte in enumerate(row_bytes):
                 if vid == here:
                     continue
+                if decodes > budget:
+                    return c, res, decodes
                 loc = list(c.locations)
                 loc[pos] = byte
                 cand = Chromosome.unchecked(c.order, tuple(loc), c.conf_levels, c.integ_levels)
@@ -551,10 +562,12 @@ def run(
 
     First of all, the run polishes the greedy witness (below) with
     :func:`polish_placements` under its own tables and ranking key,
-    decoding without screening.  If the polished schedule is feasible and
-    at the floor, no schedule beats it, and it is the winner: the run
-    returns before building a population, with an empty history, no
-    random number drawn and only ``GaRun.polish_decodes`` counted.
+    decoding without screening and trying at most :data:`POLISH_SHARE`
+    times ``pop_size * iterations`` moves.  If the polished schedule is
+    feasible and at the floor, no schedule beats it, and it is the
+    winner: the run returns before building a population, with an empty
+    history, no random number drawn and only ``GaRun.polish_decodes``
+    counted.
     Otherwise it is dropped, and the run goes on from the unpolished
     witness exactly as if there were no polish.
 
@@ -611,7 +624,8 @@ def run(
     witness = greedy_witness_over(w, cost_tables(w, p, cat, risk_model, EvalOptions(
         decrypt_producer_core_ratio=options.decrypt_producer_core_ratio)), cat)
     polished, polished_res, polish_decodes = polish_placements(
-        witness, tables, lambda c: timed(c, exposure(c)), ranking_key, reached_floor)
+        witness, tables, lambda c: timed(c, exposure(c)), ranking_key, reached_floor,
+        int(POLISH_SHARE * params.pop_size * params.iterations))
     if reached_floor(polished_res):
         return GaRun(best_chromosome=polished,
                      best_result=evaluate(polished, w, p, cat, risk_model, options),

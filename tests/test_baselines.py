@@ -5,12 +5,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seeco import ga
 from seeco.baselines import (
     Strategy,
     StrategyKind,
     local_chromosome,
     risk_inputs,
-    search_risk_inputs,
     search_setup,
     solve,
     solve_detailed,
@@ -192,12 +192,10 @@ def _outcome(outcome):
 
 
 class TestRiskInputs:
-    """Strategies that :func:`risk_inputs` says ignore an input give equal outcomes,
-    and those whose search :func:`search_risk_inputs` says ignores it, equal schedules."""
+    """Strategies that :func:`risk_inputs` says ignore an input give equal outcomes."""
 
     CAP_BLIND = (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL, StrategyKind.MIN_LEVEL)
     RATE_BLIND = (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL)
-    SEARCH_RATE_BLIND = RATE_BLIND + (StrategyKind.MIN_LEVEL,)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(3, 8), seed=st.integers(0, 10**6), cap=st.floats(0.0, 1.0),
@@ -226,16 +224,6 @@ class TestRiskInputs:
             a, b = (_outcome(solve_detailed(strategy, w_cap, p, CAT, rm, params))
                     for rm in models)
             assert a == b, kind
-        for kind in self.SEARCH_RATE_BLIND:
-            # the same schedule under any rates; decoded again, it is each one's outcome
-            strategy = Strategy(kind)
-            assert (search_risk_inputs(strategy, cap, models[0])
-                    == search_risk_inputs(strategy, cap, models[1]))
-            w_cap = replace(w, risk_cap=cap)
-            a, b = (solve_detailed(strategy, w_cap, p, CAT, rm, params) for rm in models)
-            assert a.chromosome == b.chromosome, kind
-            assert evaluate(a.chromosome, w_cap, p, CAT, models[1],
-                            search_setup(strategy)) == b.result, kind
 
     def test_other_strategies_read_cap_and_rates(self):
         for kind in StrategyKind:
@@ -244,11 +232,8 @@ class TestRiskInputs:
                          != risk_inputs(strategy, 0.7, RISK))
             reads_rates = (risk_inputs(strategy, 0.2, RISK)
                            != risk_inputs(strategy, 0.2, RiskModel(1.0, 1.0)))
-            search_reads_rates = (search_risk_inputs(strategy, 0.2, RISK)
-                                  != search_risk_inputs(strategy, 0.2, RiskModel(1.0, 1.0)))
             assert reads_cap is (kind not in self.CAP_BLIND), kind
             assert reads_rates is (kind not in self.RATE_BLIND), kind
-            assert search_reads_rates is (kind not in self.SEARCH_RATE_BLIND), kind
 
 
 class TestRunIsTheSolversGa:
@@ -377,3 +362,61 @@ class TestPinnedRatioOffTrajectories:
                                               c.integ_levels)),
                    res.energy_j, res.makespan_s, res.risk, history)
             assert got == PINNED_RATIO_OFF_TRAJECTORIES[kind.value, seed]
+
+
+# (strategy, decryption core ratio on, GA seed) -> as PINNED_TRAJECTORIES, for
+# the strategy and ratio rows whose runs there now end before generation 0,
+# run in full: ``ga.energy_floor`` is -inf, so neither the witness's polish
+# nor the GA stops at a floor and the polished witness is always dropped.
+# Recorded on the commit before the polish came in, under the same patch; the
+# best of each run is the one pinned before the polish came in
+PINNED_FULL_RUNS = {
+    ('min', True, 1): (316, '811b4e7e6bf3f87f', 5.174024630753193, 44.243135444569106, 1.0, 'fb2a304a5ef0243e'),
+    ('min', True, 2): (316, '4eec44f4b42df6f3', 5.174024630753193, 40.16320372190536, 1.0, '66ee954f776a9941'),
+    ('min', True, 3): (316, '0cb7f83747664f85', 5.174024630753193, 47.54017912684491, 1.0, '577df1f2b728bbdf'),
+    ('confi', True, 1): (375, '89e5aaf7e9f3ea6b', 7.0653652396518645, 49.232554395475624, 0.0, 'be561efd34f03696'),
+    ('confi', True, 2): (365, '1493d56291b39eef', 7.0653652396518645, 46.305793089349756, 0.0, '2f019d68ea81e508'),
+    ('confi', True, 3): (375, '9faf0cf318e85600', 7.0653652396518645, 47.94467943048939, 0.0, '4d7af9339763279e'),
+    ('integ', True, 1): (374, '811b4e7e6bf3f87f', 5.174024630753193, 46.08242816688765, 0.0, 'a0a8ba7cd28de8f5'),
+    ('integ', True, 2): (378, 'f7e711120db70603', 5.174024630753193, 44.46520555426804, 0.0, '1d07a071e2eb409d'),
+    ('integ', True, 3): (390, '0cb7f83747664f85', 5.174024630753193, 49.71229604305868, 0.0, 'aa6b62b28848aff7'),
+    ('max', False, 1): (316, '811b4e7e6bf3f87f', 5.174024630753193, 47.54676570930955, 0.0, '0a0a7febec6a703b'),
+    ('max', False, 2): (316, '7d0371d266b4ec6d', 5.174024630753193, 48.9755155386433, 0.0, '3ceac3930277c2b7'),
+    ('max', False, 3): (316, '69cf2e6088b97716', 5.174024630753193, 48.83568537124083, 0.0, 'ae032c26a47d7366'),
+    ('min', False, 1): (316, '811b4e7e6bf3f87f', 5.174024630753193, 44.243135444569106, 1.0, 'fb2a304a5ef0243e'),
+    ('min', False, 2): (316, '4eec44f4b42df6f3', 5.174024630753193, 40.16320372190536, 1.0, '66ee954f776a9941'),
+    ('min', False, 3): (316, '0cb7f83747664f85', 5.174024630753193, 47.54017912684491, 1.0, '577df1f2b728bbdf'),
+    ('confi', False, 1): (374, '811b4e7e6bf3f87f', 5.174024630753193, 47.10285926605832, 0.0, '607b18136fe3527d'),
+    ('confi', False, 2): (370, '361ddba36793bac5', 5.174024630753193, 48.17458435380784, 0.0, 'e5f3810bb04ba9ce'),
+    ('confi', False, 3): (385, 'ac411dd9f7aa8574', 5.174024630753193, 48.352169463695944, 0.0, 'd3ccaf7237a187f4'),
+    ('integ', False, 1): (377, '811b4e7e6bf3f87f', 5.174024630753193, 44.687041887820335, 0.0, 'b432286f31dbe41e'),
+    ('integ', False, 2): (378, '4eec44f4b42df6f3', 5.174024630753193, 40.65963099572143, 0.0, '02dcf1b8d2521f3d'),
+    ('integ', False, 3): (392, '0cb7f83747664f85', 5.174024630753193, 47.97653488145984, 0.0, '6a79cd6d44bee656'),
+    ('seeco', False, 1): (392, '811b4e7e6bf3f87f', 5.174024630753193, 47.54676570930955, 0.0, '0a0a7febec6a703b'),
+    ('seeco', False, 2): (395, '7d0371d266b4ec6d', 5.174024630753193, 48.9755155386433, 0.0, '3ceac3930277c2b7'),
+    ('seeco', False, 3): (402, 'ac411dd9f7aa8574', 5.174024630753193, 48.83568537124083, 0.0, 'ae032c26a47d7366'),
+}
+
+
+class TestPinnedFullRuns:
+    """The GA's generations stay pinned for the runs that now end before them."""
+
+    @pytest.mark.parametrize("kind, ratio", sorted({k[:2] for k in PINNED_FULL_RUNS}),
+                             ids=lambda v: str(v).lower())
+    def test_matches_recorded_run(self, monkeypatch, kind, ratio):
+        monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(12, 0.3, cfg, seed=6, risk_cap=0.3)
+        w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
+        for seed in (1, 2, 3):
+            run = solve_detailed(Strategy(StrategyKind(kind), literal_decrypt_ratio=ratio),
+                                 w, PLATFORM, CAT, RISK,
+                                 GaParams(pop_size=16, iterations=20, seed=seed)).ga_run
+            c, res = run.best_chromosome, run.best_result
+            history = _digest([(h.generation, h.best_energy, h.best_violation,
+                                h.feasible_count) for h in run.history])
+            got = (run.evaluations, _digest((c.order, c.locations, c.conf_levels,
+                                              c.integ_levels)),
+                   res.energy_j, res.makespan_s, res.risk, history)
+            assert got == PINNED_FULL_RUNS[kind, ratio, seed]
+            assert len(run.history) == 20 and run.polish_decodes > 0

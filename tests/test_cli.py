@@ -401,11 +401,11 @@ class TestSweepDeduplication:
     @pytest.mark.parametrize("pool", ["sequential", "in_process_pool"])
     @pytest.mark.parametrize("sweep, values, solves", [
         ("risk_cap", [0.1, 0.5, 1.0], 3 + 3 * 3),  # local, max, min once; the rest per cap
-        ("lambda", [0.5, 1.5], 3 + 3 * 2),          # local, max, min once; the rest per rate
+        ("lambda", [0.5, 1.5], 2 + 4 * 2),          # local, max once; the rest per rate
     ])
     def test_rows_equal_one_solve_per_job(self, monkeypatch, pool, sweep, values, solves):
         jobs = small_jobs(sweep, values, seeds=(1, 2))
-        expected = sorted((run_job(j)[0] for j in jobs),
+        expected = sorted((run_job(j) for j in jobs),
                           key=lambda r: (r["value"], r["strategy"], r["seed"]))
         solved = self.count_solves(monkeypatch)
         if pool == "in_process_pool":
@@ -416,22 +416,6 @@ class TestSweepDeduplication:
         assert rows == expected
         assert [list(r) for r in rows] == [list(r) for r in expected]  # same column order
         assert len(solved) == 2 * solves
-
-    def test_lambda_sweep_decodes_min_level_again_per_rate(self, monkeypatch):
-        jobs = build_sweep_jobs(
-            sweep="lambda", values=[0.3, 1.2, 3.0], strategies=["min"], seeds=[1, 2],
-            base_params=GaParams(pop_size=6, iterations=3), workflow=None, platform=None,
-            risk_model=RiskModel(), gen_cfg=GeneratorConfig(data_range_mb=(2.0, 10.0),
-                                                            workload_range_gcycles=(5.0, 15.0)),
-            density=0.3, workflow_seed=7, risk_cap=0.5, tasks=12)
-        expected = sorted((run_job(j)[0] for j in jobs),
-                          key=lambda r: (r["value"], r["strategy"], r["seed"]))
-        solved = self.count_solves(monkeypatch)
-        rows = run_sweep(jobs, max_workers=1)
-        assert rows == expected
-        assert len(solved) == 2  # one solve per seed
-        # the schedule offloads, so each rate reports its own risk
-        assert len({r["risk"] for r in rows}) == 3
 
     def test_risk_cap_sweep_of_six_strategies_makes_33_solves(self, monkeypatch):
         jobs = small_jobs("risk_cap", [round(0.1 * i, 1) for i in range(1, 11)])

@@ -548,6 +548,20 @@ class TestPolishedWitness:
             assert c.locations[0] == c.locations[-1] == MD_LOCATION
             assert r.best_result == evaluate(c, w_cap, PLATFORM, CAT, RISK, options)
 
+    def test_budget_cuts_the_polish_short(self, monkeypatch):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(30, 0.3, cfg, seed=7, risk_cap=0.5)
+        w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
+        params = GaParams(pop_size=4, iterations=5, seed=1)  # a budget of 2 moves
+        r = run(w, PLATFORM, CAT, RISK, params)
+        assert r.polish_decodes == 3 and r.evaluations > 0
+        monkeypatch.setattr(ga, "POLISH_SHARE", 0.0)  # the witness alone, not at the floor
+        bare = run(w, PLATFORM, CAT, RISK, params)
+        assert bare.polish_decodes == 1
+        assert (r.best_chromosome, r.best_result, r.history, r.evaluations, r.cache_hits) == (
+            bare.best_chromosome, bare.best_result, bare.history, bare.evaluations,
+            bare.cache_hits)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 9), seed=st.integers(0, 10**6), kind=st.sampled_from(GA_KINDS),
            literal=st.booleans(), servers=st.integers(0, 3), cap=st.floats(0.0, 1.0),
