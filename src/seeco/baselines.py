@@ -99,13 +99,38 @@ def risk_inputs(strategy: Strategy, risk_cap: float, risk_model: RiskModel) -> t
     it reports.  The others read both.
     """
     options = search_setup(strategy)
-    exposed = any(mode in (ServiceMode.ACTIVE, ServiceMode.UNPROTECTED)
-                  for mode in (options.conf_mode, options.integ_mode))
-    if strategy.kind is StrategyKind.LOCAL or not exposed:
+    if not _exposed(strategy, options):
         return ()
     if options.ignore_risk_cap:
         return (risk_model,)
     return (risk_cap, risk_model)
+
+
+def _exposed(strategy: Strategy, options: EvalOptions) -> bool:
+    """Whether some schedule of the strategy can expose a crossing payload."""
+    return strategy.kind is not StrategyKind.LOCAL and any(
+        mode in (ServiceMode.ACTIVE, ServiceMode.UNPROTECTED)
+        for mode in (options.conf_mode, options.integ_mode))
+
+
+def reads_risk_inputs(strategy: Strategy, outcome: SolveOutcome) -> bool:
+    """Whether the solve behind ``outcome`` read its :func:`risk_inputs`.
+
+    If not, any other risk cap and attack rates give the same outcome.
+    Besides local and max-level, that holds for a GA run with no
+    ``UNPROTECTED`` service that ended at its polished witness
+    (``evaluations == 0``).  The witness and its polish keep the level-1.0
+    algorithms, whose payloads survive any finite rate with factor 1, so
+    every score the polish compared, the final decode and the all-MD
+    fallback have risk 0 and a violation set by the deadline alone; the
+    energy floor reads no risk input.
+    """
+    options = search_setup(strategy)
+    if not _exposed(strategy, options):
+        return False
+    if ServiceMode.UNPROTECTED in (options.conf_mode, options.integ_mode):
+        return True
+    return outcome.ga_run.evaluations > 0
 
 
 def solve_detailed(

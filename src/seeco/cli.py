@@ -21,7 +21,11 @@ dashes as underscores.  Each flag takes the first value it finds in:
 A sweep solves each distinct problem once: jobs that differ only in an
 input their strategy does not read (the risk cap for local, max-level
 and min-level; the attack rates for local and max-level) share one
-solve, and each gets a copy of its row.  The environment variable
+solve, and each gets a copy of its row.  Problems that differ only in
+the risk cap or the attack rates share one solve as well when that
+solve did not read them: a confi, integ or SEECO run that ends at its
+polished witness, whose schedule is risk-free under any cap and rates
+(:func:`seeco.baselines.reads_risk_inputs`).  The environment variable
 ``SEECO_THREADS`` caps the worker processes that run those solves
 (default 1, meaning strictly sequential; never more than there are
 distinct solves); results are gathered and written in sorted order
@@ -39,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .baselines import Strategy, risk_inputs, solve_detailed
+from .baselines import Strategy, reads_risk_inputs, risk_inputs, solve_detailed
 from .evaluator import write_schedule_csv
 from .ga import GaParams, write_history_csv
 from .platform import Platform, default_platform, load_platform, read_json
@@ -124,8 +128,12 @@ class SweepJob:
     catalog: SecurityCatalog
 
 
-def run_job(job: SweepJob) -> dict:
-    """Execute one sweep point; used directly and by worker processes."""
+def run_job(job: SweepJob) -> tuple[dict, bool]:
+    """Execute one sweep point; used directly and by worker processes.
+
+    Returns the job's row and whether its solve read the job's risk cap
+    or attack rates (:func:`seeco.baselines.reads_risk_inputs`).
+    """
     outcome = solve_detailed(job.strategy, job.workflow, job.platform, job.catalog,
                              job.risk_model, job.params)
     res = outcome.result
@@ -135,7 +143,7 @@ def run_job(job: SweepJob) -> dict:
         "pc": job.params.p_c, "pm": job.params.p_m,
         "energy": res.energy_j, "makespan": res.makespan_s, "risk": res.risk,
         "violation": res.violation, "feasible": res.feasible,
-    }
+    }, reads_risk_inputs(job.strategy, outcome)
 
 
 def build_sweep_jobs(
@@ -213,7 +221,10 @@ def build_sweep_jobs(
 
 
 def solve_key(job: SweepJob) -> tuple:
-    """Everything the solve of ``job`` reads: jobs with equal keys pose one problem."""
+    """Everything the solve of ``job`` reads: jobs with equal keys pose one problem.
+
+    The last element is the strategy's :func:`seeco.baselines.risk_inputs`.
+    """
     w = job.workflow
     return (job.strategy, job.catalog, job.params, job.platform,
             w.tasks, w.edges, w.deadline_s,
@@ -223,12 +234,22 @@ def solve_key(job: SweepJob) -> tuple:
 def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict]:
     """Run all jobs and return rows sorted by (value, strategy, seed).
 
-    Each distinct problem (:func:`solve_key`) is solved once, by
+    Each distinct problem (:func:`solve_key`) is solved at most once, by
     :func:`run_job`, and its row is copied to every job that poses it,
     with that job's sweep, value and seed.  A strategy that cannot read
     the swept input (local and max-level under a risk-cap or attack-rate
     sweep, min-level under a risk-cap sweep) is therefore solved once per
-    seed, not once per value; the rows are the same as solving every job.
+    seed, not once per value.
+
+    Problems that differ only in their risk inputs form a group, solved
+    in two phases.  First one probe per group, its first problem in
+    sweep order; then the group's other problems, but only where the
+    probe's solve read its risk inputs
+    (:func:`seeco.baselines.reads_risk_inputs`).  Where it did not, as
+    for a confi, integ or SEECO run that ended at its polished witness,
+    every problem of the group gets the probe's row.  Sweeps of servers,
+    tasks or GA parameters have one problem per group.  Either way the
+    rows are the same as solving every job.
     """
     if max_workers is None:
         max_workers = int(os.environ.get("SEECO_THREADS", "1"))
@@ -236,14 +257,28 @@ def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict
     distinct: dict[tuple, SweepJob] = {}
     for key, job in zip(keys, jobs):
         distinct.setdefault(key, job)
+    # the distinct problems per key without its risk inputs, in sweep order
+    groups: dict[tuple, list[tuple]] = {}
+    for key in distinct:
+        groups.setdefault(key[:-1], []).append(key)
+
+    def solve_all(mapper) -> dict[tuple, dict]:
+        probes = [group[0] for group in groups.values()]
+        solved = dict(zip(probes, mapper(run_job, [distinct[k] for k in probes])))
+        rest = [key for group in groups.values() if solved[group[0]][1]
+                for key in group[1:]]
+        solved.update(zip(rest, mapper(run_job, [distinct[k] for k in rest])))
+        # a key left unsolved takes its probe's row
+        return {key: solved[key if key in solved else group[0]][0]
+                for group in groups.values() for key in group}
+
     # a fork-based pool starts all its workers at the first submit
     max_workers = min(max_workers, len(distinct))
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            solved = list(pool.map(run_job, distinct.values()))
+            row_of = solve_all(pool.map)
     else:
-        solved = [run_job(job) for job in distinct.values()]
-    row_of = dict(zip(distinct, solved))
+        row_of = solve_all(map)
     rows = [{**row_of[key], "sweep": job.sweep, "value": job.value, "seed": job.seed}
             for key, job in zip(keys, jobs)]
     rows.sort(key=lambda r: (r["value"], r["strategy"], r["seed"]))

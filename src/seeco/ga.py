@@ -567,16 +567,18 @@ def run(
     feasible and at the floor, no schedule beats it, and it is the
     winner: the run returns before building a population, with an empty
     history, no random number drawn and only ``GaRun.polish_decodes``
-    counted.
+    counted.  Without an ``UNPROTECTED`` service, such a run reads neither
+    the risk cap nor the attack rates
+    (:func:`seeco.baselines.reads_risk_inputs`).
     Otherwise it is dropped, and the run goes on from the unpolished
     witness exactly as if there were no polish.
 
-    The initial population is fixed: individual 0 is the greedy witness
-    (:func:`seeco.workflow.greedy_witness`), priced with the strategy's
-    decryption core ratio, and every other individual
-    gets a random order and random placements at the catalog's strongest
-    levels, where every frozen level gene sits, so it starts risk-free
-    and the search relaxes security where the cap allows.  A purely
+    The initial population is fixed: individual 0 is the greedy witness,
+    :func:`seeco.workflow.greedy_witness_over` the cost tables of full
+    security under the strategy's decryption core ratio, and every other
+    individual gets a random order and random placements at the catalog's
+    strongest levels, where every frozen level gene sits, so it starts
+    risk-free and the search relaxes security where the cap allows.  A purely
     random population drifts back to the all-MD attractor under
     tight risk caps: offloading one task then needs placement and both
     level genes to line up in one variation step.  Under a degenerate

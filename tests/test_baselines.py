@@ -10,6 +10,7 @@ from seeco.baselines import (
     Strategy,
     StrategyKind,
     local_chromosome,
+    reads_risk_inputs,
     risk_inputs,
     search_setup,
     solve,
@@ -234,6 +235,56 @@ class TestRiskInputs:
                            != risk_inputs(strategy, 0.2, RiskModel(1.0, 1.0)))
             assert reads_cap is (kind not in self.CAP_BLIND), kind
             assert reads_rates is (kind not in self.RATE_BLIND), kind
+
+
+class TestReadsRiskInputs:
+    """A solve that :func:`reads_risk_inputs` says read no risk input holds under any."""
+
+    GA_RISK_READERS = (StrategyKind.CONFI_ONLY, StrategyKind.INTEG_ONLY, StrategyKind.SEECO)
+
+    def test_unread_inputs_give_equal_outcomes(self):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        models = (RISK, RiskModel(0.0, 0.0), RiskModel(4.0, 0.3))
+        caps = (0.0, 0.35, 1.0)
+        read = set()
+        for seed, n, servers in ((5, 7, 3), (10, 7, 3), (2, 6, 2), (3, 8, 1)):
+            w = random_workflow(n, 0.3, cfg, seed=seed)
+            p = default_platform(servers)
+            w = with_deadline(w, compute_deadline(w, p, CAT))
+            for kind in self.GA_RISK_READERS:
+                for ratio in (True, False):
+                    strategy = Strategy(kind, literal_decrypt_ratio=ratio)
+                    params = GaParams(pop_size=6, iterations=3, seed=seed)
+                    probe = solve_detailed(strategy, replace(w, risk_cap=caps[1]), p, CAT,
+                                           models[0], params)
+                    read.add(reads_risk_inputs(strategy, probe))
+                    if reads_risk_inputs(strategy, probe):
+                        assert probe.ga_run.evaluations > 0
+                        continue
+                    for cap in caps:
+                        for rm in models:
+                            other = solve_detailed(strategy, replace(w, risk_cap=cap), p,
+                                                   CAT, rm, params)
+                            assert not reads_risk_inputs(strategy, other)
+                            assert (_outcome(other), other.result) == (
+                                _outcome(probe), probe.result), (seed, kind, ratio, cap, rm)
+        assert read == {True, False}  # both branches are covered
+
+    def test_which_solves_read_them(self):
+        w = offload_friendly_workflow()
+        for kind in StrategyKind:
+            outcome = solve_detailed(Strategy(kind), w, PLATFORM, CAT, RISK, FAST)
+            for evaluations in (0, 1):
+                if outcome.ga_run is not None:
+                    outcome = replace(outcome, ga_run=replace(outcome.ga_run,
+                                                              evaluations=evaluations))
+                reads = reads_risk_inputs(Strategy(kind), outcome)
+                if kind in (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL):
+                    assert not reads, kind
+                elif kind is StrategyKind.MIN_LEVEL:  # exposed whatever its genes
+                    assert reads, kind
+                else:
+                    assert reads is (evaluations > 0), kind
 
 
 class TestRunIsTheSolversGa:

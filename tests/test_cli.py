@@ -1,12 +1,14 @@
 import csv
 import json
+import math
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from seeco import cli
-from seeco.baselines import Strategy, StrategyKind
+from seeco import cli, ga
+from seeco.baselines import Strategy
 from seeco.cli import (
     SOLVE_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -376,27 +378,54 @@ class InProcessPool:
         return map(fn, items)
 
 
-def small_jobs(sweep, values, strategies=ALL_STRATEGIES, seeds=(1,)):
+OFFLOAD_FRIENDLY = GeneratorConfig(data_range_mb=(2.0, 10.0),
+                                   workload_range_gcycles=(5.0, 15.0))
+
+
+def small_jobs(sweep, values, strategies=ALL_STRATEGIES, seeds=(1,), risk_cap=0.5,
+               literal_eq11=True):
+    """Jobs on a 7-task workflow whose polished witness reaches the energy floor
+    under confi and integ, though not under SEECO; with ``literal_eq11`` false,
+    under all three."""
     return build_sweep_jobs(
         sweep=sweep, values=values, strategies=strategies, seeds=list(seeds),
         base_params=GaParams(pop_size=6, iterations=3), workflow=None, platform=None,
-        risk_model=RiskModel(), gen_cfg=GeneratorConfig(), density=0.3,
-        workflow_seed=1, risk_cap=0.5, tasks=5)
+        risk_model=RiskModel(), gen_cfg=OFFLOAD_FRIENDLY, density=0.3,
+        workflow_seed=5, risk_cap=risk_cap, literal_eq11=literal_eq11, tasks=7)
+
+
+def run_sweep_counting(monkeypatch, jobs, pool, full_runs=False):
+    """``run_sweep``'s rows and the jobs it solved, on the sequential or the pooled path.
+
+    With ``full_runs``, no GA run stops at an energy floor, so none ends at
+    its polished witness.
+    """
+    solved = []
+
+    def counting_run_job(job):
+        solved.append(job)
+        return run_job(job)
+
+    with monkeypatch.context() as m:
+        if full_runs:
+            m.setattr(ga, "energy_floor", lambda *args: -math.inf)
+        expected = sorted((run_job(j)[0] for j in jobs),
+                          key=lambda r: (r["value"], r["strategy"], r["seed"]))
+        m.setattr(cli, "run_job", counting_run_job)
+        if pool == "in_process_pool":
+            m.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+            rows = run_sweep(jobs, max_workers=2)
+        else:
+            rows = run_sweep(jobs, max_workers=1)
+    return rows, expected, solved
 
 
 class TestSweepDeduplication:
     """``run_sweep`` solves each distinct problem once and changes no row."""
 
-    @staticmethod
-    def count_solves(monkeypatch):
-        solved = []
-
-        def counting_run_job(job):
-            solved.append(job)
-            return run_job(job)
-
-        monkeypatch.setattr(cli, "run_job", counting_run_job)
-        return solved
+    # solves per seed where confi's and integ's runs end at the polished witness
+    SHARED_SOLVES = {"risk_cap": 3 + 2 + 3,  # local, max, min, confi, integ once; SEECO per cap
+                     "lambda": 2 + 2 + 2 * 2}  # local, max, confi, integ once; the rest per rate
 
     @pytest.mark.parametrize("pool", ["sequential", "in_process_pool"])
     @pytest.mark.parametrize("sweep, values, solves", [
@@ -404,27 +433,51 @@ class TestSweepDeduplication:
         ("lambda", [0.5, 1.5], 2 + 4 * 2),          # local, max once; the rest per rate
     ])
     def test_rows_equal_one_solve_per_job(self, monkeypatch, pool, sweep, values, solves):
+        """``solves`` per seed when no run ends at its polish, fewer when some do."""
         jobs = small_jobs(sweep, values, seeds=(1, 2))
-        expected = sorted((run_job(j) for j in jobs),
-                          key=lambda r: (r["value"], r["strategy"], r["seed"]))
-        solved = self.count_solves(monkeypatch)
-        if pool == "in_process_pool":
-            monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-            rows = run_sweep(jobs, max_workers=2)
-        else:
-            rows = run_sweep(jobs, max_workers=1)
-        assert rows == expected
-        assert [list(r) for r in rows] == [list(r) for r in expected]  # same column order
-        assert len(solved) == 2 * solves
+        for full_runs in (True, False):
+            rows, expected, solved = run_sweep_counting(monkeypatch, jobs, pool, full_runs)
+            assert rows == expected
+            assert [list(r) for r in rows] == [list(r) for r in expected]  # same column order
+            assert len(solved) == 2 * (solves if full_runs else self.SHARED_SOLVES[sweep])
 
-    def test_risk_cap_sweep_of_six_strategies_makes_33_solves(self, monkeypatch):
+    def test_risk_cap_sweep_of_six_strategies_shares_polished_rows(self, monkeypatch):
         jobs = small_jobs("risk_cap", [round(0.1 * i, 1) for i in range(1, 11)])
         assert len(jobs) == 60
-        solved = self.count_solves(monkeypatch)
-        rows = run_sweep(jobs, max_workers=1)
-        assert len(rows) == 60
-        assert len(solved) == 33
-        assert [j.strategy.kind for j in solved].count(StrategyKind.SEECO) == 10
+        counts = {}
+        for full_runs in (True, False):
+            rows, expected, solved = run_sweep_counting(monkeypatch, jobs, "sequential",
+                                                        full_runs)
+            assert len(rows) == 60 and rows == expected
+            counts[full_runs] = Counter(j.strategy.kind.value for j in solved)
+        assert counts[True] == {"local": 1, "max": 1, "min": 1,
+                                "confi": 10, "integ": 10, "seeco": 10}  # 33 solves
+        assert counts[False] == {"local": 1, "max": 1, "min": 1,
+                                 "confi": 1, "integ": 1, "seeco": 10}  # 15 solves
+
+    @pytest.mark.parametrize("pool", ["sequential", "in_process_pool"])
+    @pytest.mark.parametrize("literal_eq11", [True, False], ids=["literal", "core_free"])
+    @pytest.mark.parametrize("sweep, values, risk_cap", [
+        ("risk_cap", [0.0, 0.5, 1.0], 0.5),
+        ("lambda", [0.5, 3.0], 0.0),
+        ("lambda", [0.5, 3.0], 1.0),
+    ])
+    def test_shared_rows_equal_run_job_of_every_job(self, monkeypatch, pool, literal_eq11,
+                                                    sweep, values, risk_cap):
+        jobs = small_jobs(sweep, values, seeds=(1, 2), risk_cap=risk_cap,
+                          literal_eq11=literal_eq11)
+        rows, expected, solved = run_sweep_counting(monkeypatch, jobs, pool)
+        assert rows == expected
+        assert [list(r) for r in rows] == [list(r) for r in expected]  # same column order
+        assert len(solved) < len({cli.solve_key(j) for j in jobs})  # some rows are shared
+
+    def test_lambda_sweep_solves_min_level_per_rate(self, monkeypatch):
+        rates = [0.5, 1.5, 3.0]
+        jobs = small_jobs("lambda", rates, strategies=["min"])
+        rows, expected, solved = run_sweep_counting(monkeypatch, jobs, "sequential")
+        assert rows == expected
+        assert [j.risk_model.lambda_conf for j in solved] == rates
+        assert len({r["risk"] for r in rows}) == len(rates)
 
     def test_pool_clamped_to_distinct_solves(self, monkeypatch):
         sizes = []
