@@ -76,7 +76,7 @@ from .evaluator import (
 )
 from .platform import MD_LOCATION, Platform, encode_location
 from .security import RiskModel, SecurityCatalog, Service, default_catalog
-from .workflow import Workflow, greedy_witness_over
+from .workflow import Workflow, greedy_witness
 
 
 @dataclass(frozen=True)
@@ -574,8 +574,8 @@ def run(
     witness exactly as if there were no polish.
 
     The initial population is fixed: individual 0 is the greedy witness,
-    :func:`seeco.workflow.greedy_witness_over` the cost tables of full
-    security under the strategy's decryption core ratio, and every other
+    :func:`seeco.workflow.greedy_witness` at full security under the
+    strategy's decryption core ratio, and every other
     individual gets a random order and random placements at the catalog's
     strongest levels, where every frozen level gene sits, so it starts
     risk-free and the search relaxes security where the cap allows.  A purely
@@ -622,9 +622,8 @@ def run(
     def reached_floor(res: Score) -> bool:
         return res.feasible and res.energy_j <= at_floor
 
-    # full security, under the strategy's decryption core ratio
-    witness = greedy_witness_over(w, cost_tables(w, p, cat, risk_model, EvalOptions(
-        decrypt_producer_core_ratio=options.decrypt_producer_core_ratio)), cat)
+    witness = greedy_witness(
+        w, p, cat, decrypt_producer_core_ratio=options.decrypt_producer_core_ratio)
     polished, polished_res, polish_decodes = polish_placements(
         witness, tables, lambda c: timed(c, exposure(c)), ranking_key, reached_floor,
         int(POLISH_SHARE * params.pop_size * params.iterations))

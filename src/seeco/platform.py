@@ -40,11 +40,11 @@ class VmSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cores", exact_int(self.cores, "VM cores"))
-        if self.frequency_ghz <= 0.0:
+        if not self.frequency_ghz > 0.0:  # NaN too
             raise ValueError(f"frequency must be positive, got {self.frequency_ghz}")
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
-        if self.capability_ghz <= 0.0:
+        if not self.capability_ghz > 0.0:
             raise ValueError(f"capability must be positive, got {self.capability_ghz}")
 
 
@@ -62,7 +62,7 @@ class RadioParams:
 
     def __post_init__(self) -> None:
         for name in ("b_ul_mhz", "b_dl_mhz", "p_tx_w", "p_ap_w", "h_ul", "h_dl", "noise_w"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN too
                 raise ValueError(f"{name} must be strictly positive")
 
 
@@ -76,7 +76,7 @@ class MobileDevice:
     p_dl_w: float     # power while receiving
 
     def __post_init__(self) -> None:
-        if min(self.p_comp_w, self.p_ul_w, self.p_dl_w) <= 0.0:
+        if not all(pw > 0.0 for pw in (self.p_comp_w, self.p_ul_w, self.p_dl_w)):  # NaN too
             raise ValueError("device powers must be strictly positive")
 
 
@@ -103,7 +103,7 @@ class Platform:
         object.__setattr__(self, "aps", tuple(self.aps))
         if len(self.aps) > 0x0F:  # the high nibble of a placement byte
             raise ValueError(f"{len(self.aps)} access points; at most 15 fit a byte")
-        if self.inter_ap_bandwidth_mb_s <= 0.0:
+        if not self.inter_ap_bandwidth_mb_s > 0.0:  # NaN too
             raise ValueError("inter-AP bandwidth must be strictly positive")
 
     @property

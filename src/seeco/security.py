@@ -53,7 +53,7 @@ class CryptoAlgorithm:
             raise ValueError(f"algorithm id must be >= 1, got {self.id}")
         if not 0.0 < self.level <= 1.0:
             raise ValueError(f"level must be in (0, 1], got {self.level}")
-        if self.speed_mb_s <= 0.0:
+        if not self.speed_mb_s > 0.0:  # NaN too
             raise ValueError(f"speed must be positive, got {self.speed_mb_s}")
 
     @property

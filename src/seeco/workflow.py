@@ -20,7 +20,7 @@ from itertools import chain
 from operator import add
 from pathlib import Path
 
-from .platform import Platform, exact_int, finite_float, read_json
+from .platform import MD_LOCATION, Platform, encode_location, exact_int, finite_float, read_json
 from .security import RiskModel, SecurityCatalog, Service
 
 
@@ -36,15 +36,15 @@ class Task:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError(f"task id must be >= 0, got {self.id}")
-        if self.input_mb < 0.0 or self.output_mb < 0.0:
+        if not (self.input_mb >= 0.0 and self.output_mb >= 0.0):  # NaN too
             raise ValueError(f"task {self.id}: payload sizes must be >= 0")
         # zero workload is tolerated for virtual entry/exit tasks only
-        if self.workload_gcycles < 0.0:
+        if not self.workload_gcycles >= 0.0:
             raise ValueError(f"task {self.id}: workload must be >= 0")
 
 
 def _check_deadline(deadline_s: float) -> None:
-    if deadline_s <= 0.0:
+    if not deadline_s > 0.0:  # NaN too; +inf is legal (random_workflow)
         raise ValueError(f"deadline must be positive, got {deadline_s}")
 
 
@@ -56,6 +56,8 @@ class Workflow:
     built, so derive a changed workflow instead of assigning.
     :func:`with_deadline` copies it and checks only the new deadline;
     :func:`dataclasses.replace` builds it anew and re-checks everything.
+    The cycle check is Kahn's algorithm, smallest ready task first; the
+    order it yields is kept as the canonical one (:func:`canonical_order`).
     """
 
     tasks: tuple[Task, ...]
@@ -64,6 +66,7 @@ class Workflow:
     risk_cap: float
     _preds: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     _succs: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -91,16 +94,19 @@ class Workflow:
             preds[v].add(u)
             succs[u].add(v)
 
-        # Kahn (1962): a task is ready once all its predecessors are
+        # Kahn (1962): a task is ready once all its predecessors are; the
+        # heap takes the smallest ready one first
         entries = [i for i in range(n) if not preds[i]]
         indegree = list(map(len, preds))
-        ready = list(entries)
-        for t in ready:
+        ready, order = list(entries), []
+        while ready:
+            t = heapq.heappop(ready)
+            order.append(t)
             for s in succs[t]:
                 indegree[s] -= 1
                 if not indegree[s]:
-                    ready.append(s)
-        if len(ready) < n:
+                    heapq.heappush(ready, s)
+        if len(order) < n:
             # a task never ready has a predecessor never ready: walk back to a repeat
             t, path = next(i for i in range(n) if indegree[i]), []
             while t not in path:
@@ -120,6 +126,7 @@ class Workflow:
 
         object.__setattr__(self, "_preds", tuple(map(frozenset, preds)))
         object.__setattr__(self, "_succs", tuple(map(frozenset, succs)))
+        object.__setattr__(self, "_order", tuple(order))
 
     @property
     def n(self) -> int:
@@ -150,19 +157,12 @@ def is_valid_order(w: Workflow, order: list[int] | tuple[int, ...]) -> bool:
 
 
 def canonical_order(w: Workflow) -> list[int]:
-    """Deterministic topological order: smallest ready index first."""
-    indegree = [len(w.predecessors(i)) for i in range(w.n)]
-    ready = [i for i in range(w.n) if indegree[i] == 0]
-    heapq.heapify(ready)
-    out: list[int] = []
-    while ready:
-        t = heapq.heappop(ready)
-        out.append(t)
-        for s in w.successors(t):
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                heapq.heappush(ready, s)
-    return out
+    """Deterministic topological order: smallest ready index first.
+
+    It is the order of the Kahn pass that :class:`Workflow` checks cycles
+    with, stored at construction; each call returns a fresh list of it.
+    """
+    return list(w._order)
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,8 @@ def random_workflow(
                     deadline_s=math.inf, risk_cap=risk_cap)
 
 
-def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog):
+def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog,
+                   decrypt_producer_core_ratio: bool = True):
     """Max-security schedule from an insertion-free greedy EFT pass.
 
     Tasks are placed in canonical order, each on the VM minimizing its
@@ -243,24 +244,13 @@ def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog):
     the producer's window; the proxy only steers placement).  Entry and
     exit stay on the MD.  Returns the corresponding chromosome with all
     level genes at full strength, which makes its risk exactly zero.
-    Priced with the literal decryption core ratio; see
-    :func:`greedy_witness_over` for another.
+    Priced from :func:`seeco.evaluator.cost_tables` under the default
+    options but ``decrypt_producer_core_ratio``, the decryption core ratio.
     """
-    from .evaluator import cost_tables
+    from .evaluator import Chromosome, EvalOptions, cost_tables
 
-    return greedy_witness_over(w, cost_tables(w, p, cat, RiskModel()), cat)
-
-
-def greedy_witness_over(w: Workflow, tables, cat: SecurityCatalog):
-    """:func:`greedy_witness`, priced from ``tables`` alone.
-
-    ``tables`` are :func:`seeco.evaluator.cost_tables` under any options
-    that price ``cat``'s strongest levels, such as the default ones; their
-    ``dec_ratio`` decides the decryption core ratio.
-    """
-    from .evaluator import Chromosome
-    from .platform import encode_location
-
+    tables = cost_tables(w, p, cat, RiskModel(), EvalOptions(
+        decrypt_producer_core_ratio=decrypt_producer_core_ratio))
     conf = cat.strongest_id(Service.CONFIDENTIALITY)
     integ = cat.strongest_id(Service.INTEGRITY)
     cost = tables.pair_cost[conf * tables.stride + integ]
@@ -273,7 +263,7 @@ def greedy_witness_over(w: Workflow, tables, cat: SecurityCatalog):
     # spends decrypting it (0.0 on r's own AP, where nothing is encrypted)
     arrival = [[0.0] * w.n for _ in rate]
     decrypt = [[0.0] * w.n for _ in vms]
-    order = canonical_order(w)
+    order = w._order
 
     for t in order:
         preds = w.predecessors(t)
@@ -298,7 +288,7 @@ def greedy_witness_over(w: Workflow, tables, cat: SecurityCatalog):
                 decrypt[y][t] = tables.dec_ratio[vid][y] * out * cost / y_denom
 
     return Chromosome(
-        order=tuple(order),
+        order=order,
         locations=tuple(encode_location(placed[t][0], placed[t][1]) for t in order),
         conf_levels=(conf,) * w.n,
         integ_levels=(integ,) * w.n,
@@ -308,10 +298,9 @@ def greedy_witness_over(w: Workflow, tables, cat: SecurityCatalog):
 def local_chromosome(w: Workflow, cat: SecurityCatalog):
     """Canonical order, everything on the MD, levels pinned (and moot)."""
     from .evaluator import Chromosome
-    from .platform import MD_LOCATION
 
     return Chromosome(
-        order=tuple(canonical_order(w)),
+        order=w._order,
         locations=(MD_LOCATION,) * w.n,
         conf_levels=(cat.strongest_id(Service.CONFIDENTIALITY),) * w.n,
         integ_levels=(cat.strongest_id(Service.INTEGRITY),) * w.n,
@@ -332,16 +321,12 @@ def compute_deadline(w: Workflow, p: Platform, cat: SecurityCatalog) -> float:
     schedule meeting the midpoint deadline always exists, at zero risk,
     since full-strength security and the MD are risk-free.
     """
-    from .evaluator import Chromosome, cost_tables, order_free_pass, timing_pass
-    from .platform import MD_LOCATION
+    from .evaluator import cost_tables, order_free_pass, timing_pass
 
     tables = cost_tables(w, p, cat, RiskModel())
     exposure = order_free_pass(w, tables)
     timed = timing_pass(w, tables, timeline=False)
-    witness = greedy_witness_over(w, tables, cat)
-    # local_chromosome: the witness's canonical order and levels, all on the MD
-    local = Chromosome.unchecked(witness.order, (MD_LOCATION,) * w.n,
-                                 witness.conf_levels, witness.integ_levels)
+    local, witness = local_chromosome(w, cat), greedy_witness(w, p, cat)
     serial = timed(local, exposure(local)).makespan_s
     greedy = timed(witness, exposure(witness)).makespan_s
     return (min(greedy, serial) + serial) / 2.0

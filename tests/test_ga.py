@@ -45,7 +45,6 @@ from seeco.workflow import (
     Workflow,
     compute_deadline,
     greedy_witness,
-    greedy_witness_over,
     is_valid_order,
     random_workflow,
     with_deadline,
@@ -449,8 +448,7 @@ class TestWitnessSeed:
         monkeypatch.setattr(ga, "order_free_pass", spy_order_free_pass)
         run(w, PLATFORM, CAT, RISK, GaParams(pop_size=4, iterations=1),
             options=search_setup(Strategy(StrategyKind.SEECO, literal)))
-        witness = greedy_witness_over(w, cost_tables(
-            w, PLATFORM, CAT, RISK, EvalOptions(decrypt_producer_core_ratio=literal)), CAT)
+        witness = greedy_witness(w, PLATFORM, CAT, decrypt_producer_core_ratio=literal)
         assert scored[0] == witness
         # on this instance the ratio moves two tasks between APs
         assert (witness == greedy_witness(w, PLATFORM, CAT)) is literal

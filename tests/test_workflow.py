@@ -61,6 +61,28 @@ def md_only_platform(capability=2.36):
     )
 
 
+def _nan_cases():
+    """Each float field a constructor checks, as a function building it from one value."""
+    plat, task = default_platform(1), make_tasks(1)[0]
+    fields = [
+        *((task, name) for name in ("input_mb", "output_mb", "workload_gcycles")),
+        *((plat.md.vm, name) for name in ("frequency_ghz", "capability_ghz")),
+        *((plat.aps[0].radio, f.name) for f in dataclasses.fields(RadioParams)),
+        *((plat.md, name) for name in ("p_comp_w", "p_ul_w", "p_dl_w")),
+        (plat, "inter_ap_bandwidth_mb_s"),
+        (chain(), "deadline_s"),
+        (CAT.algorithms(Service.CONFIDENTIALITY)[0], "speed_mb_s"),
+    ]
+    cases = {f"{type(obj).__name__}.{name}":
+             lambda x, obj=obj, name=name: dataclasses.replace(obj, **{name: x})
+             for obj, name in fields}
+    cases["with_deadline"] = lambda x: with_deadline(chain(), x)
+    return cases
+
+
+NAN_CASES = _nan_cases()
+
+
 class TestAdjacency:
     def test_entry_has_no_predecessors(self):
         assert chain().predecessors(0) == frozenset()
@@ -134,6 +156,17 @@ class TestValidation:
         w = Workflow(tasks=make_tasks(1), edges=(), deadline_s=1.0, risk_cap=0.5)
         assert w.n == 1
 
+    @pytest.mark.parametrize("build", NAN_CASES.values(), ids=NAN_CASES.keys())
+    def test_rejects_nan(self, build):
+        build(1.0)
+        with pytest.raises(ValueError):
+            build(math.nan)
+
+    def test_infinite_deadline_is_legal(self):
+        w = random_workflow(4, 0.5, seed=1)  # its deadline is +inf
+        assert w.deadline_s == math.inf
+        assert with_deadline(with_deadline(w, 1.0), math.inf).deadline_s == math.inf
+
     def test_rejects_bad_risk_cap(self):
         with pytest.raises(ValueError):
             Workflow(tasks=make_tasks(2), edges=((0, 1),), deadline_s=1.0, risk_cap=1.5)
@@ -193,6 +226,27 @@ class TestOrderValidity:
         w = random_workflow(12, 0.3, seed=3)
         assert is_valid_order(w, canonical_order(w))
         assert canonical_order(w) == canonical_order(w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 14), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 10**6))
+    def test_stored_order_is_smallest_ready_first(self, data, n, density, seed):
+        # relabel the interior tasks, so that an edge may run from a larger
+        # index to a smaller one; the entry and exit keep theirs
+        label = [0, *data.draw(st.permutations(range(1, n - 1))), n - 1]
+        edges = [(label[u], label[v]) for u, v in random_workflow(n, density, seed=seed).edges]
+        w = Workflow(tasks=make_tasks(n), edges=tuple(edges), deadline_s=1.0, risk_cap=0.5)
+        want: list[int] = []
+        while len(want) < n:  # Kahn, the slow way: the smallest task whose predecessors are out
+            want.append(min(t for t in range(n) if t not in want
+                            and all(u in want for u, v in edges if v == t)))
+        got = canonical_order(w)
+        assert got == want
+        assert is_valid_order(w, got)
+        assert canonical_order(with_deadline(w, 2.0)) == want
+        assert canonical_order(dataclasses.replace(w, deadline_s=3.0)) == want
+        got.append(n)  # each call returns a fresh list
+        assert canonical_order(w) == want
 
 
 class TestGenerator:
@@ -386,6 +440,39 @@ def test_witness_pinned():
     strongest = (CAT.strongest_id(Service.CONFIDENTIALITY), CAT.strongest_id(Service.INTEGRITY))
     for (w, p), locations in zip(calibration_instances(), PINNED_WITNESS_LOCATIONS, strict=True):
         c = greedy_witness(w, p, CAT)
+        assert c.order == tuple(canonical_order(w))
+        assert bytes(c.locations).hex() == locations
+        assert (set(c.conf_levels), set(c.integ_levels)) == ({strongest[0]}, {strongest[1]})
+
+
+# the same, with the decryption core ratio off; recorded from the witness
+# priced over cost tables built with decrypt_producer_core_ratio=False
+PINNED_WITNESS_LOCATIONS_RATIO_OFF = [
+    '01210111210111312101',
+    '012101011121012131213121210121312131213111012121213121013101',
+    '0121012121210101213121211131111121312121211131312131213111112121213121213121212121113121111101212101',
+    '0101212111013121212121313111213121213111011111211131213101213121212131112111212131111121212131213101',
+    '0101213101112101312101311121213101311101212121113131311121112111212121213121112131212131312121311101',
+    '0101010121213111112131213121213101211101213121312121112131211121312111010131112131212121311131212101',
+    '0121012111311121311121311121213121310111212111312131312131311121011121313121311111212131213121113101',
+    '014234213142314201',
+    '0133221322133331223222311213333332132111013322313322131333333333331301',
+    '01131211131213131112121113121112131211131213121111131213111301121113131301',
+    '011211111211011112121111120111121101121112110112121111121101111201',
+    '0111112122242221232231112124112221112224212411112221112301',
+    '013131233223321223122323233131312301',
+    '01111211121112011111121101',
+    '01111121012111211101',
+    '012131311211312112212101',
+    '0113131313131213121313121313111312131112131101',
+]
+
+
+def test_witness_pinned_ratio_off():
+    strongest = (CAT.strongest_id(Service.CONFIDENTIALITY), CAT.strongest_id(Service.INTEGRITY))
+    pins = zip(calibration_instances(), PINNED_WITNESS_LOCATIONS_RATIO_OFF, strict=True)
+    for (w, p), locations in pins:
+        c = greedy_witness(w, p, CAT, decrypt_producer_core_ratio=False)
         assert c.order == tuple(canonical_order(w))
         assert bytes(c.locations).hex() == locations
         assert (set(c.conf_levels), set(c.integ_levels)) == ({strongest[0]}, {strongest[1]})
