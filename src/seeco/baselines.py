@@ -86,51 +86,34 @@ def search_setup(strategy: Strategy) -> EvalOptions:
                        ignore_risk_cap=strategy.kind is StrategyKind.MIN_LEVEL)
 
 
-def risk_inputs(strategy: Strategy, risk_cap: float, risk_model: RiskModel) -> tuple:
-    """The risk inputs a strategy's solve reads; equal tuples give equal outcomes.
+RISK_CAP, RATES = "risk_cap", "rates"
 
-    Derived from :func:`search_setup`'s modes.  Only an ``ACTIVE`` or
-    ``UNPROTECTED`` service can expose a crossing payload: ``STRONGEST``
-    and ``DISABLED`` ones let it survive with factor 1 under any attack
-    rate.  So local (whose all-MD schedule has no crossing payload) and a
-    strategy with no such service (max-level) read neither the cap nor
-    the rates; their risk is exactly 0 under any cap.  A strategy that
-    ignores the cap (min-level) reads only the rates, which set the risk
-    it reports.  The others read both.
+
+def risk_inputs_read(strategy: Strategy, outcome: SolveOutcome) -> tuple[str, ...]:
+    """The risk inputs (:data:`RISK_CAP`, :data:`RATES`) the solve behind ``outcome`` read.
+
+    The answer is the same under every risk cap and attack rates, and
+    any other value of an input the solve did not read gives an equal
+    outcome.  Local (no GA run) and max-level read neither: local's
+    all-MD schedule crosses no access point, and max-level's
+    ``STRONGEST`` services keep every crossing payload at its level-1.0
+    algorithm.  Min-level's ``UNPROTECTED`` services expose every
+    crossing payload whatever its genes, so its solve reads the rates,
+    which set the risk it reports, but not the cap it ignores.  Confi,
+    integ and SEECO read both, unless the GA run ended at its polished
+    witness (``evaluations == 0``).  The witness and its polish keep the
+    level-1.0 algorithms, whose payloads survive any finite rate with
+    factor 1, so every score the polish compared, the final decode and
+    the all-MD fallback have risk 0 and a violation set by the deadline
+    alone; the energy floor reads no risk input.
     """
     options = search_setup(strategy)
-    if not _exposed(strategy, options):
+    modes = (options.conf_mode, options.integ_mode)
+    run = outcome.ga_run
+    if run is None or not (ServiceMode.UNPROTECTED in modes
+                           or ServiceMode.ACTIVE in modes and run.evaluations > 0):
         return ()
-    if options.ignore_risk_cap:
-        return (risk_model,)
-    return (risk_cap, risk_model)
-
-
-def _exposed(strategy: Strategy, options: EvalOptions) -> bool:
-    """Whether some schedule of the strategy can expose a crossing payload."""
-    return strategy.kind is not StrategyKind.LOCAL and any(
-        mode in (ServiceMode.ACTIVE, ServiceMode.UNPROTECTED)
-        for mode in (options.conf_mode, options.integ_mode))
-
-
-def reads_risk_inputs(strategy: Strategy, outcome: SolveOutcome) -> bool:
-    """Whether the solve behind ``outcome`` read its :func:`risk_inputs`.
-
-    If not, any other risk cap and attack rates give the same outcome.
-    Besides local and max-level, that holds for a GA run with no
-    ``UNPROTECTED`` service that ended at its polished witness
-    (``evaluations == 0``).  The witness and its polish keep the level-1.0
-    algorithms, whose payloads survive any finite rate with factor 1, so
-    every score the polish compared, the final decode and the all-MD
-    fallback have risk 0 and a violation set by the deadline alone; the
-    energy floor reads no risk input.
-    """
-    options = search_setup(strategy)
-    if not _exposed(strategy, options):
-        return False
-    if ServiceMode.UNPROTECTED in (options.conf_mode, options.integ_mode):
-        return True
-    return outcome.ga_run.evaluations > 0
+    return (RATES,) if options.ignore_risk_cap else (RISK_CAP, RATES)
 
 
 def solve_detailed(

@@ -18,18 +18,14 @@ dashes as underscores.  Each flag takes the first value it finds in:
   4. the parser's built-in default, read from ``GaParams``,
      ``RiskModel`` and ``GeneratorConfig`` where the library has one.
 
-A sweep solves each distinct problem once: jobs that differ only in an
-input their strategy does not read (the risk cap for local, max-level
-and min-level; the attack rates for local and max-level) share one
-solve, and each gets a copy of its row.  Problems that differ only in
-the risk cap or the attack rates share one solve as well when that
-solve did not read them: a confi, integ or SEECO run that ends at its
-polished witness, whose schedule is risk-free under any cap and rates
-(:func:`seeco.baselines.reads_risk_inputs`).  The environment variable
-``SEECO_THREADS`` caps the worker processes that run those solves
-(default 1, meaning strictly sequential; never more than there are
-distinct solves); results are gathered and written in sorted order
-either way, so the output does not depend on the worker count.
+A sweep solves each distinct problem once: jobs that differ at most in
+a risk input (the risk cap or the attack rates) that their solve did
+not read (:func:`seeco.baselines.risk_inputs_read`) share one solve,
+and each gets a copy of its row.  The environment variable
+``SEECO_THREADS`` caps the worker processes that run the solves
+(default 1, meaning strictly sequential; never more than the problems
+up to their risk inputs); results are gathered and written in sorted
+order either way, so the output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -41,12 +37,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
-from .baselines import Strategy, reads_risk_inputs, risk_inputs, solve_detailed
+from .baselines import RATES, RISK_CAP, Strategy, risk_inputs_read, solve_detailed
 from .evaluator import write_schedule_csv
 from .ga import GaParams, write_history_csv
-from .platform import Platform, default_platform, load_platform, read_json
+from .platform import Platform, default_platform, exact_int, load_platform, read_json
 from .security import RiskModel, SecurityCatalog, default_catalog, load_catalog
 from .workflow import (
     GeneratorConfig,
@@ -128,11 +125,11 @@ class SweepJob:
     catalog: SecurityCatalog
 
 
-def run_job(job: SweepJob) -> tuple[dict, bool]:
+def run_job(job: SweepJob) -> tuple[dict, tuple[str, ...]]:
     """Execute one sweep point; used directly and by worker processes.
 
-    Returns the job's row and whether its solve read the job's risk cap
-    or attack rates (:func:`seeco.baselines.reads_risk_inputs`).
+    Returns the job's row and the risk inputs its solve read
+    (:func:`seeco.baselines.risk_inputs_read`).
     """
     outcome = solve_detailed(job.strategy, job.workflow, job.platform, job.catalog,
                              job.risk_model, job.params)
@@ -143,7 +140,7 @@ def run_job(job: SweepJob) -> tuple[dict, bool]:
         "pc": job.params.p_c, "pm": job.params.p_m,
         "energy": res.energy_j, "makespan": res.makespan_s, "risk": res.risk,
         "violation": res.violation, "feasible": res.feasible,
-    }, reads_risk_inputs(job.strategy, outcome)
+    }, risk_inputs_read(job.strategy, outcome)
 
 
 def build_sweep_jobs(
@@ -221,66 +218,61 @@ def build_sweep_jobs(
 
 
 def solve_key(job: SweepJob) -> tuple:
-    """Everything the solve of ``job`` reads: jobs with equal keys pose one problem.
-
-    The last element is the strategy's :func:`seeco.baselines.risk_inputs`.
-    """
+    """Everything the solve of ``job`` reads but its risk inputs."""
     w = job.workflow
     return (job.strategy, job.catalog, job.params, job.platform,
-            w.tasks, w.edges, w.deadline_s,
-            risk_inputs(job.strategy, w.risk_cap, job.risk_model))
+            w.tasks, w.edges, w.deadline_s)
+
+
+def risk_values(job: SweepJob, read: tuple[str, ...]) -> tuple:
+    """The values ``job`` poses of the risk inputs named in ``read``."""
+    posed = {RISK_CAP: job.workflow.risk_cap, RATES: job.risk_model}
+    return tuple(posed[name] for name in read)
 
 
 def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict]:
     """Run all jobs and return rows sorted by (value, strategy, seed).
 
-    Each distinct problem (:func:`solve_key`) is solved at most once, by
-    :func:`run_job`, and its row is copied to every job that poses it,
-    with that job's sweep, value and seed.  A strategy that cannot read
-    the swept input (local and max-level under a risk-cap or attack-rate
-    sweep, min-level under a risk-cap sweep) is therefore solved once per
-    seed, not once per value.
-
-    Problems that differ only in their risk inputs form a group, solved
-    in two phases.  First one probe per group, its first problem in
-    sweep order; then the group's other problems, but only where the
-    probe's solve read its risk inputs
-    (:func:`seeco.baselines.reads_risk_inputs`).  Where it did not, as
-    for a confi, integ or SEECO run that ended at its polished witness,
-    every problem of the group gets the probe's row.  Sweeps of servers,
-    tasks or GA parameters have one problem per group.  Either way the
-    rows are the same as solving every job.
+    Jobs with equal :func:`solve_key` form a group, which differs at most
+    in its risk inputs.  The group's first job in sweep order, its probe,
+    is solved first, by :func:`run_job`, which also tells the risk inputs
+    that solve read (:func:`seeco.baselines.risk_inputs_read`); the
+    answer holds for the whole group.  Every job that poses the probe's
+    values of those inputs gets a copy of the probe's row, with its own
+    sweep, value and seed; each other distinct problem is solved once.
+    So local and max-level are solved once per seed under a risk-cap or
+    attack-rate sweep, min-level once per seed under a risk-cap sweep,
+    and so is a confi, integ or SEECO run that ends at its polished
+    witness.  Sweeps of servers, tasks or GA parameters have one job per
+    group.  Either way the rows are the same as solving every job.
     """
     if max_workers is None:
         max_workers = int(os.environ.get("SEECO_THREADS", "1"))
     keys = [solve_key(job) for job in jobs]
-    distinct: dict[tuple, SweepJob] = {}
+    probes: dict[tuple, SweepJob] = {}
     for key, job in zip(keys, jobs):
-        distinct.setdefault(key, job)
-    # the distinct problems per key without its risk inputs, in sweep order
-    groups: dict[tuple, list[tuple]] = {}
-    for key in distinct:
-        groups.setdefault(key[:-1], []).append(key)
+        probes.setdefault(key, job)
 
-    def solve_all(mapper) -> dict[tuple, dict]:
-        probes = [group[0] for group in groups.values()]
-        solved = dict(zip(probes, mapper(run_job, [distinct[k] for k in probes])))
-        rest = [key for group in groups.values() if solved[group[0]][1]
-                for key in group[1:]]
-        solved.update(zip(rest, mapper(run_job, [distinct[k] for k in rest])))
-        # a key left unsolved takes its probe's row
-        return {key: solved[key if key in solved else group[0]][0]
-                for group in groups.values() for key in group}
+    def solve_all(mapper) -> list[dict]:
+        """The row of each job, without its sweep, value and seed."""
+        probed = dict(zip(probes, mapper(run_job, probes.values())))
+        # a job's problem: its key and its values of the risk inputs its probe read
+        problems = [(key, risk_values(job, probed[key][1])) for key, job in zip(keys, jobs)]
+        row_of = {(key, risk_values(probes[key], read)): row
+                  for key, (row, read) in probed.items()}
+        rest = {problem: job for problem, job in zip(problems, jobs) if problem not in row_of}
+        row_of.update(zip(rest, (row for row, _ in mapper(run_job, rest.values()))))
+        return [row_of[problem] for problem in problems]
 
     # a fork-based pool starts all its workers at the first submit
-    max_workers = min(max_workers, len(distinct))
+    max_workers = min(max_workers, len(probes))
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            row_of = solve_all(pool.map)
+            solved = solve_all(pool.map)
     else:
-        row_of = solve_all(map)
-    rows = [{**row_of[key], "sweep": job.sweep, "value": job.value, "seed": job.seed}
-            for key, job in zip(keys, jobs)]
+        solved = solve_all(map)
+    rows = [{**row, "sweep": job.sweep, "value": job.value, "seed": job.seed}
+            for row, job in zip(solved, jobs)]
     rows.sort(key=lambda r: (r["value"], r["strategy"], r["seed"]))
     return rows
 
@@ -334,6 +326,10 @@ def _set_defaults(args: argparse.Namespace) -> None:
             if not isinstance(value, str):
                 raise ValueError(f"config key {dest!r} must be a string, got {value!r}")
             return value
+        if convert in (int, float) and isinstance(value, bool):
+            raise ValueError(f"config key {dest!r} must be a number, got {value!r}")
+        if convert is int and not isinstance(value, str):
+            convert = partial(exact_int, where=f"config {args.config}")
         try:
             return convert(value)
         except (TypeError, ValueError) as exc:

@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 
 from .platform import MD_LOCATION, Platform, VmSpec, decode_location, downlink_rate, uplink_rate
 from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service, overhead
-from .workflow import Workflow
+from .workflow import Workflow, is_valid_order
 
 
 @dataclass(frozen=True)
@@ -493,7 +493,6 @@ def make_evaluator(
     exposure = order_free_pass(w, tables)
     timed = timing_pass(w, tables)
     n = w.n
-    edges = w.edges
     # (gene vector, what its genes are, their range) of the per-gene checks
     gene_ranges = (("locations", "placement gene", 0x01, 0xFF),
                    ("conf_levels", "confidentiality level gene", 1,
@@ -503,21 +502,9 @@ def make_evaluator(
 
     def engine(c: Chromosome) -> EvaluationResult:
         if validate:
-            order, locations = c.order, c.locations
-            if len(order) != n:
-                raise ValueError(
-                    f"chromosome length {len(order)} does not match {n} tasks")
-            position = [-1] * n
-            for pos, t in enumerate(order):
-                if not 0 <= t < n or position[t] != -1:
-                    raise ValueError(
-                        "chromosome order is not a permutation of the task indices")
-                position[t] = pos
-            for u, v in edges:
-                if position[u] > position[v]:
-                    raise ValueError(f"chromosome order violates precedence: "
-                                     f"task {u} must run before {v}")
-            if locations[0] != MD_LOCATION or locations[n - 1] != MD_LOCATION:
+            if not is_valid_order(w, c.order):
+                raise ValueError("chromosome order violates precedence")
+            if c.locations[0] != MD_LOCATION or c.locations[n - 1] != MD_LOCATION:
                 raise ValueError(
                     "entry and exit placement genes must be pinned to the MD (0x01)")
             for vector, what, lo, hi in gene_ranges:

@@ -569,7 +569,7 @@ def run(
     history, no random number drawn and only ``GaRun.polish_decodes``
     counted.  Without an ``UNPROTECTED`` service, such a run reads neither
     the risk cap nor the attack rates
-    (:func:`seeco.baselines.reads_risk_inputs`).
+    (:func:`seeco.baselines.risk_inputs_read`).
     Otherwise it is dropped, and the run goes on from the unpolished
     witness exactly as if there were no polish.
 

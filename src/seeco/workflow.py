@@ -173,9 +173,11 @@ class GeneratorConfig:
     workload_range_gcycles: tuple[float, float] = (1.0, 10.0)
 
     def __post_init__(self) -> None:
-        for lo, hi in (self.data_range_mb, self.workload_range_gcycles):
-            if not (0.0 <= lo <= hi and math.isfinite(hi)):
-                raise ValueError("generator ranges must be finite and satisfy 0 <= lo <= hi")
+        for name in ("data_range_mb", "workload_range_gcycles"):
+            bounds = tuple(getattr(self, name))
+            if not (len(bounds) == 2 and 0.0 <= bounds[0] <= bounds[1] < math.inf):
+                raise ValueError("generator ranges must be finite pairs with 0 <= lo <= hi")
+            object.__setattr__(self, name, bounds)
         if self.workload_range_gcycles[1] == 0.0:  # zero-cycle tasks calibrate a 0 s deadline
             raise ValueError("the workload upper bound must be positive")
 

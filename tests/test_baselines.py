@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from seeco import ga
 from seeco.baselines import (
+    RATES,
+    RISK_CAP,
     Strategy,
     StrategyKind,
     local_chromosome,
-    reads_risk_inputs,
-    risk_inputs,
+    risk_inputs_read,
     search_setup,
     solve,
     solve_detailed,
@@ -192,83 +193,64 @@ def _outcome(outcome):
             res.feasible, None if run is None else (run.evaluations, run.history))
 
 
-class TestRiskInputs:
-    """Strategies that :func:`risk_inputs` says ignore an input give equal outcomes."""
-
-    CAP_BLIND = (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL, StrategyKind.MIN_LEVEL)
-    RATE_BLIND = (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL)
-
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(3, 8), seed=st.integers(0, 10**6), cap=st.floats(0.0, 1.0),
-           servers=st.integers(0, 3), slack=st.sampled_from([0.9, 1.0, 1.2]),
-           ga_seed=st.integers(0, 100),
-           rates=st.lists(st.floats(0.0, 5.0), min_size=4, max_size=4))
-    def test_blind_strategies_ignore_the_input(self, n, seed, cap, servers, slack,
-                                                ga_seed, rates):
-        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
-        w = random_workflow(n, 0.4, cfg, seed=seed)
-        p = default_platform(servers)
-        w = with_deadline(w, compute_deadline(w, p, CAT) * slack)
-        params = GaParams(pop_size=6, iterations=4, seed=ga_seed)
-        caps = (0.0, cap, 1.0)
-        models = (RiskModel(*rates[:2]), RiskModel(*rates[2:]))
-        for kind in self.CAP_BLIND:
-            strategy = Strategy(kind)
-            assert len({risk_inputs(strategy, c, RISK) for c in caps}) == 1
-            outcomes = [_outcome(solve_detailed(strategy, replace(w, risk_cap=c), p, CAT,
-                                                RISK, params)) for c in caps]
-            assert outcomes[1:] == outcomes[:-1], kind
-        for kind in self.RATE_BLIND:
-            strategy = Strategy(kind)
-            assert risk_inputs(strategy, cap, models[0]) == risk_inputs(strategy, cap, models[1])
-            w_cap = replace(w, risk_cap=cap)
-            a, b = (_outcome(solve_detailed(strategy, w_cap, p, CAT, rm, params))
-                    for rm in models)
-            assert a == b, kind
-
-    def test_other_strategies_read_cap_and_rates(self):
-        for kind in StrategyKind:
-            strategy = Strategy(kind)
-            reads_cap = (risk_inputs(strategy, 0.2, RISK)
-                         != risk_inputs(strategy, 0.7, RISK))
-            reads_rates = (risk_inputs(strategy, 0.2, RISK)
-                           != risk_inputs(strategy, 0.2, RiskModel(1.0, 1.0)))
-            assert reads_cap is (kind not in self.CAP_BLIND), kind
-            assert reads_rates is (kind not in self.RATE_BLIND), kind
-
-
-class TestReadsRiskInputs:
-    """A solve that :func:`reads_risk_inputs` says read no risk input holds under any."""
+class TestRiskInputsRead:
+    """Other values of a risk input that :func:`risk_inputs_read` says a solve
+    did not read give an equal outcome, and the same answer."""
 
     GA_RISK_READERS = (StrategyKind.CONFI_ONLY, StrategyKind.INTEG_ONLY, StrategyKind.SEECO)
 
+    @staticmethod
+    def check(w, p, params, caps, models):
+        """The property on one instance, every strategy under both decryption
+        ratios; probes at ``caps[0]`` and ``models[0]``.  Returns the
+        (kind, inputs read) pairs seen."""
+        seen = set()
+        for kind in StrategyKind:
+            for ratio in (True, False):
+                strategy = Strategy(kind, literal_decrypt_ratio=ratio)
+                probe = solve_detailed(strategy, replace(w, risk_cap=caps[0]), p, CAT,
+                                       models[0], params)
+                read = risk_inputs_read(strategy, probe)
+                seen.add((kind, read))
+                for cap in caps:
+                    for rm in models:
+                        other = solve_detailed(strategy, replace(w, risk_cap=cap), p, CAT,
+                                               rm, params)
+                        assert risk_inputs_read(strategy, other) == read
+                        if (RISK_CAP in read and cap != caps[0]
+                                or RATES in read and rm != models[0]):
+                            continue
+                        assert (_outcome(other), other.result) == (
+                            _outcome(probe), probe.result), (kind, ratio, cap, rm)
+        return seen
+
     def test_unread_inputs_give_equal_outcomes(self):
         cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        caps = (0.35, 0.0, 1.0)
         models = (RISK, RiskModel(0.0, 0.0), RiskModel(4.0, 0.3))
-        caps = (0.0, 0.35, 1.0)
-        read = set()
+        seen = set()
         for seed, n, servers in ((5, 7, 3), (10, 7, 3), (2, 6, 2), (3, 8, 1)):
             w = random_workflow(n, 0.3, cfg, seed=seed)
             p = default_platform(servers)
             w = with_deadline(w, compute_deadline(w, p, CAT))
-            for kind in self.GA_RISK_READERS:
-                for ratio in (True, False):
-                    strategy = Strategy(kind, literal_decrypt_ratio=ratio)
-                    params = GaParams(pop_size=6, iterations=3, seed=seed)
-                    probe = solve_detailed(strategy, replace(w, risk_cap=caps[1]), p, CAT,
-                                           models[0], params)
-                    read.add(reads_risk_inputs(strategy, probe))
-                    if reads_risk_inputs(strategy, probe):
-                        assert probe.ga_run.evaluations > 0
-                        continue
-                    for cap in caps:
-                        for rm in models:
-                            other = solve_detailed(strategy, replace(w, risk_cap=cap), p,
-                                                   CAT, rm, params)
-                            assert not reads_risk_inputs(strategy, other)
-                            assert (_outcome(other), other.result) == (
-                                _outcome(probe), probe.result), (seed, kind, ratio, cap, rm)
-        assert read == {True, False}  # both branches are covered
+            seen |= self.check(w, p, GaParams(pop_size=6, iterations=3, seed=seed),
+                               caps, models)
+        # both branches are covered: GA runs that read both inputs and ones that read none
+        assert {read for kind, read in seen if kind in self.GA_RISK_READERS} == {
+            (), (RISK_CAP, RATES)}
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 10**6), cap=st.floats(0.0, 1.0),
+           servers=st.integers(0, 3), slack=st.sampled_from([0.9, 1.0, 1.2]),
+           ga_seed=st.integers(0, 100),
+           rates=st.lists(st.floats(0.0, 5.0), min_size=4, max_size=4))
+    def test_on_random_instances(self, n, seed, cap, servers, slack, ga_seed, rates):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(n, 0.4, cfg, seed=seed)
+        p = default_platform(servers)
+        w = with_deadline(w, compute_deadline(w, p, CAT) * slack)
+        self.check(w, p, GaParams(pop_size=6, iterations=4, seed=ga_seed), (cap, 0.0, 1.0),
+                   (RiskModel(*rates[:2]), RiskModel(*rates[2:])))
 
     def test_which_solves_read_them(self):
         w = offload_friendly_workflow()
@@ -278,13 +260,13 @@ class TestReadsRiskInputs:
                 if outcome.ga_run is not None:
                     outcome = replace(outcome, ga_run=replace(outcome.ga_run,
                                                               evaluations=evaluations))
-                reads = reads_risk_inputs(Strategy(kind), outcome)
+                read = risk_inputs_read(Strategy(kind), outcome)
                 if kind in (StrategyKind.LOCAL, StrategyKind.MAX_LEVEL):
-                    assert not reads, kind
+                    assert read == (), kind
                 elif kind is StrategyKind.MIN_LEVEL:  # exposed whatever its genes
-                    assert reads, kind
+                    assert read == (RATES,), kind
                 else:
-                    assert reads is (evaluations > 0), kind
+                    assert read == ((RISK_CAP, RATES) if evaluations else ()), kind
 
 
 class TestRunIsTheSolversGa:

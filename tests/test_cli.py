@@ -289,6 +289,12 @@ class TestSweep:
         ("sweep", ["risk_cap"], "must be a string"),
         ("range", 5, "must be a string"),
         ("pop", [6], "'pop'"),
+        ("pop", 6.9, "'pop'"),
+        ("iters", 2.7, "'iters'"),
+        ("tasks", True, "'tasks'"),
+        ("workflow_seed", False, "'workflow_seed'"),
+        ("pc", True, "'pc'"),
+        ("risk_cap", False, "'risk_cap'"),
     ])
     def test_config_value_of_wrong_json_type_fails(self, tmp_path, capsys, key, value,
                                                    message):
@@ -469,7 +475,8 @@ class TestSweepDeduplication:
         rows, expected, solved = run_sweep_counting(monkeypatch, jobs, pool)
         assert rows == expected
         assert [list(r) for r in rows] == [list(r) for r in expected]  # same column order
-        assert len(solved) < len({cli.solve_key(j) for j in jobs})  # some rows are shared
+        problems = {(cli.solve_key(j), j.workflow.risk_cap, j.risk_model) for j in jobs}
+        assert len(solved) < len(problems)  # some rows are shared
 
     def test_lambda_sweep_solves_min_level_per_rate(self, monkeypatch):
         rates = [0.5, 1.5, 3.0]

@@ -290,6 +290,18 @@ class TestGenerator:
         with pytest.raises(ValueError, match="finite"):
             GeneratorConfig(data_range_mb=data, workload_range_gcycles=load)
 
+    @pytest.mark.parametrize("bounds", [(1.0,), (1.0, 2.0, 3.0), ()])
+    def test_rejects_a_range_that_is_not_a_pair(self, bounds):
+        with pytest.raises(ValueError, match="generator ranges"):
+            GeneratorConfig(data_range_mb=bounds)
+        with pytest.raises(ValueError, match="generator ranges"):
+            GeneratorConfig(workload_range_gcycles=bounds)
+
+    def test_ranges_are_stored_as_tuples(self):
+        cfg = GeneratorConfig(data_range_mb=[5.0, 50.0], workload_range_gcycles=[1.0, 10.0])
+        assert cfg.data_range_mb == (5.0, 50.0) and cfg.workload_range_gcycles == (1.0, 10.0)
+        assert hash(cfg) == hash(GeneratorConfig())
+
     def test_rejects_zero_workload_range(self):
         with pytest.raises(ValueError, match="workload upper bound must be positive"):
             GeneratorConfig(workload_range_gcycles=(0.0, 0.0))
