@@ -31,7 +31,7 @@ from .evaluator import (
     better,
     evaluate,
 )
-from .ga import GaParams, GaRun, run
+from .ga import GaParams, GaRun, run, shared
 from .platform import Platform
 from .security import RiskModel, SecurityCatalog
 from .workflow import Workflow, local_chromosome
@@ -123,6 +123,7 @@ def solve_detailed(
     cat: SecurityCatalog,
     risk_model: RiskModel,
     params: GaParams | None = None,
+    memo: dict | None = None,
 ) -> SolveOutcome:
     """Run one strategy and return its schedule, score and GA trace.
 
@@ -139,13 +140,20 @@ def solve_detailed(
     what the search found.  All-MD is a fallback only, never a
     population seed: seeding it collapses the placement search onto
     that attractor.
+
+    ``memo`` (default ``None``: compute everything), a dict shared by the
+    solves of one sweep, holds the all-MD result keyed by the workflow's
+    tasks, edges and deadline, the platform and the catalog: all-MD
+    crosses no access point, so no strategy or risk input changes it.
+    :func:`run` keeps three more values there.
     """
     options = search_setup(strategy)
     local = local_chromosome(w, cat)
-    local_result = evaluate(local, w, p, cat, risk_model, options)
+    local_result = shared(memo, ("all_md", w.tasks, w.edges, w.deadline_s, p, cat),
+                          lambda: evaluate(local, w, p, cat, risk_model, options))
     if strategy.kind is StrategyKind.LOCAL:
         return SolveOutcome(local, local_result, None)
-    ga_run = run(w, p, cat, risk_model, params, options=options)
+    ga_run = run(w, p, cat, risk_model, params, options=options, memo=memo)
     if better(ga_run.best_result, local_result):
         return SolveOutcome(ga_run.best_chromosome, ga_run.best_result, ga_run)
     return SolveOutcome(local, local_result, ga_run)

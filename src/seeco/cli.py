@@ -21,11 +21,12 @@ dashes as underscores.  Each flag takes the first value it finds in:
 A sweep solves each distinct problem once: jobs that differ at most in
 a risk input (the risk cap or the attack rates) that their solve did
 not read (:func:`seeco.baselines.risk_inputs_read`) share one solve,
-and each gets a copy of its row.  The environment variable
-``SEECO_THREADS`` caps the worker processes that run the solves
-(default 1, meaning strictly sequential; never more than the problems
-up to their risk inputs); results are gathered and written in sorted
-order either way, so the output does not depend on the worker count.
+and each gets a copy of its row.  The sweep solves in its own process
+while its solves are short (local, or a GA run that ended at its
+polished witness); from the first that runs the GA on, the positive
+integer ``SEECO_THREADS`` caps the worker processes that run the rest
+(default 1: all in-process).  Results are gathered and written in
+sorted order either way, so the output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -87,13 +88,16 @@ def parse_range(spec: str, integer: bool) -> list[float] | list[int]:
     a, b, step = (float(x) for x in parts)
     if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
         raise ValueError(f"range {spec!r} must be finite, with step > 0 and b >= a")
+    if integer:
+        a, b, step = (exact_int(x, f"the range {spec!r} of an integer sweep")
+                      for x in (a, b, step))
     values = []
     i = 0
     while True:
-        v = round(a + i * step, 10)
+        v = round(a + i * step, 10)  # an int stays an int
         if v > b + 1e-9:
             break
-        values.append(int(round(v)) if integer else v)
+        values.append(v)
         i += 1
     return values
 
@@ -125,22 +129,23 @@ class SweepJob:
     catalog: SecurityCatalog
 
 
-def run_job(job: SweepJob) -> tuple[dict, tuple[str, ...]]:
+def run_job(job: SweepJob, memo: dict | None = None) -> tuple[dict, tuple[str, ...], bool]:
     """Execute one sweep point; used directly and by worker processes.
 
-    Returns the job's row and the risk inputs its solve read
-    (:func:`seeco.baselines.risk_inputs_read`).
+    Returns the job's row, the risk inputs its solve read
+    (:func:`seeco.baselines.risk_inputs_read`) and whether the solve was
+    short: local, or a GA run that ended at its polished witness.
     """
     outcome = solve_detailed(job.strategy, job.workflow, job.platform, job.catalog,
-                             job.risk_model, job.params)
-    res = outcome.result
+                             job.risk_model, job.params, memo)
+    res, ga_run = outcome.result, outcome.ga_run
     return {
         "sweep": job.sweep, "value": job.value, "strategy": job.strategy.kind.value,
         "seed": job.seed, "pop": job.params.pop_size, "iters": job.params.iterations,
         "pc": job.params.p_c, "pm": job.params.p_m,
         "energy": res.energy_j, "makespan": res.makespan_s, "risk": res.risk,
         "violation": res.violation, "feasible": res.feasible,
-    }, risk_inputs_read(job.strategy, outcome)
+    }, risk_inputs_read(job.strategy, outcome), ga_run is None or ga_run.evaluations == 0
 
 
 def build_sweep_jobs(
@@ -245,32 +250,50 @@ def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict
     and so is a confi, integ or SEECO run that ends at its polished
     witness.  Sweeps of servers, tasks or GA parameters have one job per
     group.  Either way the rows are the same as solving every job.
+
+    Probes run here, in sweep order, while each is short (:func:`run_job`),
+    since a pool costs more to start than they take; from the first that
+    runs the GA on, the solves left go to ``max_workers`` processes
+    (default ``SEECO_THREADS``; never more than the probes).  Solves run
+    here share one memo (:func:`seeco.baselines.solve_detailed`).
     """
     if max_workers is None:
-        max_workers = int(os.environ.get("SEECO_THREADS", "1"))
+        spec = os.environ.get("SEECO_THREADS", "1")
+        if not spec.isdecimal() or int(spec) < 1:
+            raise ValueError(f"SEECO_THREADS must be a positive integer, got {spec!r}")
+        max_workers = int(spec)
     keys = [solve_key(job) for job in jobs]
     probes: dict[tuple, SweepJob] = {}
     for key, job in zip(keys, jobs):
         probes.setdefault(key, job)
+    # a fork-based pool starts all its workers at the first submit
+    max_workers = min(max_workers, len(probes))
+    memo: dict = {}
+    probed: dict[tuple, tuple] = {}
+    pooled = False
+    for key, job in probes.items():
+        probed[key] = run_job(job, memo)
+        pooled = max_workers > 1 and not probed[key][2]
+        if pooled:
+            break
 
-    def solve_all(mapper) -> list[dict]:
+    def solve_rest(mapper) -> list[dict]:
         """The row of each job, without its sweep, value and seed."""
-        probed = dict(zip(probes, mapper(run_job, probes.values())))
+        left = {key: job for key, job in probes.items() if key not in probed}
+        probed.update(zip(left, mapper(left.values())))
         # a job's problem: its key and its values of the risk inputs its probe read
         problems = [(key, risk_values(job, probed[key][1])) for key, job in zip(keys, jobs)]
         row_of = {(key, risk_values(probes[key], read)): row
-                  for key, (row, read) in probed.items()}
+                  for key, (row, read, _) in probed.items()}
         rest = {problem: job for problem, job in zip(problems, jobs) if problem not in row_of}
-        row_of.update(zip(rest, (row for row, _ in mapper(run_job, rest.values()))))
+        row_of.update(zip(rest, (row for row, *_ in mapper(rest.values()))))
         return [row_of[problem] for problem in problems]
 
-    # a fork-based pool starts all its workers at the first submit
-    max_workers = min(max_workers, len(probes))
-    if max_workers > 1:
+    if pooled:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            solved = solve_all(pool.map)
+            solved = solve_rest(partial(pool.map, run_job))
     else:
-        solved = solve_all(map)
+        solved = solve_rest(lambda todo: [run_job(job, memo) for job in todo])
     rows = [{**row, "sweep": job.sweep, "value": job.value, "seed": job.seed}
             for row, job in zip(solved, jobs)]
     rows.sort(key=lambda r: (r["value"], r["strategy"], r["seed"]))

@@ -547,6 +547,7 @@ def run(
     risk_model: RiskModel,
     params: GaParams | None = None,
     options: EvalOptions = DEFAULT_OPTIONS,
+    memo: dict | None = None,
 ) -> GaRun:
     """Evolve a population and return the best individual ever evaluated.
 
@@ -609,6 +610,17 @@ def run(
     ones (confi, integ), never max-level or min-level.  Variation operators
     themselves are never touched.  ``options`` is the whole strategy: the
     genes it freezes are :meth:`GeneConstraints.from_catalog`'s.
+
+    ``memo`` (one dict per :func:`seeco.cli.run_sweep` call; ``None``:
+    compute everything) shares three values between runs, each keyed by
+    all it reads: the energy floor (tasks, edges, platform), the witness
+    (those plus catalog and decryption ratio) and its polish (the
+    witness's key plus deadline, budget, ``ignore_risk_cap`` and the modes
+    with ``ACTIVE`` read as ``STRONGEST``, so max-level and SEECO share
+    one).  At the witness's strongest genes a score has risk 0, or, under
+    min-level's ignored cap, a risk the polish never reads; so the polish
+    keeps no score, only its chromosome, decode count and whether it
+    reached the floor.
     """
     params = params or GaParams()
     cons = GeneConstraints.from_catalog(cat, options)
@@ -616,18 +628,31 @@ def run(
     exposure = order_free_pass(w, tables)
     timed = timing_pass(w, tables, timeline=False)
     ranking_key = _make_ranking_key(options)
-    floor = energy_floor(w, tables)
+    shape = (w.tasks, w.edges, p)
+    floor = shared(memo, ("floor", shape), lambda: energy_floor(w, tables))
     at_floor = floor * (1.0 + FLOOR_RTOL)
 
     def reached_floor(res: Score) -> bool:
         return res.feasible and res.energy_j <= at_floor
 
-    witness = greedy_witness(
-        w, p, cat, decrypt_producer_core_ratio=options.decrypt_producer_core_ratio)
-    polished, polished_res, polish_decodes = polish_placements(
-        witness, tables, lambda c: timed(c, exposure(c)), ranking_key, reached_floor,
-        int(POLISH_SHARE * params.pop_size * params.iterations))
-    if reached_floor(polished_res):
+    ratio = options.decrypt_producer_core_ratio
+    witness_key = ("witness", shape, cat, ratio)
+    witness = shared(memo, witness_key,
+                     lambda: greedy_witness(w, p, cat, decrypt_producer_core_ratio=ratio))
+    budget = int(POLISH_SHARE * params.pop_size * params.iterations)
+
+    def polish() -> tuple[Chromosome, int, bool]:
+        c, res, decodes = polish_placements(witness, tables, lambda c: timed(c, exposure(c)),
+                                            ranking_key, reached_floor, budget)
+        return c, decodes, reached_floor(res)
+
+    # at the witness's strongest genes ACTIVE prices and exposes as STRONGEST
+    modes = tuple(ServiceMode.STRONGEST if m is ServiceMode.ACTIVE else m
+                  for m in (options.conf_mode, options.integ_mode))
+    polished, polish_decodes, polish_won = shared(
+        memo, ("polish", witness_key, w.deadline_s, budget, options.ignore_risk_cap, modes),
+        polish)
+    if polish_won:
         return GaRun(best_chromosome=polished,
                      best_result=evaluate(polished, w, p, cat, risk_model, options),
                      params=params, energy_floor=floor, polish_decodes=polish_decodes)
@@ -751,6 +776,15 @@ def run(
                  cache_hits=cache_hits, risk_repairs=risk_repairs,
                  deadline_repairs=deadline_repairs, screened=screened,
                  energy_floor=floor, polish_decodes=polish_decodes)
+
+
+def shared(memo: dict | None, key: tuple, compute: Callable[[], object]):
+    """``memo[key]``, set from ``compute()`` on first use; ``memo=None``: ``compute()``."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 HISTORY_CSV_HEADER = ["generation", "best_energy", "best_violation", "feasible_count"]

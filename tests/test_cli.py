@@ -3,6 +3,7 @@ import json
 import math
 import os
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -61,6 +62,21 @@ class TestParsing:
         for spec in ("nan:1:0.1", "0:inf:1", "0:1:nan", "-inf:0:1"):
             with pytest.raises(ValueError, match="finite"):
                 parse_range(spec, integer=False)
+
+    def test_int_range_refuses_fractions(self):
+        values = parse_range("6.0:10:2.0", integer=True)
+        assert values == [6, 8, 10] and all(type(v) is int for v in values)
+        for spec in ("6.5:8:1", "6:7.5:1", "6:8:0.5"):
+            with pytest.raises(ValueError, match="integer"):
+                parse_range(spec, integer=True)
+
+    def test_fractional_pop_range_fails(self, tmp_path, capsys):
+        rc = main(["sweep", "--sweep", "pop", "--range", "6.5:7.5:0.5", "--tasks", "5",
+                   "--seeds", "1", "--iters", "3", "--out", str(tmp_path / "res")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "6.5" in err
+        assert not (tmp_path / "res").exists()
 
     def test_seeds(self):
         assert parse_seeds("1,2,3") == [1, 2, 3]
@@ -258,15 +274,38 @@ class TestSweep:
         assert (d1 / "sweep.csv").read_text() == (d2 / "sweep.csv").read_text()
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
+        # small_jobs' workflow: SEECO's first probe runs the GA, so the rest go to the pool
         args = ["sweep", "--sweep", "risk_cap", "--range", "0.4:0.6:0.2",
-                "--tasks", "5", "--strategies", "seeco", "--seeds", "1,2",
-                "--pop", "6", "--iters", "3"]
+                "--tasks", "7", "--workflow-seed", "5", "--data-min", "2", "--data-max", "10",
+                "--load-min", "5", "--load-max", "15", "--strategies", "seeco",
+                "--seeds", "1,2", "--pop", "6", "--iters", "3"]
+        pooled = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, items):
+                items = list(items)
+                pooled.extend(items)
+                return super().map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         d1, d2 = tmp_path / "seq", tmp_path / "par"
         monkeypatch.setenv("SEECO_THREADS", "1")
-        main(args + ["--out", str(d1)])
+        assert main(args + ["--out", str(d1)]) == 0
+        assert pooled == []
         monkeypatch.setenv("SEECO_THREADS", "2")
-        main(args + ["--out", str(d2)])
+        assert main(args + ["--out", str(d2)]) == 0
+        assert len(pooled) == 3  # seed 2's probe, then both seeds at cap 0.6
         assert (d1 / "sweep.csv").read_text() == (d2 / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "abc", "", "2.5"])
+    def test_bad_thread_count_fails(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("SEECO_THREADS", threads)
+        rc = main(["sweep", "--sweep", "risk_cap", "--range", "0.5:0.5:0.1", "--tasks", "5",
+                   "--strategies", "local", "--seeds", "1", "--out", str(tmp_path / "res")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SEECO_THREADS must be a positive integer")
+        assert not (tmp_path / "res").exists()
 
     def test_servers_sweep_rejects_platform_file(self, tmp_path, capsys):
         plat = tmp_path / "platform.json"
@@ -332,17 +371,26 @@ class TestSweepMachinery:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        jobs = build_sweep_jobs(
-            sweep="risk_cap", values=[0.5], strategies=["local"], seeds=[1, 2],
-            base_params=GaParams(pop_size=6, iterations=2), workflow=None, platform=None,
-            risk_model=RiskModel(), gen_cfg=GeneratorConfig(), density=0.3,
-            workflow_seed=1, risk_cap=0.5, tasks=5)
+        # no GA run stops at the floor, so every GA probe runs the GA on
+        monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
+
+        def jobs_of(strategy, seeds):
+            return build_sweep_jobs(
+                sweep="risk_cap", values=[0.5], strategies=[strategy], seeds=seeds,
+                base_params=GaParams(pop_size=6, iterations=2), workflow=None, platform=None,
+                risk_model=RiskModel(), gen_cfg=GeneratorConfig(), density=0.3,
+                workflow_seed=1, risk_cap=0.5, tasks=5)
+
+        jobs = jobs_of("local", [1, 2])
+        assert run_sweep(jobs, max_workers=64) == run_sweep(jobs, max_workers=1)
+        assert InProcessPool.sizes == []  # local probes are short
+        jobs = jobs_of("seeco", [1, 2, 3])
         rows = run_sweep(jobs, max_workers=64)
-        assert InProcessPool.sizes == [2]
+        assert InProcessPool.sizes == [3]
         assert rows == run_sweep(jobs, max_workers=1)
         monkeypatch.setenv("SEECO_THREADS", "64")
         run_sweep(jobs[:1])  # one job runs in-process, with no pool
-        assert InProcessPool.sizes == [2]
+        assert InProcessPool.sizes == [3]
 
     def test_lambda_sweep_sets_both_rates(self):
         jobs = build_sweep_jobs(
@@ -408,9 +456,9 @@ def run_sweep_counting(monkeypatch, jobs, pool, full_runs=False):
     """
     solved = []
 
-    def counting_run_job(job):
+    def counting_run_job(job, memo=None):
         solved.append(job)
-        return run_job(job)
+        return run_job(job, memo)
 
     with monkeypatch.context() as m:
         if full_runs:
@@ -487,16 +535,66 @@ class TestSweepDeduplication:
         assert len({r["risk"] for r in rows}) == len(rates)
 
     def test_pool_clamped_to_distinct_solves(self, monkeypatch):
-        sizes = []
+        sizes, pooled = [], []
 
         class SizedPool(InProcessPool):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
+            def map(self, fn, items):
+                items = list(items)
+                pooled.extend(items)
+                return map(fn, items)
+
+        solved_here = []
+
+        def counting_run_job(job, memo=None):
+            solved_here.append(job)
+            return run_job(job, memo)
+
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
-        jobs = small_jobs("risk_cap", [0.2, 0.4, 0.6], strategies=["local", "max"])
-        assert len(run_sweep(jobs, max_workers=8)) == 6
-        assert sizes == [2]  # one solve per strategy
+        monkeypatch.setattr(cli, "run_job", counting_run_job)
+        jobs = small_jobs("risk_cap", [0.2, 0.6], strategies=["local", "confi", "integ"],
+                          seeds=(1, 2))
+        # every probe is short: local, or a run that ends at its polished witness
+        assert len(run_sweep(jobs, max_workers=8)) == 12
+        assert len(solved_here) == 6
+        assert sizes == [] and pooled == []
+        # the first long probe (confi, seed 1) runs here, the rest in the pool
+        monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
+        solved_here.clear()
+        assert len(run_sweep(jobs, max_workers=8)) == 12
+        assert sizes == [6]  # one probe per strategy and seed
+        assert [(j.strategy.kind.value, j.seed) for j in solved_here[:3]] == [
+            ("local", 1), ("local", 2), ("confi", 1)]
+        assert [(j.strategy.kind.value, j.seed) for j in pooled[:3]] == [
+            ("confi", 2), ("integ", 1), ("integ", 2)]
+        assert len(pooled) == 3 + 4  # the probes left, then confi and integ at cap 0.6
+
+    @pytest.mark.parametrize("literal_eq11", [True, False], ids=["literal", "core_free"])
+    @pytest.mark.parametrize("full_runs", [False, True], ids=["polished", "full_runs"])
+    @pytest.mark.parametrize("sweep, values", [("risk_cap", [0.1, 0.5, 1.0]),
+                                               ("lambda", [0.5, 3.0])])
+    def test_in_process_solves_share_floor_witness_and_polish(
+            self, monkeypatch, sweep, values, full_runs, literal_eq11):
+        jobs = small_jobs(sweep, values, literal_eq11=literal_eq11)
+        if full_runs:
+            monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
+        expected = sorted((run_job(j)[0] for j in jobs),
+                          key=lambda r: (r["value"], r["strategy"], r["seed"]))
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("energy_floor", "greedy_witness", "polish_placements"):
+            monkeypatch.setattr(ga, name, counting(name, getattr(ga, name)))
+        assert run_sweep(jobs, max_workers=1) == expected
+        # one key each; max-level and SEECO share a polish, min-level's reads no rate
+        assert calls == {"energy_floor": 1, "greedy_witness": 1, "polish_placements": 4}
 
     def test_workflow_calibrated_once(self, monkeypatch):
         calls = []
