@@ -2,7 +2,8 @@
 
 Each strategy is one :class:`seeco.evaluator.EvalOptions`
 (:func:`search_setup`): a mode per security service.  A service in any
-mode but ``ACTIVE`` ignores its level genes, and the GA freezes them.
+mode but ``ACTIVE`` ignores its level genes, and the GA freezes them; an
+``UNPROTECTED`` one also ignores the risk cap (``EvalOptions.ignore_risk_cap``).
 
 ========== =====================================================================
 local      everything on the mobile device; no search needed, no transfers,
@@ -10,8 +11,8 @@ local      everything on the mobile device; no search needed, no transfers,
 max_level  GA over order and placement with both services ``STRONGEST``:
            always their level-1.0 algorithm, so workflow risk is exactly zero
 min_level  GA with both services ``UNPROTECTED``: no time cost, but crossing
-           data is fully exposed, so risk saturates; evaluated without the
-           risk cap since every offloading solution would otherwise be infeasible
+           data is fully exposed, so risk saturates; the modes set the risk
+           cap aside, since every offloading solution would otherwise be infeasible
 confi      GA with integrity ``DISABLED``: only confidentiality in the threat model
 integ      GA with confidentiality ``DISABLED``: only integrity in the threat model
 seeco      the full GA over all four gene vectors, both services ``ACTIVE``
@@ -80,10 +81,8 @@ SERVICE_MODES = {
 
 
 def search_setup(strategy: Strategy) -> EvalOptions:
-    """The evaluation options that realize a strategy, its gene freezes included."""
-    conf_mode, integ_mode = SERVICE_MODES[strategy.kind]
-    return EvalOptions(conf_mode, integ_mode, strategy.literal_decrypt_ratio,
-                       ignore_risk_cap=strategy.kind is StrategyKind.MIN_LEVEL)
+    """The options that realize a strategy, its gene freezes and ignored risk cap included."""
+    return EvalOptions(*SERVICE_MODES[strategy.kind], strategy.literal_decrypt_ratio)
 
 
 RISK_CAP, RATES = "risk_cap", "rates"

@@ -112,21 +112,25 @@ class ServiceMode(Enum):
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """The whole description of a strategy: one mode per service, two variants.
+    """The whole description of a strategy: one mode per service, one variant.
 
     Only an ``ACTIVE`` service reads its level genes, so the modes alone
     say which genes a search may change (:class:`seeco.ga.GeneConstraints`).
     ``decrypt_producer_core_ratio`` keeps the literal decryption formula
     whose cost scales with the producing VM's core count; switching it
     off drops that factor.  :func:`cost_tables` alone reads it, into
-    ``CostTables.dec_ratio``.  ``ignore_risk_cap`` evaluates feasibility
-    against a risk cap of 1.0 (deadline only).
+    ``CostTables.dec_ratio``.
     """
 
     conf_mode: ServiceMode = ServiceMode.ACTIVE
     integ_mode: ServiceMode = ServiceMode.ACTIVE
     decrypt_producer_core_ratio: bool = True
-    ignore_risk_cap: bool = False
+
+    @property
+    def ignore_risk_cap(self) -> bool:
+        """Judge feasibility against a risk cap of 1.0 (deadline only): an ``UNPROTECTED``
+        service exposes every crossing payload, so any offloading would break the cap."""
+        return ServiceMode.UNPROTECTED in (self.conf_mode, self.integ_mode)
 
 
 DEFAULT_OPTIONS = EvalOptions()

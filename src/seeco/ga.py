@@ -28,7 +28,7 @@ the order-free pass runs first; a child over the risk cap then goes
 straight to the risk repair, which reads only its risk and at-risk
 tasks, so it is never timed.  Scoring draws no random numbers, so hits
 and screened children leave the trajectory as it was.  The winner alone
-is decoded in full.
+is decoded in full, over the same tables.
 
 A run stops once its best is feasible and at the energy floor
 (:func:`seeco.evaluator.energy_floor`), which no schedule undercuts: the
@@ -70,7 +70,6 @@ from .evaluator import (
     cost_tables,
     deb_key,
     energy_floor,
-    evaluate,
     order_free_pass,
     timing_pass,
 )
@@ -178,17 +177,17 @@ class GaRun:
     ``cache_hits`` counts those of them that found their chromosome in the
     memo, and ``screened`` the memo misses that the order-free pass found
     over the risk cap and that were never timed, so a run decodes
-    ``evaluations - cache_hits - screened`` chromosomes.  Screening is on
-    only where the risk repair's levels are risk-free (see :func:`run`).
-    ``risk_repairs`` and ``deadline_repairs`` count the two repairs'
-    rescores; the rest are ``pop_size + len(history) * (pop_size - elitism)``.
-    ``history`` holds one row per generation run, so ``len(history)`` is the
-    stop generation: ``params.iterations``, or fewer when the best reached
-    ``energy_floor``, the run's lower bound on device energy in J (and 0 rows
-    when the initial population did).  ``polish_decodes`` counts the
-    decodes of the witness's polish, which none of the other counters
-    include.  A run whose polished witness reached the floor ends before
-    generation 0: its history is empty and every other counter is 0.
+    ``evaluations - cache_hits - screened`` chromosomes, and the winner
+    once more with its timeline.  ``risk_repairs`` and ``deadline_repairs``
+    count the two repairs' rescores; the rest are ``pop_size +
+    len(history) * (pop_size - elitism)``.  ``history`` holds one row per
+    generation run, so ``len(history)`` is the stop generation:
+    ``params.iterations``, or fewer when the best reached ``energy_floor``,
+    the run's lower bound on device energy in J (and 0 rows when the
+    initial population did).  ``polish_decodes`` counts the decodes of the
+    witness's polish, which none of the other counters include.  A run
+    whose polished witness reached the floor ends before generation 0:
+    its history is empty and every other counter is 0.
     """
 
     best_chromosome: Chromosome
@@ -591,11 +590,11 @@ def run(
     services are for (they never lower energy, they only buy schedule
     slack at the price of risk).  The risk repair upgrades the crossing
     tasks of any individual that busts the risk cap to full-strength
-    services (which zeroes their risk) and re-scores it.  Where those
-    levels are risk-free, as under every strategy whose cap binds, a
-    child over the cap is screened: the order-free pass finds it and it
-    is never timed, since the repair reads only its risk and at-risk
-    tasks, and leaves it at risk 0, so the population never keeps a
+    services (which zeroes their risk) and re-scores it.  A child over
+    the cap is screened: the order-free pass finds it and it is never
+    timed, since the repair reads only its risk and at-risk tasks.  A
+    cap binds only without an ``UNPROTECTED`` service, so the repair
+    leaves the child at risk 0, and the population never keeps a
     screened individual.  Without the repair, tight caps funnel the
     population onto the all-MD attractor, because risk falls
     placement-gene by placement-gene while fixing it via levels needs
@@ -615,18 +614,19 @@ def run(
     compute everything) shares three values between runs, each keyed by
     all it reads: the energy floor (tasks, edges, platform), the witness
     (those plus catalog and decryption ratio) and its polish (the
-    witness's key plus deadline, budget, ``ignore_risk_cap`` and the modes
-    with ``ACTIVE`` read as ``STRONGEST``, so max-level and SEECO share
-    one).  At the witness's strongest genes a score has risk 0, or, under
-    min-level's ignored cap, a risk the polish never reads; so the polish
-    keeps no score, only its chromosome, decode count and whether it
-    reached the floor.
+    witness's key plus deadline, budget and the modes, which decide the
+    ignored cap, with ``ACTIVE`` read as ``STRONGEST``, so max-level and
+    SEECO share one).  At the witness's strongest genes a score has risk
+    0, or, under an ``UNPROTECTED`` service's ignored cap, a risk the
+    polish never reads; so the polish keeps no score, only its
+    chromosome, decode count and whether it reached the floor.
     """
     params = params or GaParams()
     cons = GeneConstraints.from_catalog(cat, options)
     tables = cost_tables(w, p, cat, risk_model, options)
     exposure = order_free_pass(w, tables)
     timed = timing_pass(w, tables, timeline=False)
+    full = timing_pass(w, tables)
     ranking_key = _make_ranking_key(options)
     shape = (w.tasks, w.edges, p)
     floor = shared(memo, ("floor", shape), lambda: energy_floor(w, tables))
@@ -650,40 +650,35 @@ def run(
     modes = tuple(ServiceMode.STRONGEST if m is ServiceMode.ACTIVE else m
                   for m in (options.conf_mode, options.integ_mode))
     polished, polish_decodes, polish_won = shared(
-        memo, ("polish", witness_key, w.deadline_s, budget, options.ignore_risk_cap, modes),
-        polish)
+        memo, ("polish", witness_key, w.deadline_s, budget, modes), polish)
     if polish_won:
         return GaRun(best_chromosome=polished,
-                     best_result=evaluate(polished, w, p, cat, risk_model, options),
+                     best_result=full(polished, exposure(polished)),
                      params=params, energy_floor=floor, polish_decodes=polish_decodes)
 
     rng = random.Random(params.seed)
     risk_cap = tables.risk_cap
     strong_conf = (cat.strongest_id(Service.CONFIDENTIALITY),) * w.n
     strong_integ = (cat.strongest_id(Service.INTEGRITY),) * w.n
-    # the risk repair raises the at-risk tasks to these levels; where they
-    # are risk-free it leaves every child at risk 0, so a child over the cap
-    # need not be timed, and the population never keeps it
-    screen = tables.pair_surv[strong_conf[0] * tables.stride + strong_integ[0]] == 1.0
     evaluations = cache_hits = risk_repairs = deadline_repairs = screened = 0
     # scores of this generation and of the previous one; a screened child
     # is held as its Exposure
-    memo: dict[Chromosome, Score | Exposure] = {}
-    older: dict[Chromosome, Score | Exposure] = {}
+    scores: dict[Chromosome, Score | Exposure] = {}
+    older_scores: dict[Chromosome, Score | Exposure] = {}
 
     def score(c: Chromosome) -> Score | Exposure:
         nonlocal evaluations, cache_hits, screened
         evaluations += 1
-        res = memo.get(c) or older.get(c)
+        res = scores.get(c) or older_scores.get(c)
         if res is None:
             res = exposure(c)
-            if screen and res.risk > risk_cap:
+            if res.risk > risk_cap:
                 screened += 1
             else:
                 res = timed(c, res)
         else:
             cache_hits += 1
-        memo[c] = res
+        scores[c] = res
         return res
 
     def upgrade_crossing(c: Chromosome, res: Score | Exposure) -> Chromosome:
@@ -736,7 +731,7 @@ def run(
     for gen in range(params.iterations):
         if reached_floor(best[1]):
             break
-        memo, older = {}, memo
+        scores, older_scores = {}, scores
         nxt: list[Individual] = sorted(
             pop, key=lambda ind: ranking_key(ind[1]))[:params.elitism]
         while len(nxt) < params.pop_size:
@@ -771,7 +766,7 @@ def run(
         ))
 
     return GaRun(best_chromosome=best[0],
-                 best_result=evaluate(best[0], w, p, cat, risk_model, options),
+                 best_result=full(best[0], exposure(best[0])),
                  history=history, params=params, evaluations=evaluations,
                  cache_hits=cache_hits, risk_repairs=risk_repairs,
                  deadline_repairs=deadline_repairs, screened=screened,

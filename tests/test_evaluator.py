@@ -1,7 +1,7 @@
 import itertools
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,8 +327,7 @@ class TestEvaluate:
     def test_service_mode_variants_match_reference(self):
         rng = random.Random(41)
         cases = [
-            (EvalOptions(conf_mode=ServiceMode.UNPROTECTED,
-                         integ_mode=ServiceMode.UNPROTECTED, ignore_risk_cap=True),
+            (EvalOptions(conf_mode=ServiceMode.UNPROTECTED, integ_mode=ServiceMode.UNPROTECTED),
              dict(conf_mode="unprotected", integ_mode="unprotected", ignore_risk_cap=True)),
             (EvalOptions(integ_mode=ServiceMode.DISABLED),
              dict(integ_mode="disabled")),
@@ -522,6 +521,20 @@ class TestCostTables:
                 gains = [m[0] for m in ladder]
                 assert gains == sorted(gains, reverse=True)
                 assert all(spent > 0.0 and saved > 0.0 for _, spent, saved, _ in ladder)
+
+    def test_an_unprotected_service_ignores_the_cap(self):
+        # the modes and the decryption ratio are the whole strategy
+        assert [f.name for f in fields(EvalOptions)] == [
+            "conf_mode", "integ_mode", "decrypt_producer_core_ratio"]
+        with pytest.raises(TypeError):
+            EvalOptions(ignore_risk_cap=True)
+        w = with_deadline(random_workflow(4, 0.5, seed=1, risk_cap=0.3), 30.0)
+        for conf_mode, integ_mode in itertools.product(ServiceMode, repeat=2):
+            options = EvalOptions(conf_mode, integ_mode)
+            unprotected = ServiceMode.UNPROTECTED in (conf_mode, integ_mode)
+            assert options.ignore_risk_cap is unprotected
+            tables = cost_tables(w, PLATFORM, CAT, RISK, options)
+            assert tables.risk_cap == (1.0 if unprotected else 0.3)
 
 
 @st.composite

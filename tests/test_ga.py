@@ -323,8 +323,8 @@ class TestRun:
                     options=options)
             # initial pop + per-gen fills minus elite, plus the repairs' rescores
             assert r.evaluations == 8 + 8 * 10 - 10 + r.risk_repairs + r.deadline_repairs
-            # the polish decodes with the same timing pass
-            assert len(seen) == r.evaluations - r.cache_hits - r.screened + r.polish_decodes
+            # the polish decodes with the same timing pass, and so does the winner's decode
+            assert len(seen) == r.evaluations - r.cache_hits - r.screened + r.polish_decodes + 1
             frozen = frozen_services(GeneConstraints.from_catalog(CAT, options))
             for c in seen:
                 assert is_valid_order(w, list(c.order))
@@ -585,6 +585,30 @@ class TestPolishedWitness:
             assert real.energy_j <= full.energy_j * (1.0 + FLOOR_RTOL)
 
 
+class TestSweepMemo:
+    """A memo shared across risk caps and attack rates never changes a run."""
+
+    @pytest.mark.parametrize("literal", [True, False])
+    @pytest.mark.parametrize("conf_mode", list(ServiceMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("integ_mode", list(ServiceMode), ids=lambda m: m.value)
+    def test_matches_runs_without_it(self, conf_mode, integ_mode, literal):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        p = default_platform(3)
+        w = random_workflow(10, 0.3, cfg, seed=1, risk_cap=0.3)
+        w = with_deadline(w, compute_deadline(w, p, CAT))
+        options = EvalOptions(conf_mode, integ_mode, literal)
+        params = GaParams(pop_size=10, iterations=15, seed=5)
+        memo: dict = {}
+        for cap, rate in ((1.0, 0.05), (0.99, 0.3), (0.05, 0.3), (0.05, 2.5)):
+            w_cap, risk = replace(w, risk_cap=cap), RiskModel(rate, rate)
+            shared = run(w_cap, p, CAT, risk, params, options=options, memo=memo)
+            alone = run(w_cap, p, CAT, risk, params, options=options)
+            assert (shared.best_chromosome, shared.best_result, shared.evaluations,
+                    shared.polish_decodes) == (alone.best_chromosome, alone.best_result,
+                                               alone.evaluations, alone.polish_decodes), (
+                cap, rate)
+
+
 class TestRiskScreen:
     """Children over the risk cap are screened, not timed."""
 
@@ -618,9 +642,10 @@ class TestRiskScreen:
         monkeypatch.setattr(ga, "timing_pass", spy_timing_pass)
         r = run(w, p, CAT, RISK, params, options=options)
         # each memo miss runs the order-free pass once, and only the
-        # children it does not screen are timed; the polish screens nothing
-        assert len(passes) == r.evaluations - r.cache_hits + r.polish_decodes
-        assert len(timings) == r.evaluations - r.cache_hits - r.screened + r.polish_decodes
+        # children it does not screen are timed; the polish screens nothing,
+        # and the winner's decode runs both passes once more
+        assert len(passes) == r.evaluations - r.cache_hits + r.polish_decodes + 1
+        assert len(timings) == r.evaluations - r.cache_hits - r.screened + r.polish_decodes + 1
         return r
 
     def test_seeco_screens_children_over_a_tight_cap(self, monkeypatch):
@@ -642,12 +667,10 @@ class TestRiskScreen:
     @pytest.mark.parametrize("options, pinned, screened", [
         (EvalOptions(), ('01a872d6c0d5ec34', '649248e41c26c219', '89b8069cffff63ee',
                          193, 66, 48, 0), 48),
-        # the risk repair cannot lower an unprotected service's risk, so
-        # screening is off: a child it stopped could be kept unscored.  The
-        # moot conf gene is frozen since the freezes follow the modes, so
-        # more children repeat: cache hits went from 197 to 206, nothing else moved
+        # an unprotected service ignores the cap, so no child is over it:
+        # nothing is screened and the risk repair never fires
         (EvalOptions(conf_mode=ServiceMode.UNPROTECTED),
-         ('bda70ef86bdbc879', '57c971eb3ec284aa', 'b3a0c79fa93a410b', 290, 206, 145, 0), 0),
+         ('19ff1da2acc49d5b', '4d9471ddd3d75b88', '960b3f6eddd7f4c1', 145, 87, 0, 0), 0),
     ], ids=["active", "unprotected"])
     def test_matches_recorded_run(self, monkeypatch, options, pinned, screened):
         r = self.run_spied(monkeypatch, 0.3, options=options,
@@ -660,6 +683,8 @@ class TestRiskScreen:
                r.evaluations, r.cache_hits, r.risk_repairs, r.deadline_repairs)
         assert got == pinned
         assert r.screened == screened
+        if options.ignore_risk_cap:
+            assert r.risk_repairs == 0
 
 
 class TestGeneRepair:
