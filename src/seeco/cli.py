@@ -23,10 +23,12 @@ a risk input (the risk cap or the attack rates) that their solve did
 not read (:func:`seeco.baselines.risk_inputs_read`) share one solve,
 and each gets a copy of its row.  The sweep solves in its own process
 while its solves are short (local, or a GA run that ended at its
-polished witness); from the first that runs the GA on, the positive
-integer ``SEECO_THREADS`` caps the worker processes that run the rest
-(default 1: all in-process).  Results are gathered and written in
-sorted order either way, so the output does not depend on the worker count.
+polished witness); from the first that runs the GA on, the rest go to
+at most ``SEECO_THREADS`` worker processes, a positive integer that
+``sweep`` reads (default 1: all in-process).  :func:`run_sweep` takes
+that count as ``max_workers`` and reads no environment.  Results are
+gathered and written in sorted order either way, so the output does not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ def risk_values(job: SweepJob, read: tuple[str, ...]) -> tuple:
     return tuple(posed[name] for name in read)
 
 
-def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict]:
+def run_sweep(jobs: list[SweepJob], max_workers: int = 1) -> list[dict]:
     """Run all jobs and return rows sorted by (value, strategy, seed).
 
     Jobs with equal :func:`solve_key` form a group, which differs at most
@@ -254,14 +256,9 @@ def run_sweep(jobs: list[SweepJob], max_workers: int | None = None) -> list[dict
     Probes run here, in sweep order, while each is short (:func:`run_job`),
     since a pool costs more to start than they take; from the first that
     runs the GA on, the solves left go to ``max_workers`` processes
-    (default ``SEECO_THREADS``; never more than the probes).  Solves run
-    here share one memo (:func:`seeco.baselines.solve_detailed`).
+    (never more than the probes).  Solves run here share one memo
+    (:func:`seeco.baselines.solve_detailed`).
     """
-    if max_workers is None:
-        spec = os.environ.get("SEECO_THREADS", "1")
-        if not spec.isdecimal() or int(spec) < 1:
-            raise ValueError(f"SEECO_THREADS must be a positive integer, got {spec!r}")
-        max_workers = int(spec)
     keys = [solve_key(job) for job in jobs]
     probes: dict[tuple, SweepJob] = {}
     for key, job in zip(keys, jobs):
@@ -428,6 +425,9 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     if args.sweep is None:
         raise ValueError("--sweep is required")
+    threads = os.environ.get("SEECO_THREADS", "1")
+    if not threads.isdecimal() or int(threads) < 1:
+        raise ValueError(f"SEECO_THREADS must be a positive integer, got {threads!r}")
     # only an unknown --sweep has no default range; build_sweep_jobs names it
     values = parse_range(args.range, args.sweep in _INT_SWEEPS) if args.range else []
     strategies = [s.strip() for s in args.strategies.split(",")]
@@ -441,7 +441,7 @@ def cmd_sweep(args) -> int:
         workflow_seed=args.workflow_seed, risk_cap=args.risk_cap,
         literal_eq11=args.literal_eq11, catalog_path=args.catalog, tasks=args.tasks)
 
-    rows = run_sweep(jobs)
+    rows = run_sweep(jobs, max_workers=int(threads))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "sweep.csv", SWEEP_CSV_HEADER, rows)

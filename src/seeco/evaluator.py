@@ -38,9 +38,9 @@ The decoder runs in two passes over those tables.  The order-free pass
 genes to tasks, finds which tasks' output crosses an access point, and
 takes the risk; it is the one place where the risk formula lives.  The
 timing pass (:func:`timing_pass`) then walks the order to fill in start
-times, durations and energy, and returns the per-task timeline
-(:class:`EvaluationResult`) or, without it, only the totals and the
-tasks at nonzero risk (:class:`Score`), with bit-identical totals.
+times, durations and energy, and returns an :class:`EvaluationResult`,
+with the per-task timeline or, without it, only the totals, which are
+bit-identical either way.
 :func:`make_evaluator` chains the two into a full decoder; the GA calls
 them directly, so it can stop a child over the risk cap after the first.
 """
@@ -151,23 +151,14 @@ class TaskTiming(NamedTuple):
 
 
 class EvaluationResult(NamedTuple):
-    timings: tuple[TaskTiming, ...]  # indexed by task id
+    """A decode's workflow totals, and its per-task timeline if the pass keeps one."""
+
+    timings: tuple[TaskTiming, ...]  # indexed by task id; () without the timeline
     makespan_s: float
     energy_j: float
     risk: float
     violation: float
     feasible: bool
-
-
-class Score(NamedTuple):
-    """Workflow totals of a decode, without the per-task timeline."""
-
-    makespan_s: float
-    energy_j: float
-    risk: float
-    violation: float
-    feasible: bool
-    at_risk: tuple[int, ...]  # ids of the tasks whose risk is > 0, in decode order
 
 
 class Exposure(NamedTuple):
@@ -387,18 +378,17 @@ def timing_pass(
     w: Workflow,
     tables: CostTables,
     timeline: bool = True,
-) -> Callable[[Chromosome, Exposure], EvaluationResult | Score]:
+) -> Callable[[Chromosome, Exposure], EvaluationResult]:
     """Build the decoder's timing pass over one problem's tables.
 
     The returned ``timed(c, exposure)`` walks ``c``'s order, where
     ``exposure`` is what :func:`order_free_pass` found for ``c``, and fills
     in start times, durations and device energy.  It reads the workflow and
     ``tables`` only: crypto seconds from the pair costs and the decryption
-    core ratio, energy from the MD's powers.  It returns the per-task
-    timeline (:class:`EvaluationResult`) or, with ``timeline=False``, only
-    the totals and the tasks at nonzero risk (:class:`Score`).  One loop
-    produces both, with the same floating-point operations in the same
-    order, so the totals are bit-identical.
+    core ratio, energy from the MD's powers.  It returns an
+    :class:`EvaluationResult`, whose ``timings`` are ``()`` with
+    ``timeline=False``.  One loop serves both, with the same floating-point
+    operations in the same order, so the totals are bit-identical.
     """
     n = w.n
     preds = [tuple(w.predecessors(i)) for i in range(n)]
@@ -413,8 +403,8 @@ def timing_pass(
     pair_cost = tables.pair_cost
     ratio = tables.dec_ratio
 
-    def timed(c: Chromosome, exposure: Exposure) -> EvaluationResult | Score:
-        vm_of, ap_of, pair_of, crossing, task_risk, total_risk, at_risk = exposure
+    def timed(c: Chromosome, exposure: Exposure) -> EvaluationResult:
+        vm_of, ap_of, pair_of, crossing, task_risk, total_risk, _ = exposure
         vm_avail = [0.0] * num_vms
         end = [0.0] * n
         rows: list[TaskTiming] = [TaskTiming(0, 0, 0, 0, 0, 0, 0, 0, 0)] * n
@@ -463,16 +453,8 @@ def timing_pass(
         makespan = max(end)
         viol = (makespan - deadline if makespan > deadline else 0.0) + \
                (total_risk - risk_cap if total_risk > risk_cap else 0.0)
-        if not timeline:
-            return Score(makespan, energy, total_risk, viol, viol == 0.0, at_risk)
-        return EvaluationResult(
-            timings=tuple(rows),
-            makespan_s=makespan,
-            energy_j=energy,
-            risk=total_risk,
-            violation=viol,
-            feasible=viol == 0.0,
-        )
+        return EvaluationResult(tuple(rows) if timeline else (), makespan, energy,
+                                total_risk, viol, viol == 0.0)
 
     return timed
 
@@ -532,7 +514,7 @@ def evaluate(
     return make_evaluator(w, p, cat, risk_model, options)(c)
 
 
-def deb_key(result: EvaluationResult | Score) -> tuple[int, float]:
+def deb_key(result: EvaluationResult) -> tuple[int, float]:
     """Feasibility-first sort key (ascending = best first).
 
     Feasible results come first, by energy; infeasible ones follow, by
@@ -543,7 +525,7 @@ def deb_key(result: EvaluationResult | Score) -> tuple[int, float]:
     return (1, result.violation)
 
 
-def better(a: EvaluationResult | Score, b: EvaluationResult | Score) -> bool:
+def better(a: EvaluationResult, b: EvaluationResult) -> bool:
     """True when ``a`` ranks no worse than ``b`` under :func:`deb_key` (ties go to ``a``)."""
     return deb_key(a) <= deb_key(b)
 

@@ -20,10 +20,11 @@ their own RNG discipline; this implementation stays single-threaded.
 
 Decoding is the cost of a run.  :func:`run` builds one
 :class:`seeco.evaluator.CostTables` and scores through the decoder's two
-passes over it, without the per-task timeline
-(:class:`seeco.evaluator.Score`), and through a memo keyed by chromosome
-that holds the current and the previous generation's scores: parents
-often pass through unchanged, and a hit skips their decode.  On a miss
+passes over it, without the per-task timeline (an
+:class:`seeco.evaluator.EvaluationResult` with no ``timings``), and
+through a memo keyed by chromosome that holds the current and the
+previous generation's scores: parents often pass through unchanged, and
+a hit skips their decode.  On a miss
 the order-free pass runs first; a child over the risk cap then goes
 straight to the risk repair, which reads only its risk and at-risk
 tasks, so it is never timed.  Scoring draws no random numbers, so hits
@@ -52,7 +53,7 @@ import bisect
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, ClassVar
 
@@ -64,7 +65,6 @@ from .evaluator import (
     EvaluationResult,
     Exposure,
     FLOOR_RTOL,
-    Score,
     ServiceMode,
     better,
     cost_tables,
@@ -73,7 +73,7 @@ from .evaluator import (
     order_free_pass,
     timing_pass,
 )
-from .platform import MD_LOCATION, Platform, encode_location
+from .platform import MD_LOCATION, Platform, encode_location, exact_int
 from .security import RiskModel, SecurityCatalog, Service, default_catalog
 from .workflow import Workflow, greedy_witness
 
@@ -90,6 +90,8 @@ class GaParams:
     elitism: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pop_size", exact_int(self.pop_size, "GA pop_size"))
+        object.__setattr__(self, "iterations", exact_int(self.iterations, "GA iterations"))
         if self.pop_size < 2:
             raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
         if self.iterations < 1:
@@ -339,10 +341,10 @@ def mutate_vectors(
     return Chromosome.unchecked(c.order, tuple(loc), tuple(conf), tuple(integ))
 
 
-Individual = tuple[Chromosome, Score]
+Individual = tuple[Chromosome, EvaluationResult]
 
 
-def _make_ranking_key(options: EvalOptions) -> Callable[[Score], tuple]:
+def _make_ranking_key(options: EvalOptions) -> Callable[[EvaluationResult], tuple]:
     """Population ordering: feasibility-first, then deterministic tie-breaks.
 
     Security levels never change energy (only time and risk), so level
@@ -367,11 +369,11 @@ POLISH_SHARE = 0.1
 def polish_placements(
     c: Chromosome,
     tables: CostTables,
-    decode: Callable[[Chromosome], Score],
-    key: Callable[[Score], tuple],
-    done: Callable[[Score], bool],
+    decode: Callable[[Chromosome], EvaluationResult],
+    key: Callable[[EvaluationResult], tuple],
+    done: Callable[[EvaluationResult], bool],
     budget: int,
-) -> tuple[Chromosome, Score, int]:
+) -> tuple[Chromosome, EvaluationResult, int]:
     """First-improvement descent over single placement moves.
 
     For each interior order position in turn, tries moving its task to
@@ -414,7 +416,7 @@ def polish_placements(
 def make_deadline_repair(
     w: Workflow,
     tables: CostTables,
-) -> Callable[[Chromosome, Score | EvaluationResult], Chromosome]:
+) -> Callable[[Chromosome, EvaluationResult], Chromosome]:
     """Build the deadline repair: weaken free level genes to buy slack.
 
     The returned function takes a chromosome and its evaluation.  When
@@ -463,7 +465,7 @@ def make_deadline_repair(
     max_gain = max((m[0] for s in free for ladder in moves[s] for m in ladder),
                    default=0.0)
 
-    def repair(c: Chromosome, res: Score | EvaluationResult) -> Chromosome:
+    def repair(c: Chromosome, res: EvaluationResult) -> Chromosome:
         if not free or res.makespan_s <= deadline or res.risk > risk_cap:
             return c
         budget = (cap_nl * (1.0 - 1e-9) + math.log1p(-res.risk) if risk_cap < 1.0
@@ -632,7 +634,7 @@ def run(
     floor = shared(memo, ("floor", shape), lambda: energy_floor(w, tables))
     at_floor = floor * (1.0 + FLOOR_RTOL)
 
-    def reached_floor(res: Score) -> bool:
+    def reached_floor(res: EvaluationResult) -> bool:
         return res.feasible and res.energy_j <= at_floor
 
     ratio = options.decrypt_producer_core_ratio
@@ -663,10 +665,10 @@ def run(
     evaluations = cache_hits = risk_repairs = deadline_repairs = screened = 0
     # scores of this generation and of the previous one; a screened child
     # is held as its Exposure
-    scores: dict[Chromosome, Score | Exposure] = {}
-    older_scores: dict[Chromosome, Score | Exposure] = {}
+    scores: dict[Chromosome, EvaluationResult | Exposure] = {}
+    older_scores: dict[Chromosome, EvaluationResult | Exposure] = {}
 
-    def score(c: Chromosome) -> Score | Exposure:
+    def score(c: Chromosome) -> EvaluationResult | Exposure:
         nonlocal evaluations, cache_hits, screened
         evaluations += 1
         res = scores.get(c) or older_scores.get(c)
@@ -681,7 +683,7 @@ def run(
         scores[c] = res
         return res
 
-    def upgrade_crossing(c: Chromosome, res: Score | Exposure) -> Chromosome:
+    def upgrade_crossing(c: Chromosome, res: Exposure) -> Chromosome:
         at_risk = set(res.at_risk)
         conf = list(c.conf_levels)
         integ = list(c.integ_levels)
@@ -782,13 +784,12 @@ def shared(memo: dict | None, key: tuple, compute: Callable[[], object]):
     return memo[key]
 
 
-HISTORY_CSV_HEADER = ["generation", "best_energy", "best_violation", "feasible_count"]
+HISTORY_CSV_HEADER = [f.name for f in fields(GenerationStats)]
 
 
 def write_history_csv(run_result: GaRun, path: str | Path) -> None:
+    """One row per generation run, one column per :class:`GenerationStats` field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_CSV_HEADER)
-        for row in run_result.history:
-            writer.writerow([row.generation, row.best_energy,
-                             row.best_violation, row.feasible_count])
+        writer.writerows(map(astuple, run_result.history))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -268,42 +268,14 @@ def read_json(path: str | Path, kind: str):
         raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
 
 
-def _vm_to_dict(vm: VmSpec) -> dict:
-    return {"frequency_ghz": vm.frequency_ghz, "cores": vm.cores,
-            "capability_ghz": vm.capability_ghz}
-
-
 def _vm_from_dict(d: dict, num, whole) -> VmSpec:
     return VmSpec(frequency_ghz=num(d["frequency_ghz"]), cores=whole(d["cores"]),
                   capability_ghz=num(d["capability_ghz"]))
 
 
 def save_platform(platform: Platform, path: str | Path) -> None:
-    payload = {
-        "md": {
-            "vm": _vm_to_dict(platform.md.vm),
-            "p_comp_w": platform.md.p_comp_w,
-            "p_ul_w": platform.md.p_ul_w,
-            "p_dl_w": platform.md.p_dl_w,
-        },
-        "aps": [
-            {
-                "vms": [_vm_to_dict(vm) for vm in ap.vms],
-                "radio": {
-                    "b_ul_mhz": ap.radio.b_ul_mhz,
-                    "b_dl_mhz": ap.radio.b_dl_mhz,
-                    "p_tx_w": ap.radio.p_tx_w,
-                    "p_ap_w": ap.radio.p_ap_w,
-                    "h_ul": ap.radio.h_ul,
-                    "h_dl": ap.radio.h_dl,
-                    "noise_w": ap.radio.noise_w,
-                },
-            }
-            for ap in platform.aps
-        ],
-        "inter_ap_bandwidth_mb_s": platform.inter_ap_bandwidth_mb_s,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Write indented JSON keyed by field names; a non-finite number raises ``ValueError``."""
+    Path(path).write_text(json.dumps(asdict(platform), indent=2, allow_nan=False) + "\n")
 
 
 def load_platform(path: str | Path) -> Platform:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -240,17 +240,11 @@ def default_catalog() -> SecurityCatalog:
     )
 
 
-def _catalog_entry(alg: CryptoAlgorithm) -> dict:
-    return {"id": alg.id, "name": alg.name, "level": alg.level,
-            "speed_mb_s": alg.speed_mb_s}
-
-
 def save_catalog(catalog: SecurityCatalog, path: str | Path) -> None:
-    payload = {
-        "confidentiality": [_catalog_entry(a) for a in catalog.confidentiality],
-        "integrity": [_catalog_entry(a) for a in catalog.integrity],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Write each algorithm's fields but ``service``; a non-finite number raises ``ValueError``."""
+    payload = {svc.value: [{k: v for k, v in asdict(a).items() if k != "service"}
+                           for a in catalog.algorithms(svc)] for svc in Service}
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def load_catalog(path: str | Path) -> SecurityCatalog:

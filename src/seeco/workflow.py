@@ -347,7 +347,9 @@ def save_workflow(w: Workflow, path: str | Path) -> None:
 
     The compact layout keeps ``json`` on its C encoder, which ``indent``
     would swap for the pure-Python one.  :func:`load_workflow` reads any
-    layout of the same keys.
+    layout of the same keys.  A non-finite number, such as the +inf
+    deadline of an uncalibrated :func:`random_workflow`, raises
+    ``ValueError`` and writes no file, since the loader would refuse it.
     """
     payload = {
         "tasks": [
@@ -359,7 +361,7 @@ def save_workflow(w: Workflow, path: str | Path) -> None:
         "deadline_s": w.deadline_s,
         "risk_cap": w.risk_cap,
     }
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+    Path(path).write_text(json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def load_workflow(path: str | Path) -> Workflow:

@@ -388,8 +388,7 @@ class TestSweepMachinery:
         rows = run_sweep(jobs, max_workers=64)
         assert InProcessPool.sizes == [3]
         assert rows == run_sweep(jobs, max_workers=1)
-        monkeypatch.setenv("SEECO_THREADS", "64")
-        run_sweep(jobs[:1])  # one job runs in-process, with no pool
+        run_sweep(jobs[:1], max_workers=64)  # one job runs in-process, with no pool
         assert InProcessPool.sizes == [3]
 
     def test_lambda_sweep_sets_both_rates(self):

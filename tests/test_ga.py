@@ -758,6 +758,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             GaParams(pop_size=1)
 
+    @pytest.mark.parametrize("field", ["pop_size", "iterations"])
+    @pytest.mark.parametrize("value", [10.5, 2.5, math.inf, True])
+    def test_sizes_are_whole_numbers(self, field, value):
+        with pytest.raises(ValueError, match="expected an integer"):
+            GaParams(**{field: value})
+
+    def test_integral_float_sizes_read_as_ints(self):
+        params = GaParams(pop_size=3.0, iterations=3.0)
+        assert (params.pop_size, params.iterations) == (3, 3)
+        assert type(params.pop_size) is type(params.iterations) is int
+
     def test_elitism_is_not_a_parameter(self):
         # one elite individual per generation, always
         assert GaParams().elitism == 1

@@ -507,7 +507,7 @@ class TestSerialization:
         assert len(compact.read_text().splitlines()) == 1
 
     def test_schema_keys(self, tmp_path):
-        w = random_workflow(3, 0.5, seed=1)
+        w = with_deadline(random_workflow(3, 0.5, seed=1), 10.0)
         path = tmp_path / "wf.json"
         save_workflow(w, path)
         payload = json.loads(path.read_text())
