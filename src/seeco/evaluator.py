@@ -170,7 +170,6 @@ class Exposure(NamedTuple):
     crossing: list    # whether some successor of the task sits on another AP
     task_risk: list   # each task's risk: nonzero only for crossing tasks
     risk: float
-    at_risk: tuple[int, ...]  # ids of the tasks whose risk is > 0, in decode order
 
 
 def exec_time(workload_gcycles: float, vm: VmSpec) -> float:
@@ -355,7 +354,6 @@ def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], E
 
         crossing = [False] * n
         task_risk = [0.0] * n
-        at_risk: list[int] = []
         survival = 1.0
         for t in order:
             ap = aps[t]
@@ -364,12 +362,9 @@ def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], E
                     crossing[t] = True
                     task_survival = pair_surv[pairs[t]]
                     survival *= task_survival
-                    risk_t = task_risk[t] = 1.0 - task_survival
-                    if risk_t > 0.0:
-                        at_risk.append(t)
+                    task_risk[t] = 1.0 - task_survival
                     break
-        return Exposure(rows, aps, pairs, crossing, task_risk, 1.0 - survival,
-                        tuple(at_risk))
+        return Exposure(rows, aps, pairs, crossing, task_risk, 1.0 - survival)
 
     return exposure
 
@@ -404,7 +399,7 @@ def timing_pass(
     ratio = tables.dec_ratio
 
     def timed(c: Chromosome, exposure: Exposure) -> EvaluationResult:
-        vm_of, ap_of, pair_of, crossing, task_risk, total_risk, _ = exposure
+        vm_of, ap_of, pair_of, crossing, task_risk, total_risk = exposure
         vm_avail = [0.0] * num_vms
         end = [0.0] * n
         rows: list[TaskTiming] = [TaskTiming(0, 0, 0, 0, 0, 0, 0, 0, 0)] * n

@@ -26,8 +26,8 @@ through a memo keyed by chromosome that holds the current and the
 previous generation's scores: parents often pass through unchanged, and
 a hit skips their decode.  On a miss
 the order-free pass runs first; a child over the risk cap then goes
-straight to the risk repair, which reads only its risk and at-risk
-tasks, so it is never timed.  Scoring draws no random numbers, so hits
+straight to the risk repair, which reads only its risk and its tasks'
+risks, so it is never timed.  Scoring draws no random numbers, so hits
 and screened children leave the trajectory as it was.  The winner alone
 is decoded in full, over the same tables.
 
@@ -594,7 +594,7 @@ def run(
     tasks of any individual that busts the risk cap to full-strength
     services (which zeroes their risk) and re-scores it.  A child over
     the cap is screened: the order-free pass finds it and it is never
-    timed, since the repair reads only its risk and at-risk tasks.  A
+    timed, since the repair reads only its risk and its tasks' risks.  A
     cap binds only without an ``UNPROTECTED`` service, so the repair
     leaves the child at risk 0, and the population never keeps a
     screened individual.  Without the repair, tight caps funnel the
@@ -684,11 +684,11 @@ def run(
         return res
 
     def upgrade_crossing(c: Chromosome, res: Exposure) -> Chromosome:
-        at_risk = set(res.at_risk)
+        task_risk = res.task_risk
         conf = list(c.conf_levels)
         integ = list(c.integ_levels)
         for pos, t in enumerate(c.order):
-            if t in at_risk:
+            if task_risk[t] > 0.0:
                 conf[pos] = strong_conf[0]
                 integ[pos] = strong_integ[0]
         return Chromosome.unchecked(c.order, c.locations, tuple(conf), tuple(integ))

@@ -11,15 +11,19 @@ Link rates follow Shannon capacity over the configured bandwidth and
 SNR; transfers between VMs inside one access point are free, transfers
 between different access points share a fixed backhaul bandwidth.
 
-All values are immutable and all functions pure.
+All values are immutable and all functions pure.  Times divide by these
+numbers, so each constructor reads them through :func:`finite_float` and
+:func:`exact_int` and refuses what is not positive; loaders only map keys.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 BITS_PER_MB = 8e6
@@ -39,13 +43,11 @@ class VmSpec:
     capability_ghz: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cores", exact_int(self.cores, "VM cores"))
-        if not self.frequency_ghz > 0.0:  # NaN too
-            raise ValueError(f"frequency must be positive, got {self.frequency_ghz}")
+        object.__setattr__(self, "cores", exact_int(self.cores, "VmSpec.cores"))
+        if min(finite_fields(self, "frequency_ghz", "capability_ghz")) <= 0.0:
+            raise ValueError(f"frequency and capability must be positive, got {self}")
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
-        if not self.capability_ghz > 0.0:
-            raise ValueError(f"capability must be positive, got {self.capability_ghz}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,9 @@ class RadioParams:
     noise_w: float
 
     def __post_init__(self) -> None:
-        for name in ("b_ul_mhz", "b_dl_mhz", "p_tx_w", "p_ap_w", "h_ul", "h_dl", "noise_w"):
-            if not getattr(self, name) > 0.0:  # NaN too
-                raise ValueError(f"{name} must be strictly positive")
+        names = ("b_ul_mhz", "b_dl_mhz", "p_tx_w", "p_ap_w", "h_ul", "h_dl", "noise_w")
+        if min(finite_fields(self, *names)) <= 0.0:
+            raise ValueError(f"radio parameters must be strictly positive, got {self}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class MobileDevice:
     p_dl_w: float     # power while receiving
 
     def __post_init__(self) -> None:
-        if not all(pw > 0.0 for pw in (self.p_comp_w, self.p_ul_w, self.p_dl_w)):  # NaN too
+        if min(finite_fields(self, "p_comp_w", "p_ul_w", "p_dl_w")) <= 0.0:
             raise ValueError("device powers must be strictly positive")
 
 
@@ -103,7 +105,7 @@ class Platform:
         object.__setattr__(self, "aps", tuple(self.aps))
         if len(self.aps) > 0x0F:  # the high nibble of a placement byte
             raise ValueError(f"{len(self.aps)} access points; at most 15 fit a byte")
-        if not self.inter_ap_bandwidth_mb_s > 0.0:  # NaN too
+        if finite_fields(self, "inter_ap_bandwidth_mb_s")[0] <= 0.0:
             raise ValueError("inter-AP bandwidth must be strictly positive")
 
     @property
@@ -241,6 +243,18 @@ def finite_float(value, where: str) -> float:
     return x
 
 
+def finite_fields(obj, *names: str) -> list[float]:
+    """Store each named field of the frozen ``obj`` as :func:`finite_float` reads it; return them."""
+    values = []
+    for name in names:
+        x = getattr(obj, name)
+        if type(x) is not float or not math.isfinite(x):  # else finite_float(x) is x
+            x = finite_float(x, f"{type(obj).__name__}.{name}")
+            object.__setattr__(obj, name, x)
+        values.append(x)
+    return values
+
+
 def exact_int(value, where: str) -> int:
     """``value`` as an ``int``, refusing bools and numbers with a fractional part.
 
@@ -257,9 +271,9 @@ def exact_int(value, where: str) -> int:
 def read_json(path: str | Path, kind: str):
     """Parse a JSON file, refusing ``NaN``, ``Infinity`` and overflowing numbers.
 
-    Python's ``json`` accepts those literals.  Loaders still pass the
-    numbers they read through :func:`finite_float`, because ``float``
-    accepts the same values written as strings (``"NaN"``, ``"inf"``).
+    Python's ``json`` accepts those literals.  The same values written as
+    strings (``"NaN"``, ``"inf"``), which ``float`` also reads, are left
+    to the constructors, which read every number through :func:`finite_float`.
     """
     finite = partial(finite_float, where=f"{kind} file {path}")
     try:
@@ -268,9 +282,16 @@ def read_json(path: str | Path, kind: str):
         raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
 
 
-def _vm_from_dict(d: dict, num, whole) -> VmSpec:
-    return VmSpec(frequency_ghz=num(d["frequency_ghz"]), cores=whole(d["cores"]),
-                  capability_ghz=num(d["capability_ghz"]))
+@contextmanager
+def reading(path: str | Path, kind: str):
+    """Yield a ``kind`` file's :func:`read_json` payload; errors building from it name the file."""
+    payload = read_json(path, kind)
+    try:
+        yield payload
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{kind} file {path}: {exc}") from exc
 
 
 def save_platform(platform: Platform, path: str | Path) -> None:
@@ -279,27 +300,14 @@ def save_platform(platform: Platform, path: str | Path) -> None:
 
 
 def load_platform(path: str | Path) -> Platform:
-    payload = read_json(path, "platform")
-    num = partial(finite_float, where=f"platform file {path}")
-    whole = partial(exact_int, where=f"platform file {path}")
-    try:
+    """Read a :func:`save_platform` file; unknown keys are ignored, except in a radio."""
+    vm = itemgetter("frequency_ghz", "cores", "capability_ghz")
+    with reading(path, "platform") as payload:
         md = payload["md"]
-        platform = Platform(
-            md=MobileDevice(
-                vm=_vm_from_dict(md["vm"], num, whole),
-                p_comp_w=num(md["p_comp_w"]),
-                p_ul_w=num(md["p_ul_w"]),
-                p_dl_w=num(md["p_dl_w"]),
-            ),
-            aps=tuple(
-                AccessPoint(
-                    vms=tuple(_vm_from_dict(v, num, whole) for v in ap["vms"]),
-                    radio=RadioParams(**{k: num(v) for k, v in ap["radio"].items()}),
-                )
-                for ap in payload["aps"]
-            ),
-            inter_ap_bandwidth_mb_s=num(payload["inter_ap_bandwidth_mb_s"]),
+        return Platform(
+            md=MobileDevice(VmSpec(*vm(md["vm"])), md["p_comp_w"], md["p_ul_w"], md["p_dl_w"]),
+            aps=tuple(AccessPoint(vms=tuple(VmSpec(*vm(v)) for v in ap["vms"]),
+                                  radio=RadioParams(**ap["radio"]))
+                      for ap in payload["aps"]),
+            inter_ap_bandwidth_mb_s=payload["inter_ap_bandwidth_mb_s"],
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed platform file {path}: {exc}") from exc
-    return platform

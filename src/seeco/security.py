@@ -9,7 +9,8 @@ algorithm of a service defines strength level 1.0 and weaker algorithms
 get proportionally smaller levels.
 
 All functions here are pure and all types immutable; they are safe to
-share across threads.
+share across threads.  :class:`CryptoAlgorithm` reads its numbers as
+:mod:`seeco.platform`'s constructors do, so :func:`load_catalog` only maps keys.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from .platform import exact_int, finite_float, read_json
+from .platform import exact_int, finite_fields, reading
 
 REF_FREQUENCY_GHZ = 2.2
 REF_DATA_MB = 100.0
@@ -49,11 +49,13 @@ class CryptoAlgorithm:
     speed_mb_s: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "id", exact_int(self.id, "CryptoAlgorithm.id"))
+        level, speed = finite_fields(self, "level", "speed_mb_s")
         if self.id < 1:
             raise ValueError(f"algorithm id must be >= 1, got {self.id}")
-        if not 0.0 < self.level <= 1.0:
+        if not 0.0 < level <= 1.0:
             raise ValueError(f"level must be in (0, 1], got {self.level}")
-        if not self.speed_mb_s > 0.0:  # NaN too
+        if not speed > 0.0:
             raise ValueError(f"speed must be positive, got {self.speed_mb_s}")
 
     @property
@@ -251,20 +253,12 @@ def load_catalog(path: str | Path) -> SecurityCatalog:
     """Load an alternative calibrated algorithm set.
 
     The reference machine is fixed at (1 core, 2.2 GHz, 100 MB); files
-    carry only the per-algorithm id, name, level and speed.
+    carry only the per-algorithm id, name, level and speed, and other
+    keys are ignored.
     """
-    payload = read_json(path, "catalog")
-    num = partial(finite_float, where=f"catalog file {path}")
-    whole = partial(exact_int, where=f"catalog file {path}")
-    try:
-        ladders = {
-            service: tuple(
-                CryptoAlgorithm(whole(e["id"]), service, str(e["name"]),
-                                num(e["level"]), num(e["speed_mb_s"]))
+    with reading(path, "catalog") as payload:
+        return SecurityCatalog(**{
+            service.value: tuple(
+                CryptoAlgorithm(e["id"], service, str(e["name"]), e["level"], e["speed_mb_s"])
                 for e in payload[service.value])
-            for service in Service
-        }
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed catalog file {path}: {exc}") from exc
-    return SecurityCatalog(confidentiality=ladders[Service.CONFIDENTIALITY],
-                           integrity=ladders[Service.INTEGRITY])
+            for service in Service})

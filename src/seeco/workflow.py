@@ -5,6 +5,8 @@ Task 0 is the unique entry and task n-1 the unique exit; the scheduler
 pins both to the mobile device, so validation enforces that shape up
 front.  Workflow values are immutable after construction and safe to
 share across threads; the generator is deterministic per seed.
+:class:`Task` and :class:`Workflow` read their numbers as
+:mod:`seeco.platform`'s constructors do, so :func:`load_workflow` only maps keys.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain
-from operator import add
+from operator import add, attrgetter
 from pathlib import Path
 
-from .platform import MD_LOCATION, Platform, encode_location, exact_int, finite_float, read_json
+from .platform import (MD_LOCATION, Platform, encode_location, exact_int, finite_fields,
+                       finite_float, reading)
 from .security import RiskModel, SecurityCatalog, Service
 
 
@@ -34,12 +37,15 @@ class Task:
     workload_gcycles: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "id", exact_int(self.id, "Task.id"))
+        input_mb, output_mb, workload = finite_fields(
+            self, "input_mb", "output_mb", "workload_gcycles")
         if self.id < 0:
             raise ValueError(f"task id must be >= 0, got {self.id}")
-        if not (self.input_mb >= 0.0 and self.output_mb >= 0.0):  # NaN too
+        if not (input_mb >= 0.0 and output_mb >= 0.0):
             raise ValueError(f"task {self.id}: payload sizes must be >= 0")
         # zero workload is tolerated for virtual entry/exit tasks only
-        if not self.workload_gcycles >= 0.0:
+        if not workload >= 0.0:
             raise ValueError(f"task {self.id}: workload must be >= 0")
 
 
@@ -80,7 +86,7 @@ class Workflow:
             raise ValueError("workflow needs at least one task")
         if [t.id for t in self.tasks] != list(range(n)):
             raise ValueError("task ids must be contiguous 0..n-1 in order")
-        if not 0.0 <= self.risk_cap <= 1.0:
+        if not 0.0 <= finite_fields(self, "risk_cap")[0] <= 1.0:
             raise ValueError(f"risk cap must be in [0, 1], got {self.risk_cap}")
         _check_deadline(self.deadline_s)
 
@@ -365,19 +371,14 @@ def save_workflow(w: Workflow, path: str | Path) -> None:
 
 
 def load_workflow(path: str | Path) -> Workflow:
-    payload = read_json(path, "workflow")
-    num = partial(finite_float, where=f"workflow file {path}")
-    whole = partial(exact_int, where=f"workflow file {path}")
-    try:
-        tasks = tuple(
-            Task(id=whole(t["id"]), input_mb=num(t["alpha_mb"]),
-                 output_mb=num(t["beta_mb"]),
-                 workload_gcycles=num(t["workload_gcycles"]))
-            for t in sorted(payload["tasks"], key=lambda t: whole(t["id"]))
-        )
-        # Workflow checks that the endpoints are integers, as it does for every caller
+    """Read a :func:`save_workflow` file of any layout; unknown keys are ignored.
+
+    The deadline is read here: a file must not hold the +inf deadline that
+    :class:`Workflow` accepts from an uncalibrated :func:`random_workflow`.
+    """
+    with reading(path, "workflow") as payload:
+        tasks = sorted((Task(t["id"], t["alpha_mb"], t["beta_mb"], t["workload_gcycles"])
+                        for t in payload["tasks"]), key=attrgetter("id"))
         return Workflow(tasks=tasks, edges=payload["edges"],
-                        deadline_s=num(payload["deadline_s"]),
-                        risk_cap=num(payload["risk_cap"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed workflow file {path}: {exc}") from exc
+                        deadline_s=finite_float(payload["deadline_s"], "deadline_s"),
+                        risk_cap=payload["risk_cap"])

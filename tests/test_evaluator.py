@@ -416,8 +416,7 @@ class TestScoreOnlyDecode:
                 assert (got.makespan_s, got.energy_j, got.risk, got.violation,
                         got.feasible) == (res.makespan_s, res.energy_j, res.risk,
                                           res.violation, res.feasible)
-                assert set(found.at_risk) == {t for t in range(n) if res.timings[t].risk > 0}
-                assert len(found.at_risk) == len(set(found.at_risk))
+                assert found.task_risk == [row.risk for row in res.timings]
                 ref = reference_evaluate(
                     c, w, platform, CAT, RISK, conf_mode=options.conf_mode.value,
                     integ_mode=options.integ_mode.value,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -131,6 +132,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="expected an integer"):
             VmSpec(1.0, cores, 1.0)
 
+    def test_radio_refuses_infinite_noise(self):
+        # its rates would be 0.0, and a decode offloading to it divided by them
+        radio = default_radio()
+        assert uplink_rate(radio) > 0.0 and downlink_rate(radio) > 0.0
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(radio, noise_w=math.inf)
+
     def test_radio_rejects_non_positive(self):
         with pytest.raises(ValueError):
             RadioParams(20.0, 20.0, 0.0, 1.0, 1.0, 1.0, 1.0)
@@ -197,6 +205,18 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="expected an integer"):
             load_platform(path)
+
+    @pytest.mark.parametrize("key, bad, message", [
+        ("frequency_ghz", "inf", "non-finite"), ("cores", 0, "cores must be >= 1")])
+    def test_error_names_the_file(self, tmp_path, key, bad, message):
+        path = tmp_path / "platform.json"
+        save_platform(default_platform(1), path)
+        payload = json.loads(path.read_text())
+        payload["aps"][0]["vms"][0][key] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message) as refused:
+            load_platform(path)
+        assert str(path) in str(refused.value)
 
     @pytest.mark.parametrize("bad", [
         "Infinity", "NaN", "1e999",

@@ -81,6 +81,11 @@ def _nan_cases():
 
 
 NAN_CASES = _nan_cases()
+# every float field but the deadline, which may be +inf (random_workflow)
+FINITE_CASES = {name: build for name, build in NAN_CASES.items() if "deadline" not in name}
+FINITE_CASES["CryptoAlgorithm.level"] = lambda x: dataclasses.replace(
+    CAT.algorithms(Service.CONFIDENTIALITY)[0], level=x)
+FINITE_CASES["Workflow.risk_cap"] = lambda x: dataclasses.replace(chain(), risk_cap=x)
 
 
 class TestAdjacency:
@@ -161,6 +166,30 @@ class TestValidation:
         build(1.0)
         with pytest.raises(ValueError):
             build(math.nan)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", FINITE_CASES.values(), ids=FINITE_CASES.keys())
+    def test_rejects_non_finite(self, build, x):
+        build(1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            build(x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("obj, name", [
+        (make_tasks(1)[0], "id"), (default_platform(0).md.vm, "cores"),
+        (CAT.algorithms(Service.INTEGRITY)[0], "id")], ids=["Task", "VmSpec", "CryptoAlgorithm"])
+    def test_integer_fields_reject_non_finite(self, obj, name, x):
+        with pytest.raises(ValueError, match="expected an integer"):
+            dataclasses.replace(obj, **{name: x})
+
+    def test_constructors_store_what_they_read(self):
+        # numeric strings and booleans read as finite_float and exact_int read them
+        task = Task(2.0, "1.5", True, 3)
+        assert (task.id, task.input_mb, task.output_mb, task.workload_gcycles) == (2, 1.5, 1.0, 3.0)
+        assert [type(v) for v in dataclasses.astuple(task)] == [int, float, float, float]
+        vm = VmSpec("2.5", 4.0, 3)
+        assert dataclasses.astuple(vm) == (2.5, 4, 3.0) and type(vm.cores) is int
+        assert type(dataclasses.replace(chain(), risk_cap=1).risk_cap) is float
 
     def test_infinite_deadline_is_legal(self):
         w = random_workflow(4, 0.5, seed=1)  # its deadline is +inf

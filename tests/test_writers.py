@@ -17,14 +17,7 @@ from seeco.platform import (
     load_platform,
     save_platform,
 )
-from seeco.security import (
-    CryptoAlgorithm,
-    RiskModel,
-    SecurityCatalog,
-    Service,
-    default_catalog,
-    save_catalog,
-)
+from seeco.security import RiskModel, default_catalog, save_catalog
 from seeco.workflow import (
     compute_deadline,
     load_workflow,
@@ -140,17 +133,20 @@ class TestNonFiniteRefused:
             save_workflow(w, path)
         assert not path.exists()
 
+    # the constructors refuse +inf, so these set it on a valid frozen value
+
     def test_platform_with_an_infinite_vm(self, tmp_path):
         path = tmp_path / "p.json"
         p = default_platform(1)
-        fast = AccessPoint((VmSpec(math.inf, 4, math.inf),), p.aps[0].radio)
+        object.__setattr__(p.aps[0].vms[0], "capability_ghz", math.inf)
         with pytest.raises(ValueError):
-            save_platform(Platform(p.md, (fast,)), path)
+            save_platform(p, path)
         assert not path.exists()
 
     def test_catalog_with_an_infinite_speed(self, tmp_path):
         path = tmp_path / "catalog.json"
-        instant = CryptoAlgorithm(1, Service.CONFIDENTIALITY, "instant", 1.0, math.inf)
+        catalog = default_catalog()
+        object.__setattr__(catalog.confidentiality[0], "speed_mb_s", math.inf)
         with pytest.raises(ValueError):
-            save_catalog(SecurityCatalog((instant,), CAT.integrity), path)
+            save_catalog(catalog, path)
         assert not path.exists()
