@@ -55,6 +55,7 @@ from .workflow import (
     random_workflow,
     save_workflow,
     with_deadline,
+    with_risk_cap,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

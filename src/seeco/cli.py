@@ -56,6 +56,7 @@ from .workflow import (
     random_workflow,
     save_workflow,
     with_deadline,
+    with_risk_cap,
 )
 
 # per sweep variable: its default --range and, for the GA-parameter sweeps,
@@ -95,10 +96,11 @@ def parse_range(spec: str, integer: bool) -> list[float] | list[int]:
                       for x in (a, b, step))
     values = []
     i = 0
-    while True:
+    while a + i * step <= b + 1e-9 * step:  # slack for the sum's rounding error
         v = round(a + i * step, 10)  # an int stays an int
-        if v > b + 1e-9:
-            break
+        if values and v == values[-1]:
+            raise ValueError(f"--range {spec!r}: the step is too small, values repeat "
+                             f"once rounded to 10 decimals")
         values.append(v)
         i += 1
     return values
@@ -170,8 +172,8 @@ def build_sweep_jobs(
     """Materialize one job per (value, strategy, seed).
 
     The swept variable decides what varies: GA parameters rebuild the
-    params, ``risk_cap`` rewrites the workflow's cap, ``lambda`` sets
-    both services' attack rates, ``servers`` rebuilds the platform (the
+    params, ``risk_cap`` copies the workflow with another cap, ``lambda``
+    sets both services' attack rates, ``servers`` rebuilds the platform (the
     deadline stays calibrated against the default platform so feasible
     sets grow with the server count), and ``tasks`` regenerates the
     workflow per value.
@@ -208,7 +210,7 @@ def build_sweep_jobs(
         if sweep in _GA_SWEEP_FIELDS:
             params = replace(base_params, **{_GA_SWEEP_FIELDS[sweep]: value})
         elif sweep == "risk_cap":
-            w = replace(w, risk_cap=float(value))
+            w = with_risk_cap(w, value)
         elif sweep == "lambda":
             rm = replace(risk_model, lambda_conf=float(value), lambda_integ=float(value))
         elif sweep == "servers":
@@ -241,12 +243,14 @@ def run_sweep(jobs: list[SweepJob], max_workers: int = 1) -> list[dict]:
     """Run all jobs and return rows sorted by (value, strategy, seed).
 
     Jobs with equal :func:`solve_key` form a group, which differs at most
-    in its risk inputs.  The group's first job in sweep order, its probe,
-    is solved first, by :func:`run_job`, which also tells the risk inputs
-    that solve read (:func:`seeco.baselines.risk_inputs_read`); the
-    answer holds for the whole group.  Every job that poses the probe's
-    values of those inputs gets a copy of the probe's row, with its own
-    sweep, value and seed; each other distinct problem is solved once.
+    in its risk inputs.  Each key is hashed once, to number its group,
+    and the numbers key the rest: a tuple does not cache its hash.  The
+    group's first job in sweep order, its probe, is solved first, by
+    :func:`run_job`, which also tells the risk inputs that solve read
+    (:func:`seeco.baselines.risk_inputs_read`); the answer holds for the
+    whole group.  Every job that poses the probe's values of those inputs
+    gets a copy of the probe's row, with its own sweep, value and seed;
+    each other distinct problem is solved once.
     So local and max-level are solved once per seed under a risk-cap or
     attack-rate sweep, min-level once per seed under a risk-cap sweep,
     and so is a confi, integ or SEECO run that ends at its polished
@@ -259,14 +263,15 @@ def run_sweep(jobs: list[SweepJob], max_workers: int = 1) -> list[dict]:
     (never more than the probes).  Solves run here share one memo
     (:func:`seeco.baselines.solve_detailed`).
     """
-    keys = [solve_key(job) for job in jobs]
-    probes: dict[tuple, SweepJob] = {}
+    ids: dict[tuple, int] = {}
+    keys = [ids.setdefault(solve_key(job), len(ids)) for job in jobs]
+    probes: dict[int, SweepJob] = {}
     for key, job in zip(keys, jobs):
         probes.setdefault(key, job)
     # a fork-based pool starts all its workers at the first submit
     max_workers = min(max_workers, len(probes))
     memo: dict = {}
-    probed: dict[tuple, tuple] = {}
+    probed: dict[int, tuple] = {}
     pooled = False
     for key, job in probes.items():
         probed[key] = run_job(job, memo)

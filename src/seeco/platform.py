@@ -66,6 +66,9 @@ class RadioParams:
         names = ("b_ul_mhz", "b_dl_mhz", "p_tx_w", "p_ap_w", "h_ul", "h_dl", "noise_w")
         if min(finite_fields(self, *names)) <= 0.0:
             raise ValueError(f"radio parameters must be strictly positive, got {self}")
+        rates = uplink_rate(self), downlink_rate(self)  # transfer times divide by them
+        if not all(0.0 < rate < math.inf for rate in rates):
+            raise ValueError(f"radio rates must be positive and finite, got {rates} from {self}")
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,23 @@ def _check_deadline(deadline_s: float) -> None:
         raise ValueError(f"deadline must be positive, got {deadline_s}")
 
 
+def _check_risk_cap(risk_cap: float) -> float:
+    """``risk_cap`` as :func:`~seeco.platform.finite_float` reads it, if it lies in [0, 1]."""
+    risk_cap = finite_float(risk_cap, "Workflow.risk_cap")
+    if not 0.0 <= risk_cap <= 1.0:
+        raise ValueError(f"risk cap must be in [0, 1], got {risk_cap}")
+    return risk_cap
+
+
 @dataclass(frozen=True)
 class Workflow:
     """Tasks, precedence edges, deadline (s), and risk-probability cap.
 
     Frozen: evaluators capture the deadline and risk cap when they are
     built, so derive a changed workflow instead of assigning.
-    :func:`with_deadline` copies it and checks only the new deadline;
-    :func:`dataclasses.replace` builds it anew and re-checks everything.
+    :func:`with_deadline` and :func:`with_risk_cap` copy it, share its
+    graph and check only the new value; :func:`dataclasses.replace`
+    builds it anew and re-checks everything.
     The cycle check is Kahn's algorithm, smallest ready task first; the
     order it yields is kept as the canonical one (:func:`canonical_order`).
     """
@@ -86,8 +95,7 @@ class Workflow:
             raise ValueError("workflow needs at least one task")
         if [t.id for t in self.tasks] != list(range(n)):
             raise ValueError("task ids must be contiguous 0..n-1 in order")
-        if not 0.0 <= finite_fields(self, "risk_cap")[0] <= 1.0:
-            raise ValueError(f"risk cap must be in [0, 1], got {self.risk_cap}")
+        object.__setattr__(self, "risk_cap", _check_risk_cap(self.risk_cap))
         _check_deadline(self.deadline_s)
 
         preds: list[set[int]] = [set() for _ in range(n)]
@@ -345,6 +353,13 @@ def with_deadline(w: Workflow, deadline_s: float) -> Workflow:
     _check_deadline(deadline_s)
     out = copy.copy(w)
     object.__setattr__(out, "deadline_s", deadline_s)
+    return out
+
+
+def with_risk_cap(w: Workflow, risk_cap: float) -> Workflow:
+    """A copy of ``w`` with another risk cap; only the cap is checked."""
+    out = copy.copy(w)
+    object.__setattr__(out, "risk_cap", _check_risk_cap(risk_cap))
     return out
 
 

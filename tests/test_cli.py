@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -46,8 +47,22 @@ def read_csv(path):
 
 class TestParsing:
     def test_float_range(self):
-        assert parse_range("0.1:1.0:0.1", integer=False) == pytest.approx(
-            [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+        assert parse_range("0.1:1.0:0.1", integer=False) == [
+            0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+
+    def test_tiny_step_stays_within_the_bound(self):
+        # an absolute slack of 1e-9 let this run on to 2e-09
+        assert parse_range("0:1e-9:4e-10", integer=False) == [0.0, 4e-10, 8e-10]
+
+    def test_values_repeating_once_rounded_refused(self, tmp_path, capsys):
+        # rounded to 10 decimals, 1e-12 steps repeat each value about 100 times
+        with pytest.raises(ValueError, match="--range"):
+            parse_range("0:1e-9:1e-12", integer=False)
+        rc = main(["sweep", "--sweep", "risk_cap", "--range", "0:1e-9:1e-12", "--tasks", "5",
+                   "--seeds", "1", "--out", str(tmp_path / "res")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --range '0:1e-9:1e-12'")
+        assert not (tmp_path / "res").exists()
 
     def test_int_range(self):
         assert parse_range("10:50:20", integer=True) == [10, 30, 50]
@@ -296,6 +311,22 @@ class TestSweep:
         assert main(args + ["--out", str(d2)]) == 0
         assert len(pooled) == 3  # seed 2's probe, then both seeds at cap 0.6
         assert (d1 / "sweep.csv").read_text() == (d2 / "sweep.csv").read_text()
+
+    # sha256 of the files of a bench-shaped risk-cap sweep, recorded at f35a70e
+    PINNED_RISK_CAP_SWEEP = {
+        "sweep.csv": "775014ebe7d0ca418ba395daed81f8b7665a7bcf37b6c59060f43a12ec4d8e2e",
+        "summary.csv": "f9d73afdf9a30f2089e91773bd950ae466ba7ed66ada1fb5c2b7868a32f0b502",
+    }
+
+    def test_bench_shaped_risk_cap_sweep_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEECO_THREADS", "1")
+        assert main(["sweep", "--sweep", "risk_cap", "--range", "0.1:1.0:0.1",
+                     "--strategies", ",".join(ALL_STRATEGIES), "--tasks", "30",
+                     "--pop", "30", "--iters", "80", "--data-min", "2", "--data-max", "10",
+                     "--load-min", "5", "--load-max", "15", "--workflow-seed", "7",
+                     "--seeds", "1", "--out", str(tmp_path)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in self.PINNED_RISK_CAP_SWEEP} == self.PINNED_RISK_CAP_SWEEP
 
     @pytest.mark.parametrize("threads", ["0", "-3", "abc", "", "2.5"])
     def test_bad_thread_count_fails(self, tmp_path, monkeypatch, capsys, threads):
@@ -594,6 +625,28 @@ class TestSweepDeduplication:
         assert run_sweep(jobs, max_workers=1) == expected
         # one key each; max-level and SEECO share a polish, min-level's reads no rate
         assert calls == {"energy_floor": 1, "greedy_witness": 1, "polish_placements": 4}
+
+    @pytest.mark.parametrize("pool", ["sequential", "in_process_pool"])
+    def test_each_job_key_hashed_once(self, monkeypatch, pool):
+        """A key tuple does not cache its hash, and it hashes the whole workflow."""
+        key_of, made = cli.solve_key, []
+
+        class CountedKey(tuple):
+            hashes = 0
+
+            def __hash__(self):
+                self.hashes += 1
+                return super().__hash__()
+
+        def counted_key(job):
+            made.append(CountedKey(key_of(job)))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "solve_key", counted_key)
+        jobs = small_jobs("risk_cap", [round(0.1 * i, 1) for i in range(1, 11)])
+        rows, expected, _ = run_sweep_counting(monkeypatch, jobs, pool, full_runs=True)
+        assert rows == expected
+        assert len(made) == 60 and [key.hashes for key in made] == [1] * 60
 
     def test_workflow_calibrated_once(self, monkeypatch):
         calls = []

@@ -139,6 +139,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(radio, noise_w=math.inf)
 
+    @pytest.mark.parametrize("fields", [
+        dict(h_ul=1e-300, h_dl=1e-300), dict(h_ul=1e-300), dict(h_dl=1e-300),  # SNR underflows
+        dict(b_ul_mhz=1e305), dict(p_ap_w=1e300, h_dl=1e300),  # rate overflows to inf
+    ], ids=["both_zero", "uplink_zero", "downlink_zero", "uplink_inf", "downlink_inf"])
+    def test_radio_refuses_rate_not_positive_and_finite(self, fields):
+        # a decode offloading to a 0.0 rate raised ZeroDivisionError
+        with pytest.raises(ValueError, match="rates must be positive and finite"):
+            dataclasses.replace(default_radio(), **fields)
+
     def test_radio_rejects_non_positive(self):
         with pytest.raises(ValueError):
             RadioParams(20.0, 20.0, 0.0, 1.0, 1.0, 1.0, 1.0)
@@ -215,6 +224,16 @@ class TestSerialization:
         payload["aps"][0]["vms"][0][key] = bad
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message) as refused:
+            load_platform(path)
+        assert str(path) in str(refused.value)
+
+    def test_zero_rate_radio_rejected(self, tmp_path):
+        path = tmp_path / "platform.json"
+        save_platform(default_platform(2), path)
+        payload = json.loads(path.read_text())
+        payload["aps"][1]["radio"]["h_ul"] = 1e-300
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="rates must be positive and finite") as refused:
             load_platform(path)
         assert str(path) in str(refused.value)
 

@@ -30,6 +30,7 @@ from seeco.workflow import (
     random_workflow,
     save_workflow,
     with_deadline,
+    with_risk_cap,
 )
 
 CAT = default_catalog()
@@ -234,6 +235,33 @@ class TestWithDeadline:
         with_deadline(w, 3.0)
         assert (w.tasks, w.edges, w.deadline_s, w.risk_cap,
                 [w.predecessors(i) for i in range(w.n)]) == before
+
+
+class TestWithRiskCap:
+    @pytest.mark.parametrize("cap", [0.0, 0.3, 1.0, 1], ids=["zero", "inside", "one", "int"])
+    def test_equals_replace_and_shares_the_graph(self, cap):
+        w = random_workflow(15, 0.3, seed=8, risk_cap=0.5)
+        got, want = with_risk_cap(w, cap), dataclasses.replace(w, risk_cap=cap)
+        assert got == want and type(got.risk_cap) is type(want.risk_cap) is float
+        assert (got.deadline_s, got.risk_cap) == (w.deadline_s, cap)
+        assert got._preds is w._preds and got._succs is w._succs and got._order is w._order
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "non-finite"), (math.inf, "non-finite"), (-math.inf, "non-finite"),
+        (-0.1, r"risk cap must be in \[0, 1\]"), (1.1, r"risk cap must be in \[0, 1\]"),
+    ])
+    def test_refuses_what_the_constructor_refuses(self, bad, message):
+        w = random_workflow(4, 0.5, seed=1)
+        with pytest.raises(ValueError) as from_constructor:
+            dataclasses.replace(w, risk_cap=bad)
+        with pytest.raises(ValueError, match=message) as from_copy:
+            with_risk_cap(w, bad)
+        assert str(from_copy.value) == str(from_constructor.value)
+
+    def test_leaves_the_original_unchanged(self):
+        w = random_workflow(6, 0.4, seed=2, risk_cap=0.5)
+        assert with_risk_cap(w, 0.2).risk_cap == 0.2
+        assert w.risk_cap == 0.5
 
 
 class TestOrderValidity:
