@@ -72,6 +72,7 @@ SWEEP_DEFAULTS = {
     "tasks": dict(range="10:50:20"),
 }
 SWEEP_VARIABLES = tuple(SWEEP_DEFAULTS)
+MAX_RANGE_VALUES = 10_000  # far above any default range; a finer one is a typo
 _INT_SWEEPS = {"pop", "iters", "servers", "tasks"}
 _GA_SWEEP_FIELDS = {"pop": "pop_size", "iters": "iterations", "pc": "p_c", "pm": "p_m"}
 
@@ -94,6 +95,8 @@ def parse_range(spec: str, integer: bool) -> list[float] | list[int]:
     if integer:
         a, b, step = (exact_int(x, f"the range {spec!r} of an integer sweep")
                       for x in (a, b, step))
+    if (b - a) / step >= MAX_RANGE_VALUES:  # n steps give n + 1 values
+        raise ValueError(f"--range {spec!r}: more than {MAX_RANGE_VALUES} values")
     values = []
     i = 0
     while a + i * step <= b + 1e-9 * step:  # slack for the sum's rounding error
@@ -386,8 +389,6 @@ def _catalog(args):
 
 
 def cmd_generate(args) -> int:
-    if args.tasks < 2:
-        raise ValueError(f"--tasks must be >= 2, got {args.tasks}")
     platform = load_platform(args.platform) if args.platform else default_platform()
     w = random_workflow(args.tasks, args.density, _gen_cfg(args), seed=args.seed,
                         risk_cap=args.risk_cap)

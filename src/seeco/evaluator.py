@@ -30,8 +30,8 @@ evaluated concurrently over shared workflow/platform/catalog values.
 
 :func:`cost_tables` resolves the whole cost model of a problem into one
 :class:`CostTables` object.  The decoder, the GA's deadline repair and
-the deadline calibration's greedy witness read it and the workflow only,
-and so does :func:`energy_floor`, a lower bound on every decode's energy.
+the deadline calibration's list schedule read it and the workflow only,
+and so does :func:`min_cut`, the energy floor under every decode.
 
 The decoder runs in two passes over those tables.  The order-free pass
 (:func:`order_free_pass`) needs only placements and levels: it maps the
@@ -262,33 +262,34 @@ def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: Risk
     )
 
 
-# the relative slack between energy_floor and a decoded energy: both sum the
-# same float terms in different orders, a few ulps apart, while two placements
-# differ by a whole term, orders of magnitude more
+# the relative slack between the min cut's floor and a decoded energy: both sum
+# the same float terms in different orders, a few ulps apart, while two
+# placements differ by a whole term, orders of magnitude more
 FLOOR_RTOL = 1e-12
 
 
-def energy_floor(w: Workflow, tables: CostTables) -> float:
-    """The least device energy of any schedule of ``w``, by min cut (Stone 1977).
+def min_cut(w: Workflow, tables: CostTables) -> tuple[float, frozenset[int]]:
+    """The least device energy of any schedule of ``w``, and the MD side of its min cut.
 
     Without the deadline and the risk cap, only which tasks run on the MD
     matters: the MD pays each such task's compute, one upload per edge from
     an MD task to an edge task and one download per edge the other way, at
-    the best uplink and downlink.  That is a min s-t cut: the MD is the
-    source, holding the entry and exit; a task's compute is its arc to the
-    sink, and edge ``(u, v)`` is the arcs ``u -> v`` (upload of ``u``'s
-    output) and ``v -> u`` (its download).  Security costs time, not
+    the best uplink and downlink.  That is a min s-t cut (Stone 1977): the
+    MD is the source, holding the entry and exit; a task's compute is its
+    arc to the sink, and edge ``(u, v)`` is the arcs ``u -> v`` (upload of
+    ``u``'s output) and ``v -> u`` (its download).  Security costs time, not
     energy, so no schedule under any strategy is below the floor, which is
-    exact up to float rounding (:data:`FLOOR_RTOL`).  It reads the tables'
-    MD row, ``md_power`` and ``rate``, and with no access point it is the
-    all-MD energy.
+    exact up to float rounding (:data:`FLOOR_RTOL`).  The MD side is what
+    the residual graph reaches from the source after the flow.  It reads
+    the tables' MD row, ``md_power`` and ``rate``; with no access point the
+    floor is the all-MD energy, with every task on the MD side.
     """
     n = w.n
     p_comp, p_ul, p_dl = tables.md_power
     inv_cap = tables.vms[0][3]
     compute = [p_comp * (t.workload_gcycles * inv_cap) for t in w.tasks]
     if len(tables.rate) == 1:
-        return sum(compute)
+        return sum(compute), frozenset(range(n))
     up = max(tables.rate[0][1:])
     down = max(row[0] for row in tables.rate[1:])
     source, sink = n, n + 1
@@ -315,7 +316,7 @@ def energy_floor(w: Workflow, tables: CostTables) -> float:
                         nxt.append(y)
             frontier = nxt
         if sink not in parent:
-            return flow
+            return flow, frozenset(x for x in parent if x < n)
         path = []
         y = sink
         while y != source:

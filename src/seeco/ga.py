@@ -32,19 +32,19 @@ and screened children leave the trajectory as it was.  The winner alone
 is decoded in full, over the same tables.
 
 A run stops once its best is feasible and at the energy floor
-(:func:`seeco.evaluator.energy_floor`), which no schedule undercuts: the
+(:func:`seeco.evaluator.min_cut`), which no schedule undercuts: the
 best is only ever replaced by a strictly better individual, so the
 generations left could not change the winner.  ``len(history)`` is the
 generation the run stopped at (``iterations`` if it never reached the floor).
 
-Before generation 0 a run polishes the greedy witness
-(:func:`polish_placements`, the local-search step of a memetic algorithm,
-Moscato 1989): single placement moves, taken while they improve it, on
-a budget of a tenth of the GA's scorings (:data:`POLISH_SHARE`).  A
-polished witness that is feasible and at the floor is the winner, and the
-run ends there, with no population built and no random number drawn.
-Otherwise the polished schedule is dropped and the GA runs as it would
-without the polish.
+Before generation 0 a run polishes the greedy witness (:func:`descend`
+over :func:`placement_moves`, the local-search step of a memetic
+algorithm, Moscato 1989): single placement moves, taken while they
+improve it, on a budget of a tenth of the GA's scorings
+(:data:`POLISH_SHARE`).  A polished witness that is feasible and at the
+floor is the winner, and the run ends there, with no population built and
+no random number drawn.  Otherwise the polished schedule is dropped and
+the GA runs as it would without the polish.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import math
 import random
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterator
 
 from .evaluator import (
     Chromosome,
@@ -69,7 +69,7 @@ from .evaluator import (
     better,
     cost_tables,
     deb_key,
-    energy_floor,
+    min_cut,
     order_free_pass,
     timing_pass,
 )
@@ -366,26 +366,40 @@ def _make_ranking_key(options: EvalOptions) -> Callable[[EvaluationResult], tupl
 POLISH_SHARE = 0.1
 
 
-def polish_placements(
+def placement_moves(tables: CostTables) -> Callable[[Chromosome, int], Iterator[Chromosome]]:
+    """:func:`descend`'s moves of the task at order position ``pos`` to each
+    other VM row of ``tables``, in flat-id order; no other gene changes."""
+    by_byte = tables.by_byte
+    row_bytes = [encode_location(ap, k) for ap, k, *_ in tables.vms]
+
+    def moves(c: Chromosome, pos: int) -> Iterator[Chromosome]:
+        here = by_byte[c.locations[pos]][2]
+        for vid, byte in enumerate(row_bytes):
+            if vid != here:
+                loc = list(c.locations)
+                loc[pos] = byte
+                yield Chromosome.unchecked(c.order, tuple(loc), c.conf_levels, c.integ_levels)
+
+    return moves
+
+
+def descend(
     c: Chromosome,
-    tables: CostTables,
+    moves: Callable[[Chromosome, int], Iterator[Chromosome]],
     decode: Callable[[Chromosome], EvaluationResult],
     key: Callable[[EvaluationResult], tuple],
     done: Callable[[EvaluationResult], bool],
     budget: int,
 ) -> tuple[Chromosome, EvaluationResult, int]:
-    """First-improvement descent over single placement moves.
+    """First-improvement descent.
 
-    For each interior order position in turn, tries moving its task to
-    each other VM row of ``tables``, in flat-id order, and takes the
-    first move that lowers ``key``; order and level genes never change.
-    Stops as soon as ``done`` holds for the current schedule, after a
-    full pass with no improving move, or once it has tried ``budget``
-    moves.  Returns the schedule, its ``decode`` and the number of
-    decodes, the start's included.
+    For each interior order position in turn, tries ``moves(c, pos)``, the
+    candidates at that position, and takes the first that lowers ``key``,
+    then goes on to the next position.  Stops as soon as ``done`` holds for
+    the current schedule, after a full pass with no improving move, or once
+    it has tried ``budget`` moves.  Returns the schedule, its ``decode`` and
+    the number of decodes, the start's included.
     """
-    by_byte = tables.by_byte
-    row_bytes = [encode_location(ap, k) for ap, k, *_ in tables.vms]
     res = decode(c)
     res_key = key(res)
     decodes = 1
@@ -393,15 +407,9 @@ def polish_placements(
     while improved and not done(res):
         improved = False
         for pos in range(1, len(c.order) - 1):
-            here = by_byte[c.locations[pos]][2]
-            for vid, byte in enumerate(row_bytes):
-                if vid == here:
-                    continue
+            for cand in moves(c, pos):
                 if decodes > budget:
                     return c, res, decodes
-                loc = list(c.locations)
-                loc[pos] = byte
-                cand = Chromosome.unchecked(c.order, tuple(loc), c.conf_levels, c.integ_levels)
                 cand_res = decode(cand)
                 decodes += 1
                 cand_key = key(cand_res)
@@ -557,20 +565,20 @@ def run(
     ``best_result`` is the winner's full decode, timeline included.
     Before each generation the run stops if its best is feasible and within
     :data:`seeco.evaluator.FLOOR_RTOL` of the energy floor
-    (:func:`seeco.evaluator.energy_floor` of its own tables, reported as
+    (:func:`seeco.evaluator.min_cut` of its own tables, reported as
     ``GaRun.energy_floor``): only a strictly better individual replaces the
     best, and none is below the floor.  So ``len(history)`` is the stop
     generation, and the winner is the one the full run would return.
 
     First of all, the run polishes the greedy witness (below) with
-    :func:`polish_placements` under its own tables and ranking key,
-    decoding without screening and trying at most :data:`POLISH_SHARE`
-    times ``pop_size * iterations`` moves.  If the polished schedule is
-    feasible and at the floor, no schedule beats it, and it is the
-    winner: the run returns before building a population, with an empty
-    history, no random number drawn and only ``GaRun.polish_decodes``
-    counted.  Without an ``UNPROTECTED`` service, such a run reads neither
-    the risk cap nor the attack rates
+    :func:`descend` over its own tables' :func:`placement_moves`, under its
+    ranking key, decoding without screening and trying at most
+    :data:`POLISH_SHARE` times ``pop_size * iterations`` moves.  If the
+    polished schedule is feasible and at the floor, no schedule beats it,
+    and it is the winner: the run returns before building a population,
+    with an empty history, no random number drawn and only
+    ``GaRun.polish_decodes`` counted.  Without an ``UNPROTECTED`` service,
+    such a run reads neither the risk cap nor the attack rates
     (:func:`seeco.baselines.risk_inputs_read`).
     Otherwise it is dropped, and the run goes on from the unpolished
     witness exactly as if there were no polish.
@@ -631,7 +639,7 @@ def run(
     full = timing_pass(w, tables)
     ranking_key = _make_ranking_key(options)
     shape = (w.tasks, w.edges, p)
-    floor = shared(memo, ("floor", shape), lambda: energy_floor(w, tables))
+    floor = shared(memo, ("floor", shape), lambda: min_cut(w, tables)[0])
     at_floor = floor * (1.0 + FLOOR_RTOL)
 
     def reached_floor(res: EvaluationResult) -> bool:
@@ -644,8 +652,9 @@ def run(
     budget = int(POLISH_SHARE * params.pop_size * params.iterations)
 
     def polish() -> tuple[Chromosome, int, bool]:
-        c, res, decodes = polish_placements(witness, tables, lambda c: timed(c, exposure(c)),
-                                            ranking_key, reached_floor, budget)
+        c, res, decodes = descend(witness, placement_moves(tables),
+                                  lambda c: timed(c, exposure(c)), ranking_key, reached_floor,
+                                  budget)
         return c, decodes, reached_floor(res)
 
     # at the witness's strongest genes ACTIVE prices and exposes as STRONGEST

@@ -250,30 +250,27 @@ def random_workflow(
                     deadline_s=math.inf, risk_cap=risk_cap)
 
 
-def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog,
-                   decrypt_producer_core_ratio: bool = True):
-    """Max-security schedule from an insertion-free greedy EFT pass.
+def list_schedule(w: Workflow, tables, cat: SecurityCatalog, rows=None):
+    """Max-security schedule from an insertion-free EFT list pass (Topcuoglu et al. 2002).
 
-    Tasks are placed in canonical order, each on the VM minimizing its
-    estimated finish time; the estimate charges each crossing edge's
+    Tasks are placed in canonical order, each on the row of ``rows[t]``
+    (``tables.vms`` rows; by default every row, and only the MD row for the
+    entry and the exit) minimizing its estimated finish time, the first
+    such row on ties.  The estimate charges each crossing edge's
     encrypt+wire time on the consumer's ready time (the real model bills
-    the producer's window; the proxy only steers placement).  Entry and
-    exit stay on the MD.  Returns the corresponding chromosome with all
-    level genes at full strength, which makes its risk exactly zero.
-    Priced from :func:`seeco.evaluator.cost_tables` under the default
-    options but ``decrypt_producer_core_ratio``, the decryption core ratio.
+    the producer's window; the proxy only steers placement).  Returns the
+    chromosome with all level genes at full strength, which makes its risk
+    exactly zero; ``tables`` price it at that level pair.
     """
-    from .evaluator import Chromosome, EvalOptions, cost_tables
+    from .evaluator import Chromosome
 
-    tables = cost_tables(w, p, cat, RiskModel(), EvalOptions(
-        decrypt_producer_core_ratio=decrypt_producer_core_ratio))
     conf = cat.strongest_id(Service.CONFIDENTIALITY)
     integ = cat.strongest_id(Service.INTEGRITY)
     cost = tables.pair_cost[conf * tables.stride + integ]
     vms, rate = tables.vms, tables.rate
-    md = vms[0]
+    rows = rows or [vms[:1]] + [vms] * (w.n - 2) + [vms[:1]]
     avail = [0.0] * len(vms)
-    placed = [md] * w.n
+    placed = [vms[0]] * w.n
     # what each placed task r offers its consumers: arrival[a][r], its
     # output's arrival time at AP a, and decrypt[y][r], the seconds VM y
     # spends decrypting it (0.0 on r's own AP, where nothing is encrypted)
@@ -284,8 +281,8 @@ def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog,
     for t in order:
         preds = w.predecessors(t)
         load = w.tasks[t].workload_gcycles
-        best, best_finish = md, math.inf
-        for row in (md,) if t in (0, w.n - 1) else vms:
+        best, best_finish = None, math.inf
+        for row in rows[t]:
             ap, _, vid, inv_cap, _ = row
             ready = max(map(arrival[ap].__getitem__, preds), default=0.0)
             dec = reduce(add, map(decrypt[vid].__getitem__, preds), 0.0)
@@ -311,6 +308,16 @@ def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog,
     )
 
 
+def greedy_witness(w: Workflow, p: Platform, cat: SecurityCatalog,
+                   decrypt_producer_core_ratio: bool = True):
+    """:func:`list_schedule` with its default rows, over :func:`seeco.evaluator.cost_tables`
+    under the default options but ``decrypt_producer_core_ratio``, the decryption core ratio."""
+    from .evaluator import EvalOptions, cost_tables
+
+    return list_schedule(w, cost_tables(w, p, cat, RiskModel(), EvalOptions(
+        decrypt_producer_core_ratio=decrypt_producer_core_ratio)), cat)
+
+
 def local_chromosome(w: Workflow, cat: SecurityCatalog):
     """Canonical order, everything on the MD, levels pinned (and moot)."""
     from .evaluator import Chromosome
@@ -329,20 +336,20 @@ def compute_deadline(w: Workflow, p: Platform, cat: SecurityCatalog) -> float:
     Both bounds are makespans of real schedules, decoded by the decoder's
     two passes over one set of cost tables.  The upper (serial) bound is
     the all-MD schedule of :func:`local_chromosome` (no transfers, no
-    security); the lower bound is the greedy witness schedule at
-    full-strength security, clamped to the serial bound.  Decoding both,
-    rather than summing workloads in closed form, keeps the deadline
-    bit-consistent with the decoder's own rounding: when the witness is
-    no faster, the deadline equals the all-MD makespan exactly.  So a
-    schedule meeting the midpoint deadline always exists, at zero risk,
-    since full-strength security and the MD are risk-free.
+    security); the lower bound is the greedy witness, the
+    :func:`list_schedule` over the same tables, clamped to the serial
+    bound.  Decoding both, rather than summing workloads in closed form,
+    keeps the deadline bit-consistent with the decoder's own rounding:
+    when the witness is no faster, the deadline equals the all-MD makespan
+    exactly.  So a schedule meeting the midpoint deadline always exists,
+    at zero risk, since full-strength security and the MD are risk-free.
     """
     from .evaluator import cost_tables, order_free_pass, timing_pass
 
     tables = cost_tables(w, p, cat, RiskModel())
     exposure = order_free_pass(w, tables)
     timed = timing_pass(w, tables, timeline=False)
-    local, witness = local_chromosome(w, cat), greedy_witness(w, p, cat)
+    local, witness = local_chromosome(w, cat), list_schedule(w, tables, cat)
     serial = timed(local, exposure(local)).makespan_s
     greedy = timed(witness, exposure(witness)).makespan_s
     return (min(greedy, serial) + serial) / 2.0

@@ -27,10 +27,10 @@ from seeco.evaluator import (
     FLOOR_RTOL,
     Chromosome,
     cost_tables,
-    energy_floor,
     evaluate,
     exec_time,
     make_evaluator,
+    min_cut,
 )
 from seeco.ga import (
     GaParams,
@@ -283,7 +283,7 @@ def test_06_enumerated_optima_respect_the_energy_floor():
         cfg = GeneratorConfig(data_range_mb=(1.0, 6.0), workload_range_gcycles=(3.0, 10.0))
         w = random_workflow(n, 0.4, cfg, seed=100 + i, risk_cap=rng.choice([0.2, 0.4, 0.6]))
         w = with_deadline(w, compute_deadline(w, p, cat))
-        floor = energy_floor(w, cost_tables(w, p, cat, RISK))
+        floor = min_cut(w, cost_tables(w, p, cat, RISK))[0]
         assert _enumerate_optimum(w, p, cat) >= floor * (1.0 - FLOOR_RTOL), i
 
 

@@ -437,7 +437,7 @@ class TestPinnedFullRuns:
     @pytest.mark.parametrize("kind, ratio", sorted({k[:2] for k in PINNED_FULL_RUNS}),
                              ids=lambda v: str(v).lower())
     def test_matches_recorded_run(self, monkeypatch, kind, ratio):
-        monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
+        monkeypatch.setattr(ga, "min_cut", lambda *args: (-math.inf, frozenset()))
         cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
         w = random_workflow(12, 0.3, cfg, seed=6, risk_cap=0.3)
         w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))

@@ -24,7 +24,7 @@ from seeco.cli import (
     run_sweep,
     summarize_rows,
 )
-from seeco.evaluator import FLOOR_RTOL, cost_tables, energy_floor, evaluate
+from seeco.evaluator import FLOOR_RTOL, cost_tables, evaluate, min_cut
 from seeco.ga import HISTORY_CSV_HEADER, GaParams
 from seeco.platform import default_platform, save_platform
 from seeco.security import RiskModel, default_catalog
@@ -62,6 +62,19 @@ class TestParsing:
                    "--seeds", "1", "--out", str(tmp_path / "res")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --range '0:1e-9:1e-12'")
+        assert not (tmp_path / "res").exists()
+
+    def test_too_many_values_refused_before_any_is_built(self, tmp_path, capsys):
+        # 1e10 values: building them first would never return
+        with pytest.raises(ValueError, match="--range '0:1:1e-10': more than 10000 values"):
+            parse_range("0:1:1e-10", integer=False)
+        assert len(parse_range("1:10000:1", integer=True)) == 10000
+        with pytest.raises(ValueError, match="more than 10000 values"):
+            parse_range("0:10000:1", integer=True)
+        rc = main(["sweep", "--sweep", "risk_cap", "--range", "0:1:1e-10", "--tasks", "5",
+                   "--seeds", "1", "--out", str(tmp_path / "res")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --range '0:1:1e-10'")
         assert not (tmp_path / "res").exists()
 
     def test_int_range(self):
@@ -167,7 +180,7 @@ class TestSolve:
               "--out", str(wf)])
         w, p, cat = load_workflow(wf), default_platform(), default_catalog()
         witness = evaluate(greedy_witness(w, p, cat), w, p, cat, RiskModel())
-        floor = energy_floor(w, cost_tables(w, p, cat, RiskModel()))
+        floor = min_cut(w, cost_tables(w, p, cat, RiskModel()))[0]
         assert witness.feasible and witness.energy_j <= floor * (1.0 + FLOOR_RTOL)
         out_dir = tmp_path / "res"
         assert main(["solve", "--workflow", str(wf), "--strategy", "seeco", "--pop", "8",
@@ -403,7 +416,7 @@ class TestSweepMachinery:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         # no GA run stops at the floor, so every GA probe runs the GA on
-        monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
+        monkeypatch.setattr(ga, "min_cut", lambda *args: (-math.inf, frozenset()))
 
         def jobs_of(strategy, seeds):
             return build_sweep_jobs(
@@ -492,7 +505,7 @@ def run_sweep_counting(monkeypatch, jobs, pool, full_runs=False):
 
     with monkeypatch.context() as m:
         if full_runs:
-            m.setattr(ga, "energy_floor", lambda *args: -math.inf)
+            m.setattr(ga, "min_cut", lambda *args: (-math.inf, frozenset()))
         expected = sorted((run_job(j)[0] for j in jobs),
                           key=lambda r: (r["value"], r["strategy"], r["seed"]))
         m.setattr(cli, "run_job", counting_run_job)
@@ -591,7 +604,7 @@ class TestSweepDeduplication:
         assert len(solved_here) == 6
         assert sizes == [] and pooled == []
         # the first long probe (confi, seed 1) runs here, the rest in the pool
-        monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
+        monkeypatch.setattr(ga, "min_cut", lambda *args: (-math.inf, frozenset()))
         solved_here.clear()
         assert len(run_sweep(jobs, max_workers=8)) == 12
         assert sizes == [6]  # one probe per strategy and seed
@@ -609,7 +622,7 @@ class TestSweepDeduplication:
             self, monkeypatch, sweep, values, full_runs, literal_eq11):
         jobs = small_jobs(sweep, values, literal_eq11=literal_eq11)
         if full_runs:
-            monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
+            monkeypatch.setattr(ga, "min_cut", lambda *args: (-math.inf, frozenset()))
         expected = sorted((run_job(j)[0] for j in jobs),
                           key=lambda r: (r["value"], r["strategy"], r["seed"]))
         calls = Counter()
@@ -620,11 +633,11 @@ class TestSweepDeduplication:
                 return fn(*args, **kwargs)
             return counted
 
-        for name in ("energy_floor", "greedy_witness", "polish_placements"):
+        for name in ("min_cut", "greedy_witness", "descend"):
             monkeypatch.setattr(ga, name, counting(name, getattr(ga, name)))
         assert run_sweep(jobs, max_workers=1) == expected
         # one key each; max-level and SEECO share a polish, min-level's reads no rate
-        assert calls == {"energy_floor": 1, "greedy_witness": 1, "polish_placements": 4}
+        assert calls == {"min_cut": 1, "greedy_witness": 1, "descend": 4}
 
     @pytest.mark.parametrize("pool", ["sequential", "in_process_pool"])
     def test_each_job_key_hashed_once(self, monkeypatch, pool):

@@ -17,10 +17,10 @@ from seeco.evaluator import (
     better,
     cost_tables,
     deb_key,
-    energy_floor,
     evaluate,
     exec_time,
     make_evaluator,
+    min_cut,
     order_free_pass,
     timing_pass,
     write_schedule_csv,
@@ -562,7 +562,7 @@ def partition_energy(w, platform, on_md):
 
 
 class TestEnergyFloor:
-    """``energy_floor`` is below every decode and is the least partition energy."""
+    """``min_cut``'s floor is below every decode and is the least partition energy."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 9), density=st.floats(0.1, 0.9), seed=st.integers(0, 10**6),
@@ -581,7 +581,7 @@ class TestEnergyFloor:
                                               c.integ_levels))
         for kind in StrategyKind:
             options = search_setup(Strategy(kind, literal))
-            floor = energy_floor(w, cost_tables(w, platform, CAT, RISK, options))
+            floor = min_cut(w, cost_tables(w, platform, CAT, RISK, options))[0]
             for c in chromosomes:
                 energy = evaluate(c, w, platform, CAT, RISK, options).energy_j
                 assert energy >= floor * (1.0 - FLOOR_RTOL), (kind, c)
@@ -593,7 +593,7 @@ class TestEnergyFloor:
     def test_equals_brute_force_over_partitions(self, n, density, seed, platform, data, load):
         cfg = GeneratorConfig(data_range_mb=(0.0, data), workload_range_gcycles=(0.1, load))
         w = with_deadline(random_workflow(n, density, cfg, seed=seed), 30.0)
-        floor = energy_floor(w, cost_tables(w, platform, CAT, RISK))
+        floor = min_cut(w, cost_tables(w, platform, CAT, RISK))[0]
         if platform.num_aps == 0:
             all_md = evaluate(local_chromosome(w, CAT), w, platform, CAT, RISK).energy_j
             assert math.isclose(floor, all_md, rel_tol=FLOOR_RTOL)
@@ -605,7 +605,7 @@ class TestEnergyFloor:
     def test_reached_by_one_access_point(self):
         # equal radios: the least partition is a schedule, all its edge tasks on AP 1
         w = with_deadline(random_workflow(10, 0.3, seed=4), 30.0)
-        floor = energy_floor(w, cost_tables(w, PLATFORM, CAT, RISK))
+        floor = min_cut(w, cost_tables(w, PLATFORM, CAT, RISK))[0]
         best = min(
             evaluate(Chromosome(tuple(range(10)), (MD_LOCATION,) + tuple(
                 MD_LOCATION if md else 0x11 for md in interior) + (MD_LOCATION,),

@@ -16,9 +16,9 @@ from seeco.evaluator import (
     ServiceMode,
     cost_tables,
     deb_key,
-    energy_floor,
     evaluate,
     make_evaluator,
+    min_cut,
     order_free_pass,
     timing_pass,
 )
@@ -283,7 +283,7 @@ class TestRun:
 
     def test_history_shape_minimal(self, monkeypatch):
         # the polished witness sits at the floor here; without a floor the GA runs
-        monkeypatch.setattr(ga, "energy_floor", lambda *args: -math.inf)
+        monkeypatch.setattr(ga, "min_cut", lambda *args: (-math.inf, frozenset()))
         w = random_workflow(4, 0.4, seed=22)
         w = with_deadline(w, 50.0)
         r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=2, iterations=1, seed=1))
@@ -461,9 +461,9 @@ class TestFloorStop:
     def stop_generation(monkeypatch, w, options, params):
         """Run with and without the floor, check what each stop promises, and
         return the stop generation (-1 for a run that ended before generation 0)."""
-        floor = energy_floor(w, cost_tables(w, PLATFORM, CAT, RISK, options))
+        floor = min_cut(w, cost_tables(w, PLATFORM, CAT, RISK, options))[0]
         with monkeypatch.context() as m:
-            m.setattr(ga, "energy_floor", lambda *args: -math.inf)
+            m.setattr(ga, "min_cut", lambda *args: (-math.inf, frozenset()))
             full = run(w, PLATFORM, CAT, RISK, params, options=options)
         r = run(w, PLATFORM, CAT, RISK, params, options=options)
         assert r.energy_floor == floor
@@ -573,7 +573,7 @@ class TestPolishedWitness:
         options = search_setup(Strategy(kind, literal))
         params = GaParams(pop_size=6, iterations=5, seed=ga_seed)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(ga, "energy_floor", lambda *args: -math.inf)
+            m.setattr(ga, "min_cut", lambda *args: (-math.inf, frozenset()))
             full = run(w, p, CAT, RISK, params, options=options).best_result
         r = run(w, p, CAT, RISK, params, options=options)
         real = r.best_result

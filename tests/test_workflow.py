@@ -7,8 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seeco.evaluator import evaluate
+import seeco.evaluator
+from seeco.evaluator import FLOOR_RTOL, cost_tables, evaluate, min_cut
 from seeco.platform import (
+    MD_LOCATION,
     AccessPoint,
     MobileDevice,
     Platform,
@@ -25,6 +27,7 @@ from seeco.workflow import (
     compute_deadline,
     greedy_witness,
     is_valid_order,
+    list_schedule,
     load_workflow,
     local_chromosome,
     random_workflow,
@@ -397,6 +400,18 @@ class TestDeadline:
         p = default_platform()
         assert compute_deadline(w, p, CAT) == compute_deadline(w, p, CAT)
 
+    def test_builds_its_cost_tables_once(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return cost_tables(*args, **kwargs)
+
+        monkeypatch.setattr(seeco.evaluator, "cost_tables", counted)
+        w = random_workflow(12, 0.3, OFFLOAD_FRIENDLY, seed=3)
+        compute_deadline(w, default_platform(), CAT)
+        assert len(built) == 1  # the witness is priced from the calibration's tables
+
 
 def assert_deadline_reachable(w, p):
     """Some bound schedule meets the deadline; all-MD does when the witness is slower."""
@@ -545,6 +560,27 @@ def test_witness_pinned_ratio_off():
         assert c.order == tuple(canonical_order(w))
         assert bytes(c.locations).hex() == locations
         assert (set(c.conf_levels), set(c.integ_levels)) == ({strongest[0]}, {strongest[1]})
+
+
+class TestMinCutPartition:
+    """The min cut's MD side, list-scheduled with every other task on the edge, is at the floor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 60), density=st.floats(0.0, 1.0), seed=st.integers(0, 10**6),
+           offload_friendly=st.booleans(), servers=st.integers(1, 5))
+    def test_partition_schedule_reaches_the_floor(self, n, density, seed, offload_friendly,
+                                                  servers):
+        cfg = OFFLOAD_FRIENDLY if offload_friendly else GeneratorConfig()
+        w = random_workflow(n, density, cfg, seed=seed)
+        p = default_platform(servers)  # equal radios: every AP has the best rates
+        tables = cost_tables(w, p, CAT, RiskModel())
+        floor, md_side = min_cut(w, tables)
+        assert {0, n - 1} <= md_side
+        rows = [tables.vms[:1] if t in md_side else tables.vms[1:] for t in range(n)]
+        c = list_schedule(w, tables, CAT, rows)
+        assert {t for t, byte in zip(c.order, c.locations) if byte == MD_LOCATION} == md_side
+        energy = evaluate(c, w, p, CAT, RiskModel()).energy_j
+        assert math.isclose(energy, floor, rel_tol=FLOOR_RTOL)
 
 
 class TestSerialization:
