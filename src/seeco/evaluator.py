@@ -31,7 +31,8 @@ evaluated concurrently over shared workflow/platform/catalog values.
 :func:`cost_tables` resolves the whole cost model of a problem into one
 :class:`CostTables` object.  The decoder, the GA's deadline repair and
 the deadline calibration's list schedule read it and the workflow only,
-and so does :func:`min_cut`, the energy floor under every decode.
+and so do :func:`min_cut`, the energy floor under every decode, and
+:func:`move_energy`, what moving one task adds to a schedule's energy.
 
 The decoder runs in two passes over those tables.  The order-free pass
 (:func:`order_free_pass`) needs only placements and levels: it maps the
@@ -327,6 +328,37 @@ def min_cut(w: Workflow, tables: CostTables) -> tuple[float, frozenset[int]]:
             res[x][y] -= push
             res[y][x] = res[y].get(x, 0.0) + push
         flow += push
+
+
+def move_energy(w: Workflow, tables: CostTables) -> Callable[..., tuple[float, float]]:
+    """Build ``rise(aps, t, b, energy)``: what moving task ``t`` from AP ``aps[t]`` to AP
+    ``b`` adds to the device energy of a schedule that runs each task ``u`` on AP
+    ``aps[u]`` and decodes to ``energy``, and a bound on the decoded change's distance
+    from it.  The rise reads ``t``'s MD compute and its edges' MD legs, each by the
+    timing pass's expression, in O(deg t).  A decode sums ``k <= n + len(w.edges)`` such
+    non-negative terms to within ``(k - 1) u`` of their exact sum (Higham; ``u =
+    2**-53``), so a rise over the bound, ``4 k u (energy + the terms read)``, decodes to
+    strictly more energy.
+    """
+    p_comp, p_ul, p_dl = tables.md_power
+    rate, inv_cap = tables.rate, tables.vms[0][3]
+    compute = [p_comp * (t.workload_gcycles * inv_cap) for t in w.tasks]
+    # legs[t][x][y]: the MD's energy to send t's output from AP x to AP y
+    legs = [[[p_ul * (t.output_mb / rate[0][y]) if x == 0 != y else
+              p_dl * (t.output_mb / rate[x][0]) if y == 0 != x else 0.0
+              for y in range(len(rate))] for x in range(len(rate))] for t in w.tasks]
+    ulps = 4 * (w.n + len(w.edges)) * 2.0 ** -53
+
+    def rise(aps: dict, t: int, b: int, energy: float) -> tuple[float, float]:
+        a = aps[t]
+        old, new = compute[t] * (a == 0), compute[t] * (b == 0)
+        for s in w.successors(t):
+            old, new = old + legs[t][a][aps[s]], new + legs[t][b][aps[s]]
+        for r in w.predecessors(t):
+            old, new = old + legs[r][aps[r]][a], new + legs[r][aps[r]][b]
+        return new - old, ulps * (energy + old + new)
+
+    return rise
 
 
 def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], Exposure]:

@@ -41,10 +41,12 @@ Before generation 0 a run polishes the greedy witness (:func:`descend`
 over :func:`placement_moves`, the local-search step of a memetic
 algorithm, Moscato 1989): single placement moves, taken while they
 improve it, on a budget of a tenth of the GA's scorings
-(:data:`POLISH_SHARE`).  A polished witness that is feasible and at the
-floor is the winner, and the run ends there, with no population built and
-no random number drawn.  Otherwise the polished schedule is dropped and
-the GA runs as it would without the polish.
+(:data:`POLISH_SHARE`), where a move that provably raises a feasible
+schedule's energy (:func:`seeco.evaluator.move_energy`) counts undecoded.
+A polished witness that is feasible and at the floor is the winner, and
+the run ends there, with no population built and no random number drawn.
+Otherwise the polished schedule is dropped and the GA runs as it would
+without the polish.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import operator
 import random
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
@@ -70,10 +73,11 @@ from .evaluator import (
     cost_tables,
     deb_key,
     min_cut,
+    move_energy,
     order_free_pass,
     timing_pass,
 )
-from .platform import MD_LOCATION, Platform, encode_location, exact_int
+from .platform import MD_LOCATION, Platform, encode_location, exact_int, finite_fields
 from .security import RiskModel, SecurityCatalog, Service, default_catalog
 from .workflow import Workflow, greedy_witness
 
@@ -96,7 +100,7 @@ class GaParams:
             raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 <= self.p_c <= 1.0 or not 0.0 <= self.p_m <= 1.0:
+        if not all(0.0 <= x <= 1.0 for x in finite_fields(self, "p_c", "p_m")):
             raise ValueError("p_c and p_m must be probabilities")
 
 
@@ -186,8 +190,8 @@ class GaRun:
     generation run, so ``len(history)`` is the stop generation:
     ``params.iterations``, or fewer when the best reached ``energy_floor``,
     the run's lower bound on device energy in J (and 0 rows when the
-    initial population did).  ``polish_decodes`` counts the decodes of the
-    witness's polish, which none of the other counters include.  A run
+    initial population did).  ``polish_decodes`` counts the decodes that the
+    witness's polish ran, which none of the other counters include.  A run
     whose polished witness reached the floor ends before generation 0:
     its history is empty and every other counter is 0.
     """
@@ -390,6 +394,7 @@ def descend(
     key: Callable[[EvaluationResult], tuple],
     done: Callable[[EvaluationResult], bool],
     budget: int,
+    screen: Callable[[Chromosome, EvaluationResult], Callable | bool],
 ) -> tuple[Chromosome, EvaluationResult, int]:
     """First-improvement descent.
 
@@ -397,19 +402,26 @@ def descend(
     candidates at that position, and takes the first that lowers ``key``,
     then goes on to the next position.  Stops as soon as ``done`` holds for
     the current schedule, after a full pass with no improving move, or once
-    it has tried ``budget`` moves.  Returns the schedule, its ``decode`` and
-    the number of decodes, the start's included.
+    it has tried ``budget`` moves, counting those that ``screen(c, res)``
+    skips undecoded: called once per current schedule, it gives ``False``
+    or a predicate over ``(pos, cand)`` that holds only for moves ranking
+    strictly worse under ``key``.  Returns the schedule, its ``decode`` and
+    the decodes run, the start's included.
     """
     res = decode(c)
     res_key = key(res)
+    skip = screen(c, res)
     decodes = 1
     improved = True
     while improved and not done(res):
         improved = False
         for pos in range(1, len(c.order) - 1):
             for cand in moves(c, pos):
-                if decodes > budget:
+                if budget <= 0:
                     return c, res, decodes
+                budget -= 1
+                if skip and skip(pos, cand):
+                    continue
                 cand_res = decode(cand)
                 decodes += 1
                 cand_key = key(cand_res)
@@ -417,6 +429,7 @@ def descend(
                     c, res, res_key, improved = cand, cand_res, cand_key, True
                     if done(res):
                         return c, res, decodes
+                    skip = screen(c, res)
                     break
     return c, res, decodes
 
@@ -572,14 +585,15 @@ def run(
 
     First of all, the run polishes the greedy witness (below) with
     :func:`descend` over its own tables' :func:`placement_moves`, under its
-    ranking key, decoding without screening and trying at most
-    :data:`POLISH_SHARE` times ``pop_size * iterations`` moves.  If the
-    polished schedule is feasible and at the floor, no schedule beats it,
-    and it is the winner: the run returns before building a population,
-    with an empty history, no random number drawn and only
-    ``GaRun.polish_decodes`` counted.  Without an ``UNPROTECTED`` service,
-    such a run reads neither the risk cap nor the attack rates
-    (:func:`seeco.baselines.risk_inputs_read`).
+    ranking key, trying at most :data:`POLISH_SHARE` times ``pop_size *
+    iterations`` moves.  It decodes them without the risk screen, but skips
+    those that provably raise a feasible schedule's energy
+    (:func:`seeco.evaluator.move_energy`).  If the polished schedule is
+    feasible and at the floor, no schedule beats it, and it is the winner:
+    the run returns before building a population, with an empty history,
+    no random number drawn and only ``GaRun.polish_decodes`` counted.
+    Without an ``UNPROTECTED`` service, such a run reads neither the risk
+    cap nor the attack rates (:func:`seeco.baselines.risk_inputs_read`).
     Otherwise it is dropped, and the run goes on from the unpolished
     witness exactly as if there were no polish.
 
@@ -652,9 +666,16 @@ def run(
     budget = int(POLISH_SHARE * params.pop_size * params.iterations)
 
     def polish() -> tuple[Chromosome, int, bool]:
+        rise, by_byte = move_energy(w, tables), tables.by_byte
+
+        def screen(c: Chromosome, res: EvaluationResult):  # for feasibility-first keys only
+            aps = {t: by_byte[byte][0] for t, byte in zip(c.order, c.locations)}
+            return res.feasible and (lambda pos, cand: operator.gt(*rise(
+                aps, c.order[pos], by_byte[cand.locations[pos]][0], res.energy_j)))
+
         c, res, decodes = descend(witness, placement_moves(tables),
                                   lambda c: timed(c, exposure(c)), ranking_key, reached_floor,
-                                  budget)
+                                  budget, screen)
         return c, decodes, reached_floor(res)
 
     # at the witness's strongest genes ACTIVE prices and exposes as STRONGEST

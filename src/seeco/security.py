@@ -130,8 +130,8 @@ class RiskModel:
 
     def __post_init__(self) -> None:
         # finite rates keep a level-1.0 payload's survival exp(-rate * 0) at exactly 1
-        if not all(0.0 <= r < math.inf for r in (self.lambda_conf, self.lambda_integ)):
-            raise ValueError("attack rates must be finite and non-negative")
+        if min(finite_fields(self, "lambda_conf", "lambda_integ")) < 0.0:
+            raise ValueError(f"attack rates must be non-negative, got {self}")
 
 
 def speed_from_cost(cost_s: float, data_mb: float) -> float:

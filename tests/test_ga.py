@@ -19,6 +19,7 @@ from seeco.evaluator import (
     evaluate,
     make_evaluator,
     min_cut,
+    move_energy,
     order_free_pass,
     timing_pass,
 )
@@ -34,6 +35,7 @@ from seeco.ga import (
     make_deadline_repair,
     mutate_order,
     mutate_vectors,
+    placement_moves,
     run,
     write_history_csv,
 )
@@ -585,6 +587,82 @@ class TestPolishedWitness:
             assert real.energy_j <= full.energy_j * (1.0 + FLOOR_RTOL)
 
 
+class TestEnergyScreen:
+    """The polish skips, undecoded, only moves that rank strictly worse."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(3, 30), seed=st.integers(0, 10**6), kind=st.sampled_from(GA_KINDS),
+           literal=st.booleans(), servers=st.integers(0, 3), radio_gain=st.floats(0.2, 5.0),
+           cap=st.floats(0.0, 1.0), slack=st.floats(0.8, 1.6),
+           changes=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0x01, 0xFF)),
+                            max_size=4))
+    def test_screened_moves_decode_strictly_worse(self, n, seed, kind, literal, servers,
+                                                  radio_gain, cap, slack, changes):
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        p = default_platform(servers)
+        if servers:  # one AP's radio gains scaled, so the APs' rates differ
+            aps = list(p.aps)
+            radio = aps[seed % servers].radio
+            aps[seed % servers] = replace(aps[seed % servers], radio=replace(
+                radio, h_ul=radio.h_ul * radio_gain, h_dl=radio.h_dl * radio_gain))
+            p = replace(p, aps=tuple(aps))
+        w = random_workflow(n, 0.4, cfg, seed=seed, risk_cap=cap)
+        w = with_deadline(w, compute_deadline(w, p, CAT) * slack)
+        options = search_setup(Strategy(kind, literal))
+        tables = cost_tables(w, p, CAT, RISK, options)
+        decode = make_evaluator(w, p, CAT, RISK, options)
+        key = ga._make_ranking_key(options)
+        c = greedy_witness(w, p, CAT, decrypt_producer_core_ratio=literal)
+        loc = list(c.locations)
+        for i, byte in changes:  # a few random placement changes
+            loc[1 + i % (n - 2)] = byte
+        c = replace(c, locations=tuple(loc))
+        res = decode(c)
+        rise, aps = move_energy(w, tables), dict(enumerate(order_free_pass(w, tables)(c).aps))
+        for pos in range(1, n - 1):
+            for cand in placement_moves(tables)(c, pos):
+                cand_res = decode(cand)
+                gain, bound = rise(aps, c.order[pos], tables.by_byte[cand.locations[pos]][0],
+                                   res.energy_j)
+                assert abs((cand_res.energy_j - res.energy_j) - gain) <= bound
+                if res.feasible and gain > bound:
+                    assert key(cand_res) > key(res)
+
+    @pytest.mark.parametrize("kind", [StrategyKind.MAX_LEVEL, StrategyKind.MIN_LEVEL,
+                                      StrategyKind.CONFI_ONLY, StrategyKind.INTEG_ONLY],
+                             ids=lambda k: k.value)
+    def test_descent_matches_an_unscreened_one(self, monkeypatch, kind):
+        # test_08's n = 30 instance, the bench sweep's workflow
+        cfg = GeneratorConfig(data_range_mb=(2.0, 10.0), workload_range_gcycles=(5.0, 15.0))
+        w = random_workflow(30, 0.3, cfg, seed=7, risk_cap=0.5)
+        w = with_deadline(w, compute_deadline(w, PLATFORM, CAT))
+        calls = []
+        real_descend = ga.descend
+        monkeypatch.setattr(ga, "descend", lambda *args: calls.append(args) or real_descend(*args))
+        run(w, PLATFORM, CAT, RISK, GaParams(pop_size=30, iterations=80, seed=1),
+            options=search_setup(Strategy(kind)))
+        (c, moves, decode, key, done, budget, screen), = calls
+
+        def descent(budget, screen):
+            drawn = []  # every move drawn, so the lists end where the descents stopped
+
+            def spied(c, pos):
+                for cand in moves(c, pos):
+                    drawn.append(cand)
+                    yield cand
+            return real_descend(c, spied, decode, key, done, budget, screen), drawn
+
+        full = len(descent(budget, screen)[1])  # the moves tried without a binding budget
+        assert full < budget
+        # the last two budgets bind after screened moves
+        for b in (budget, full, full - 2, full // 2):
+            (best, res, decodes), drawn = descent(b, screen)
+            (plain_best, plain_res, plain_decodes), plain_drawn = descent(
+                b, lambda c, res: False)
+            assert (best, res, drawn) == (plain_best, plain_res, plain_drawn), b
+            assert decodes < plain_decodes, b
+
+
 class TestSweepMemo:
     """A memo shared across risk caps and attack rates never changes a run."""
 
@@ -778,3 +856,12 @@ class TestParamsValidation:
     def test_bad_probs(self):
         with pytest.raises(ValueError):
             GaParams(p_c=1.5)
+
+    def test_probs_read_as_finite_floats(self):
+        # as every other constructor reads its numbers: numeric strings are read, and an
+        # integer beyond the float range is refused
+        params = GaParams(p_c="0.25", p_m=1)
+        assert (params.p_c, params.p_m) == (0.25, 1.0) and type(params.p_m) is float
+        for bad in (10**400, "nan", -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                GaParams(p_m=bad)

@@ -251,6 +251,15 @@ class TestRisk:
         with pytest.raises(ValueError, match="finite"):
             RiskModel(**{field: rate})
 
+    @pytest.mark.parametrize("field", ["lambda_conf", "lambda_integ"])
+    def test_risk_model_reads_rates_as_finite_floats(self, field):
+        # as every other constructor reads its numbers: a numeric string is read, and
+        # an integer beyond the float range is refused here, not in cost_tables
+        model = RiskModel(**{field: "2.5"})
+        assert getattr(model, field) == 2.5 and type(RiskModel(1, 2).lambda_integ) is float
+        with pytest.raises(ValueError, match="non-finite"):
+            RiskModel(**{field: 10**400})
+
 
 class TestLevelReconstruction:
     def test_printed_levels_reproduced_from_speeds(self):
