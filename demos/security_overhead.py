@@ -3,7 +3,7 @@
 Run:  python3 demos/security_overhead.py
 """
 
-from seeco import RiskModel, Service, default_catalog, overhead, task_risk
+from seeco import RiskModel, Service, default_catalog, overhead, survival
 
 cat = default_catalog()
 
@@ -21,8 +21,8 @@ for cores, freq in [(1, 2.2), (2, 2.2), (1, 4.4), (8, 2.2)]:
     t = overhead(idea, cores, freq, 100.0)
     print(f"  {cores} cores @ {freq} GHz -> {t:6.2f} s")
 
-# Weaker levels run faster but leave data exposed; the task risk combines
-# both services' survival probabilities.
+# Weaker levels run faster but leave data exposed; a crossing payload is
+# breached unless both of its services survive, each by security.survival.
 model = RiskModel()
 print("\nPer-task risk when output leaves the access point")
 print("  conf  integ   risk")
@@ -30,5 +30,5 @@ for conf_id in (1, 3, 5):
     for integ_id in (1, 5):
         sl_c = cat.algorithm(Service.CONFIDENTIALITY, conf_id).level
         sl_i = cat.algorithm(Service.INTEGRITY, integ_id).level
-        risk = task_risk(sl_c, sl_i, model)
+        risk = 1.0 - survival(sl_c, model.lambda_conf) * survival(sl_i, model.lambda_integ)
         print(f"  {sl_c:4.2f}  {sl_i:5.2f}  {risk:6.4f}")

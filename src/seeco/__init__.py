@@ -41,9 +41,7 @@ from .security import (
     load_catalog,
     overhead,
     save_catalog,
-    task_risk,
-    task_service_risk,
-    workflow_risk,
+    survival,
 )
 from .workflow import (
     GeneratorConfig,

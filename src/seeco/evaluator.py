@@ -37,7 +37,7 @@ and so do :func:`min_cut`, the energy floor under every decode, and
 The decoder runs in two passes over those tables.  The order-free pass
 (:func:`order_free_pass`) needs only placements and levels: it maps the
 genes to tasks, finds which tasks' output crosses an access point, and
-takes the risk; it is the one place where the risk formula lives.  The
+takes the risk from their survivals, priced by :func:`seeco.security.survival`.  The
 timing pass (:func:`timing_pass`) then walks the order to fill in start
 times, durations and energy, and returns an :class:`EvaluationResult`,
 with the per-task timeline or, without it, only the totals, which are
@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .platform import MD_LOCATION, Platform, VmSpec, decode_location, downlink_rate, uplink_rate
-from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service, overhead
+from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service, overhead, survival
 from .workflow import Workflow, is_valid_order
 
 
@@ -192,8 +192,8 @@ class CostTables(NamedTuple):
     # dec_ratio[x][y]: the factor on what VM y decrypts of VM x's output, by
     # flat id: cores_x / cores_y under the literal formula, 1.0 otherwise
     dec_ratio: tuple[tuple[float, ...], ...]
-    # per (conf, integ) level gene pair, at index conf * stride + integ: the
-    # crypto seconds per MB times frequency*cores, and a crossing payload's survival
+    # per (conf, integ) level gene pair, at index conf * stride + integ: the crypto seconds
+    # per MB times frequency*cores, and a crossing payload's security.survival product
     stride: int
     pair_cost: tuple[float, ...]
     pair_surv: tuple[float, ...]
@@ -234,13 +234,13 @@ def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: Risk
             ladders = [tuple(sorted((move(a, b) for b in algs if b.speed_mb_s > a.speed_mb_s),
                                     key=lambda m: -m[0])) for a in algs]
             return ([0.0] + [overhead(a, 1, 1.0, 1.0) for a in algs],
-                    [1.0] + [math.exp(-rate * (1.0 - a.level)) for a in algs],
+                    [1.0] + [survival(a.level, rate) for a in algs],
                     ((),) + tuple(ladders))
         if mode is ServiceMode.STRONGEST:
             strongest = cat.algorithm(svc, cat.strongest_id(svc))
             return [overhead(strongest, 1, 1.0, 1.0)] * count, [1.0] * count, ()
         if mode is ServiceMode.UNPROTECTED:
-            return [0.0] * count, [math.exp(-rate)] * count, ()
+            return [0.0] * count, [survival(0.0, rate)] * count, ()
         return [0.0] * count, [1.0] * count, ()
 
     conf_cost, conf_surv, conf_ladders = service_table(
@@ -269,6 +269,18 @@ def cost_tables(w: Workflow, p: Platform, cat: SecurityCatalog, risk_model: Risk
 FLOOR_RTOL = 1e-12
 
 
+def _md_terms(w: Workflow, tables: CostTables) -> tuple[list, list]:
+    """The MD's energy, by the timing pass's expressions, to run task ``t`` on the MD,
+    ``compute[t]``, and to send its output from AP ``x`` to AP ``y``, ``legs[t][x][y]``."""
+    p_comp, p_ul, p_dl = tables.md_power
+    rate, inv_cap = tables.rate, tables.vms[0][3]
+    compute = [p_comp * (t.workload_gcycles * inv_cap) for t in w.tasks]
+    legs = [[[p_ul * (t.output_mb / rate[0][y]) if x == 0 != y else
+              p_dl * (t.output_mb / rate[x][0]) if y == 0 != x else 0.0
+              for y in range(len(rate))] for x in range(len(rate))] for t in w.tasks]
+    return compute, legs
+
+
 def min_cut(w: Workflow, tables: CostTables) -> tuple[float, frozenset[int]]:
     """The least device energy of any schedule of ``w``, and the MD side of its min cut.
 
@@ -281,27 +293,22 @@ def min_cut(w: Workflow, tables: CostTables) -> tuple[float, frozenset[int]]:
     ``u``'s output) and ``v -> u`` (its download).  Security costs time, not
     energy, so no schedule under any strategy is below the floor, which is
     exact up to float rounding (:data:`FLOOR_RTOL`).  The MD side is what
-    the residual graph reaches from the source after the flow.  It reads
-    the tables' MD row, ``md_power`` and ``rate``; with no access point the
-    floor is the all-MD energy, with every task on the MD side.
+    the residual graph reaches from the source after the flow.  Its arcs are
+    :func:`move_energy`'s terms, each edge's cheapest legs; with no access point
+    the floor is the all-MD energy, with every task on the MD side.
     """
     n = w.n
-    p_comp, p_ul, p_dl = tables.md_power
-    inv_cap = tables.vms[0][3]
-    compute = [p_comp * (t.workload_gcycles * inv_cap) for t in w.tasks]
+    compute, legs = _md_terms(w, tables)
     if len(tables.rate) == 1:
         return sum(compute), frozenset(range(n))
-    up = max(tables.rate[0][1:])
-    down = max(row[0] for row in tables.rate[1:])
     source, sink = n, n + 1
     # residual capacities res[x][y]; in a DAG no other edge joins u and v, so
     # the upload and download arcs of (u, v) are each other's reverse
     res: list[dict[int, float]] = [{sink: e} for e in compute]
     res += [{0: math.inf, n - 1: math.inf}, {}]
     for u, v in w.edges:
-        beta = w.tasks[u].output_mb
-        res[u][v] = p_ul * (beta / up)
-        res[v][u] = p_dl * (beta / down)
+        res[u][v] = min(legs[u][0][1:])
+        res[v][u] = min(row[0] for row in legs[u][1:])
 
     # Edmonds-Karp: augment along shortest paths until the sink is cut off
     flow = 0.0
@@ -340,13 +347,7 @@ def move_energy(w: Workflow, tables: CostTables) -> Callable[..., tuple[float, f
     2**-53``), so a rise over the bound, ``4 k u (energy + the terms read)``, decodes to
     strictly more energy.
     """
-    p_comp, p_ul, p_dl = tables.md_power
-    rate, inv_cap = tables.rate, tables.vms[0][3]
-    compute = [p_comp * (t.workload_gcycles * inv_cap) for t in w.tasks]
-    # legs[t][x][y]: the MD's energy to send t's output from AP x to AP y
-    legs = [[[p_ul * (t.output_mb / rate[0][y]) if x == 0 != y else
-              p_dl * (t.output_mb / rate[x][0]) if y == 0 != x else 0.0
-              for y in range(len(rate))] for x in range(len(rate))] for t in w.tasks]
+    compute, legs = _md_terms(w, tables)
     ulps = 4 * (w.n + len(w.edges)) * 2.0 ** -53
 
     def rise(aps: dict, t: int, b: int, energy: float) -> tuple[float, float]:
@@ -365,10 +366,10 @@ def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], E
     """Build the decoder's order-free pass over one problem's tables.
 
     A task's output is exposed when some successor sits on another access
-    point; it then survives attack with its level pair's survival factor,
-    and the workflow's risk is one minus the product of those factors,
-    taken in chromosome order.  Placements and levels alone decide this,
-    so the pass never reads the start-time recurrence.
+    point; it then survives attack with its level pair's ``pair_surv``, made
+    of :func:`seeco.security.survival` factors, and the workflow's risk is one
+    minus the product of those, in chromosome order.  Placements and levels
+    alone decide this, so the pass never reads the start-time recurrence.
     """
     n = w.n
     succs = [tuple(w.successors(i)) for i in range(n)]
@@ -387,17 +388,17 @@ def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], E
 
         crossing = [False] * n
         task_risk = [0.0] * n
-        survival = 1.0
+        kept = 1.0
         for t in order:
             ap = aps[t]
             for s in succs[t]:
                 if aps[s] != ap:
                     crossing[t] = True
                     task_survival = pair_surv[pairs[t]]
-                    survival *= task_survival
+                    kept *= task_survival
                     task_risk[t] = 1.0 - task_survival
                     break
-        return Exposure(rows, aps, pairs, crossing, task_risk, 1.0 - survival)
+        return Exposure(rows, aps, pairs, crossing, task_risk, 1.0 - kept)
 
     return exposure
 

@@ -8,6 +8,9 @@ data).  Strength and speed pull in opposite directions: the slowest
 algorithm of a service defines strength level 1.0 and weaker algorithms
 get proportionally smaller levels.
 
+:func:`survival` is the one breach formula under :class:`RiskModel`'s Poisson attacks;
+:func:`seeco.evaluator.cost_tables` prices every crossing payload by it.
+
 All functions here are pure and all types immutable; they are safe to
 share across threads.  :class:`CryptoAlgorithm` reads its numbers as
 :mod:`seeco.platform`'s constructors do, so :func:`load_catalog` only maps keys.
@@ -20,7 +23,6 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
 from .platform import exact_int, finite_fields, reading
 
@@ -134,15 +136,6 @@ class RiskModel:
             raise ValueError(f"attack rates must be non-negative, got {self}")
 
 
-def speed_from_cost(cost_s: float, data_mb: float) -> float:
-    """Throughput implied by processing ``data_mb`` in ``cost_s`` seconds."""
-    if cost_s <= 0.0:
-        raise ValueError(f"cost must be positive, got {cost_s}")
-    if data_mb <= 0.0:
-        raise ValueError(f"data size must be positive, got {data_mb}")
-    return data_mb / cost_s
-
-
 def level_from_cost(cost_s: float, slowest_cost_s: float) -> float:
     """Strength level of an algorithm relative to its service's slowest one.
 
@@ -174,40 +167,14 @@ def overhead(alg: CryptoAlgorithm, cores: int, frequency_ghz: float, data_mb: fl
     return (data_mb * REF_FREQUENCY_GHZ) / (alg.speed_mb_s * frequency_ghz * cores)
 
 
-def task_service_risk(level: float, attack_rate: float) -> float:
-    """Probability that one service of a task is compromised.
-
-    Attacks arrive as a Poisson stream with the given rate; a service at
-    strength ``level`` in [0, 1] is breached with probability
-    1 - exp(-rate * (1 - level)).  Full strength is risk-free.
-    """
+def survival(level: float, attack_rate: float) -> float:
+    """Probability exp(-rate * (1 - level)) that a service at strength ``level`` in
+    [0, 1] survives Poisson attacks at ``attack_rate``; exactly 1 at level 1 and a finite rate."""
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level must be in [0, 1], got {level}")
     if attack_rate < 0.0:
         raise ValueError(f"attack rate must be non-negative, got {attack_rate}")
-    return 1.0 - math.exp(-attack_rate * (1.0 - level))
-
-
-def task_risk(level_conf: float, level_integ: float, model: RiskModel) -> float:
-    """Probability that a task's protected output is compromised at all.
-
-    Service breaches are independent, so the task survives only if both
-    services survive.  The authentication service contributes a factor
-    of exactly 1 (full strength, see RiskModel) and is omitted.
-    """
-    p_conf = task_service_risk(level_conf, model.lambda_conf)
-    p_integ = task_service_risk(level_integ, model.lambda_integ)
-    return 1.0 - (1.0 - p_conf) * (1.0 - p_integ)
-
-
-def workflow_risk(task_risks: Iterable[float]) -> float:
-    """Probability that at least one task of the workflow is compromised."""
-    survival = 1.0
-    for p in task_risks:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"task risk must be in [0, 1], got {p}")
-        survival *= 1.0 - p
-    return 1.0 - survival
+    return math.exp(-attack_rate * (1.0 - level))
 
 
 # Reference calibration: five ciphers and five hashes measured on a

@@ -34,7 +34,6 @@ from seeco.evaluator import (
 )
 from seeco.ga import (
     GaParams,
-    GeneConstraints,
     crossover_order,
     crossover_vectors,
     init_chromosome,
@@ -55,7 +54,6 @@ from seeco.security import (
 )
 from seeco.workflow import (
     GeneratorConfig,
-    canonical_order,
     compute_deadline,
     is_valid_order,
     random_workflow,

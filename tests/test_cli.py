@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace

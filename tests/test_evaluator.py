@@ -13,7 +13,6 @@ from seeco.evaluator import (
     EvalOptions,
     EvaluationResult,
     ServiceMode,
-    TaskTiming,
     better,
     cost_tables,
     deb_key,
@@ -42,7 +41,6 @@ from seeco.workflow import (
     GeneratorConfig,
     Task,
     Workflow,
-    is_valid_order,
     local_chromosome,
     random_workflow,
     with_deadline,

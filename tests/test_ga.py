@@ -15,7 +15,6 @@ from seeco.evaluator import (
     EvalOptions,
     ServiceMode,
     cost_tables,
-    deb_key,
     evaluate,
     make_evaluator,
     min_cut,

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from seeco.platform import (
     MD_LOCATION,
     AccessPoint,
-    MobileDevice,
     Platform,
     RadioParams,
     VmSpec,

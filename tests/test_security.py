@@ -1,10 +1,11 @@
 import json
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from seeco.evaluator import EvalOptions, ServiceMode, cost_tables
+from seeco.platform import default_platform
 from seeco.security import (
     CryptoAlgorithm,
     RiskModel,
@@ -15,31 +16,13 @@ from seeco.security import (
     load_catalog,
     overhead,
     save_catalog,
-    speed_from_cost,
-    task_risk,
-    task_service_risk,
-    workflow_risk,
+    survival,
 )
+from seeco.workflow import random_workflow
 
 CAT = default_catalog()
 IDEA = CAT.algorithm(Service.CONFIDENTIALITY, 1)
 RC4 = CAT.algorithm(Service.CONFIDENTIALITY, 5)
-
-
-class TestSpeedFromCost:
-    def test_idea_row(self):
-        assert speed_from_cost(8.50, 100.0) == pytest.approx(11.76, abs=0.005)
-
-    def test_tiger_row(self):
-        assert speed_from_cost(1.32, 100.0) == pytest.approx(75.76, abs=0.005)
-
-    def test_unit_ratio(self):
-        assert speed_from_cost(100.0, 100.0) == 1.0
-
-    @pytest.mark.parametrize("cost,data", [(0.0, 100.0), (-1.0, 100.0), (1.0, 0.0)])
-    def test_rejects_non_positive(self, cost, data):
-        with pytest.raises(ValueError):
-            speed_from_cost(cost, data)
 
 
 class TestLevelFromCost:
@@ -186,59 +169,49 @@ class TestCatalog:
 
 
 class TestRisk:
-    def test_full_strength_is_risk_free(self):
-        assert task_service_risk(1.0, 2.5) == 0.0
+    @given(rate=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    def test_full_strength_survives_exactly(self, rate):
+        # a max-level payload's risk is exactly 0 because this factor is exactly 1
+        assert survival(1.0, rate) == 1.0
 
     def test_zero_strength(self):
-        assert task_service_risk(0.0, 2.5) == pytest.approx(0.9179150013761012, rel=1e-12)
+        assert 1.0 - survival(0.0, 2.5) == pytest.approx(0.9179150013761012, rel=1e-12)
 
     def test_zero_rate(self):
-        assert task_service_risk(0.5, 0.0) == 0.0
+        assert survival(0.5, 0.0) == 1.0
 
-    def test_level_domain(self):
-        with pytest.raises(ValueError):
-            task_service_risk(1.2, 2.5)
-        with pytest.raises(ValueError):
-            task_service_risk(-0.1, 2.5)
+    def test_domain(self):
+        for level, rate in ((1.2, 2.5), (-0.1, 2.5), (0.5, -1.0)):
+            with pytest.raises(ValueError):
+                survival(level, rate)
 
     @given(sl=st.floats(0.0, 1.0), dl=st.floats(0.0, 0.5))
-    def test_monotone_decreasing_in_level(self, sl, dl):
+    def test_monotone_increasing_in_level(self, sl, dl):
         lo, hi = max(0.0, sl - dl), sl
-        assert task_service_risk(lo, 2.5) >= task_service_risk(hi, 2.5)
+        assert survival(lo, 2.5) <= survival(hi, 2.5)
 
     @given(rate=st.floats(0.0, 5.0), bump=st.floats(0.0, 2.0))
-    def test_monotone_increasing_in_rate(self, rate, bump):
-        assert task_service_risk(0.3, rate + bump) >= task_service_risk(0.3, rate)
+    def test_monotone_decreasing_in_rate(self, rate, bump):
+        assert survival(0.3, rate + bump) <= survival(0.3, rate)
 
-    def test_task_risk_both_full(self):
-        assert task_risk(1.0, 1.0, RiskModel()) == 0.0
+    @pytest.mark.parametrize("conf_mode", list(ServiceMode))
+    @pytest.mark.parametrize("integ_mode", list(ServiceMode))
+    def test_cost_tables_price_payloads_by_survival(self, conf_mode, integ_mode):
+        # bit for bit: every gene pair's survival is the product of its services' factors
+        model = RiskModel()
+        tables = cost_tables(random_workflow(6, 0.4, seed=3), default_platform(), CAT, model,
+                             EvalOptions(conf_mode=conf_mode, integ_mode=integ_mode))
 
-    def test_task_risk_integrity_exposed(self):
-        assert task_risk(1.0, 0.0, RiskModel()) == pytest.approx(0.8347011117784134, rel=1e-12)
+        def factor(mode, alg, rate):
+            if mode is ServiceMode.ACTIVE:
+                return survival(alg.level, rate)
+            return survival(0.0, rate) if mode is ServiceMode.UNPROTECTED else 1.0
 
-    def test_task_risk_both_exposed(self):
-        assert task_risk(0.0, 0.0, RiskModel()) == pytest.approx(0.9864314409877991, rel=1e-12)
-
-    def test_workflow_risk_single(self):
-        assert workflow_risk([0.37]) == pytest.approx(0.37)
-
-    def test_workflow_risk_empty(self):
-        assert workflow_risk([]) == 0.0
-
-    def test_workflow_risk_pair(self):
-        assert workflow_risk([0.5, 0.5]) == pytest.approx(0.75)
-
-    def test_workflow_risk_permutation_invariant(self):
-        rng = random.Random(7)
-        risks = [rng.random() for _ in range(6)]
-        base = workflow_risk(risks)
-        for _ in range(10):
-            rng.shuffle(risks)
-            assert workflow_risk(risks) == pytest.approx(base, rel=1e-12)
-
-    @given(st.lists(st.floats(0.0, 1.0), max_size=8), st.floats(0.0, 1.0))
-    def test_workflow_risk_monotone(self, risks, extra):
-        assert workflow_risk(risks + [extra]) >= workflow_risk(risks) - 1e-15
+        for lc, conf in enumerate(CAT.confidentiality, start=1):
+            for li, integ in enumerate(CAT.integrity, start=1):
+                assert tables.pair_surv[lc * tables.stride + li] == (
+                    factor(conf_mode, conf, model.lambda_conf)
+                    * factor(integ_mode, integ, model.lambda_integ))
 
     def test_risk_model_validation(self):
         with pytest.raises(ValueError):
