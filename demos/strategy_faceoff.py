@@ -18,7 +18,7 @@ from seeco import (
     default_catalog,
     default_platform,
     random_workflow,
-    solve,
+    solve_detailed,
     with_deadline,
 )
 
@@ -33,6 +33,6 @@ print(f"12 tasks, deadline {workflow.deadline_s:.2f} s, risk cap {workflow.risk_
 params = GaParams(pop_size=30, iterations=80, seed=1)
 print("strategy   energy J  makespan s      risk  feasible")
 for kind in StrategyKind:
-    _, res = solve(Strategy(kind), workflow, platform, catalog, RiskModel(), params)
+    res = solve_detailed(Strategy(kind), workflow, platform, catalog, RiskModel(), params).result
     print(f"{kind.value:8s} {res.energy_j:10.3f} {res.makespan_s:11.2f} "
           f"{res.risk:9.4f}  {res.feasible}")

@@ -8,7 +8,7 @@ orderings, placements, and per-task security levels for the schedule
 with the lowest device energy that meets a deadline and a risk cap.
 """
 
-from .baselines import Strategy, StrategyKind, solve, solve_detailed
+from .baselines import Strategy, StrategyKind, solve_detailed
 from .evaluator import (
     Chromosome,
     EvalOptions,

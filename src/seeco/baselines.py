@@ -157,14 +157,3 @@ def solve_detailed(
         return SolveOutcome(ga_run.best_chromosome, ga_run.best_result, ga_run)
     return SolveOutcome(local, local_result, ga_run)
 
-
-def solve(
-    strategy: Strategy,
-    w: Workflow,
-    p: Platform,
-    cat: SecurityCatalog,
-    risk_model: RiskModel,
-    params: GaParams | None = None,
-) -> tuple[Chromosome, EvaluationResult]:
-    outcome = solve_detailed(strategy, w, p, cat, risk_model, params)
-    return outcome.chromosome, outcome.result

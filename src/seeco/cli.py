@@ -172,7 +172,8 @@ def build_sweep_jobs(
     catalog_path: str | None = None,
     tasks: int = 30,
 ) -> list[SweepJob]:
-    """Materialize one job per (value, strategy, seed).
+    """Materialize one job per (value, strategy, seed); a repeated seed or
+    strategy is refused, since its rows would be counted twice.
 
     The swept variable decides what varies: GA parameters rebuild the
     params, ``risk_cap`` copies the workflow with another cap, ``lambda``
@@ -189,6 +190,9 @@ def build_sweep_jobs(
         raise ValueError("sweep range is empty")
     if not seeds:
         raise ValueError("seed list is empty")
+    for what, items in (("seed", seeds), ("strategy", strategies)):
+        if len(set(items)) != len(items):
+            raise ValueError(f"{what} list {','.join(map(str, items))} repeats a {what}")
     cat = load_catalog(catalog_path) if catalog_path else default_catalog()
 
     if sweep == "servers" and platform is not None:

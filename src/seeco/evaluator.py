@@ -60,46 +60,17 @@ from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service, ov
 from .workflow import Workflow, is_valid_order
 
 
-@dataclass(frozen=True)
-class Chromosome:
-    """(order, locations, conf_levels, integ_levels), all of length n."""
+class Chromosome(NamedTuple):
+    """(order, locations, conf_levels, integ_levels): four tuples of length n.
+
+    Building one checks nothing; :func:`make_evaluator` checks the record
+    where input from outside the program enters the decoder.
+    """
 
     order: tuple[int, ...]
     locations: tuple[int, ...]
     conf_levels: tuple[int, ...]
     integ_levels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "locations", tuple(self.locations))
-        object.__setattr__(self, "conf_levels", tuple(self.conf_levels))
-        object.__setattr__(self, "integ_levels", tuple(self.integ_levels))
-        n = len(self.order)
-        if any(len(v) != n for v in (self.locations, self.conf_levels, self.integ_levels)):
-            raise ValueError("all chromosome vectors must have the same length")
-
-    @classmethod
-    def unchecked(cls, order: tuple[int, ...], locations: tuple[int, ...],
-                  conf_levels: tuple[int, ...], integ_levels: tuple[int, ...]) -> "Chromosome":
-        """Build from four tuples of equal length, skipping the constructor's checks.
-
-        For the GA's operators, which keep that invariant by construction.
-        """
-        c = object.__new__(cls)
-        fields = c.__dict__
-        fields["order"] = order
-        fields["locations"] = locations
-        fields["conf_levels"] = conf_levels
-        fields["integ_levels"] = integ_levels
-        return c
-
-    def __hash__(self) -> int:
-        # the GA's memo hashes each chromosome several times; hash it once
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(
-                (self.order, self.locations, self.conf_levels, self.integ_levels))
-        return h
 
 
 class ServiceMode(Enum):
@@ -501,8 +472,12 @@ def make_evaluator(
     Captures the workflow's deadline and risk cap at build time.  The
     cost model is resolved here once, by :func:`cost_tables`, and each
     call runs :func:`order_free_pass`, then :func:`timing_pass` with the
-    timeline.  ``validate=False`` skips the chromosome invariant checks
-    for callers that construct genes by valid-by-construction operators.
+    timeline.  With ``validate`` each call first checks the chromosome:
+    vectors of one length, a precedence-valid order, endpoints pinned to
+    the MD and every gene in range.  A :class:`Chromosome` is not checked
+    when built, so input from outside the program is checked here;
+    ``validate=False`` skips it for callers whose operators keep those
+    invariants by construction.
     """
     tables = cost_tables(w, p, cat, risk_model, options)
     exposure = order_free_pass(w, tables)
@@ -517,6 +492,8 @@ def make_evaluator(
 
     def engine(c: Chromosome) -> EvaluationResult:
         if validate:
+            if any(len(v) != len(c.order) for v in c):
+                raise ValueError("all chromosome vectors must have the same length")
             if not is_valid_order(w, c.order):
                 raise ValueError("chromosome order violates precedence")
             if c.locations[0] != MD_LOCATION or c.locations[n - 1] != MD_LOCATION:

@@ -161,7 +161,7 @@ class GeneConstraints:
             integ = (self.fixed_integ_level,) * n
         if loc is c.locations and conf is c.conf_levels and integ is c.integ_levels:
             return c
-        return Chromosome.unchecked(c.order, loc, conf, integ)
+        return Chromosome(c.order, loc, conf, integ)
 
 
 DEFAULT_CONSTRAINTS = GeneConstraints.from_catalog(default_catalog())
@@ -249,7 +249,7 @@ def init_chromosome(w: Workflow, rng: random.Random,
                     constraints: GeneConstraints = DEFAULT_CONSTRAINTS) -> Chromosome:
     order = init_order(w, rng)
     loc, conf, integ = init_vectors(w, rng, constraints)
-    return Chromosome.unchecked(tuple(order), tuple(loc), tuple(conf), tuple(integ))
+    return Chromosome(tuple(order), tuple(loc), tuple(conf), tuple(integ))
 
 
 def crossover_order(
@@ -291,8 +291,8 @@ def crossover_vectors(
     ig1, ig2 = _cut_pair(a.integ_levels, b.integ_levels, rng.randrange(n))
     loc1[0] = loc1[n - 1] = MD_LOCATION
     loc2[0] = loc2[n - 1] = MD_LOCATION
-    child_a = Chromosome.unchecked(a.order, tuple(loc1), tuple(cf1), tuple(ig1))
-    child_b = Chromosome.unchecked(b.order, tuple(loc2), tuple(cf2), tuple(ig2))
+    child_a = Chromosome(a.order, tuple(loc1), tuple(cf1), tuple(ig1))
+    child_b = Chromosome(b.order, tuple(loc2), tuple(cf2), tuple(ig2))
     return child_a, child_b
 
 
@@ -342,7 +342,7 @@ def mutate_vectors(
     loc[rng.randint(1, n - 2)] = rng.randint(0x01, 0xFF)
     conf[rng.randint(1, n - 2)] = constraints.draw_conf(rng)
     integ[rng.randint(1, n - 2)] = constraints.draw_integ(rng)
-    return Chromosome.unchecked(c.order, tuple(loc), tuple(conf), tuple(integ))
+    return Chromosome(c.order, tuple(loc), tuple(conf), tuple(integ))
 
 
 Individual = tuple[Chromosome, EvaluationResult]
@@ -382,7 +382,7 @@ def placement_moves(tables: CostTables) -> Callable[[Chromosome, int], Iterator[
             if vid != here:
                 loc = list(c.locations)
                 loc[pos] = byte
-                yield Chromosome.unchecked(c.order, tuple(loc), c.conf_levels, c.integ_levels)
+                yield Chromosome(c.order, tuple(loc), c.conf_levels, c.integ_levels)
 
     return moves
 
@@ -557,7 +557,7 @@ def make_deadline_repair(
             bisect.insort(groups[s][target], pos, key=lambda q: -weight[q])
         if saved < overshoot:
             return c
-        return Chromosome.unchecked(c.order, c.locations, tuple(levels[0]), tuple(levels[1]))
+        return Chromosome(c.order, c.locations, tuple(levels[0]), tuple(levels[1]))
 
     return repair
 
@@ -721,7 +721,7 @@ def run(
             if task_risk[t] > 0.0:
                 conf[pos] = strong_conf[0]
                 integ[pos] = strong_integ[0]
-        return Chromosome.unchecked(c.order, c.locations, tuple(conf), tuple(integ))
+        return Chromosome(c.order, c.locations, tuple(conf), tuple(integ))
 
     weaken = make_deadline_repair(w, tables)
 
@@ -746,7 +746,7 @@ def run(
         if i == 0:
             c = witness
         else:
-            c = Chromosome.unchecked(c.order, c.locations, strong_conf, strong_integ)
+            c = Chromosome(c.order, c.locations, strong_conf, strong_integ)
         pop.append(scored(c))
 
     def tournament(population: list[Individual]) -> Individual:
@@ -772,16 +772,14 @@ def run(
             if rng.random() < params.p_c:
                 o1, o2 = crossover_order(p1.order, p2.order, rng)
                 c1, c2 = crossover_vectors(p1, p2, rng)
-                pair = [Chromosome.unchecked(tuple(o1), c1.locations, c1.conf_levels,
-                                             c1.integ_levels),
-                        Chromosome.unchecked(tuple(o2), c2.locations, c2.conf_levels,
-                                             c2.integ_levels)]
+                pair = [Chromosome(tuple(o1), c1.locations, c1.conf_levels, c1.integ_levels),
+                        Chromosome(tuple(o2), c2.locations, c2.conf_levels, c2.integ_levels)]
             else:
                 pair = [p1, p2]
             for child in pair:
                 if rng.random() < params.p_m:
                     mutated_order = mutate_order(child.order, w, rng)
-                    child = mutate_vectors(Chromosome.unchecked(
+                    child = mutate_vectors(Chromosome(
                         tuple(mutated_order), child.locations, child.conf_levels,
                         child.integ_levels), rng, cons)
                 if len(nxt) < params.pop_size:

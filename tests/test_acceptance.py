@@ -21,7 +21,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from seeco.baselines import Strategy, StrategyKind, solve
+from seeco.baselines import Strategy, StrategyKind, solve_detailed
 from seeco.cli import build_sweep_jobs, run_sweep, summarize_rows
 from seeco.evaluator import (
     FLOOR_RTOL,
@@ -260,8 +260,8 @@ def test_06_brute_force_optimality():
             w = with_deadline(w, compute_deadline(w, p, cat))
             optimum = _enumerate_optimum(w, p, cat)
             assert optimum < math.inf  # witness schedule guarantees feasibility
-            _, res = solve(Strategy(StrategyKind.SEECO), w, p, cat, RISK,
-                           GaParams(pop_size=40, iterations=150, seed=i + 1))
+            res = solve_detailed(Strategy(StrategyKind.SEECO), w, p, cat, RISK,
+                                 GaParams(pop_size=40, iterations=150, seed=i + 1)).result
             if res.feasible:
                 # the GA may never beat exhaustive enumeration
                 assert res.energy_j >= optimum - 1e-9
@@ -294,17 +294,17 @@ def _offload_friendly(n, seed, risk_cap=0.5):
 def test_07_baseline_identities():
     with criterion(7, "baseline identities: max-level risk, local energy, min-level risk"):
         w = _offload_friendly(10, seed=5)
-        _, res_max = solve(Strategy(StrategyKind.MAX_LEVEL), w, PLATFORM, CAT, RISK,
-                           SWEEP_PARAMS)
+        res_max = solve_detailed(Strategy(StrategyKind.MAX_LEVEL), w, PLATFORM, CAT, RISK,
+                                 SWEEP_PARAMS).result
         assert res_max.risk == 0.0
 
-        _, res_local = solve(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK)
+        res_local = solve_detailed(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK).result
         closed_form = PLATFORM.md.p_comp_w * sum(
             exec_time(t.workload_gcycles, PLATFORM.md.vm) for t in w.tasks)
         assert res_local.energy_j == pytest.approx(closed_form, rel=1e-12)
 
-        chromo, res_min = solve(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT,
-                                RISK, SWEEP_PARAMS)
+        res_min = solve_detailed(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT,
+                                 RISK, SWEEP_PARAMS).result
         crossings = sum(1 for row in res_min.timings if row.risk > 0)
         assert crossings >= 3
         assert res_min.risk >= 0.999
@@ -366,7 +366,8 @@ def test_09_server_count_trend():
         _assert_mostly_non_increasing(seeco, "seeco energy vs servers")
 
         w = _offload_friendly(30, seed=7)
-        _, local = solve(Strategy(StrategyKind.LOCAL), w, default_platform(0), CAT, RISK)
+        local = solve_detailed(Strategy(StrategyKind.LOCAL), w, default_platform(0), CAT,
+                               RISK).result
         assert seeco[0] == pytest.approx(local.energy_j, rel=1e-12)
 
 
@@ -380,8 +381,8 @@ def test_10_ga_parameter_sanity():
             for seed in SWEEP_SEEDS:
                 params = GaParams(pop_size=pop, iterations=iters, p_c=pc, p_m=pm,
                                   seed=seed)
-                out.append(solve(Strategy(StrategyKind.SEECO), w, PLATFORM, CAT,
-                                 RISK, params)[1].energy_j)
+                out.append(solve_detailed(Strategy(StrategyKind.SEECO), w, PLATFORM, CAT,
+                                          RISK, params).result.energy_j)
             return sum(out) / len(out)
 
         # companions fixed per the parameter-study groups
@@ -410,8 +411,8 @@ def test_12_performance_envelope():
     with criterion(12, "50-task full-budget run completes within 60 s single-threaded"):
         w = _offload_friendly(50, seed=3)
         start = time.monotonic()
-        _, res = solve(Strategy(StrategyKind.SEECO), w, PLATFORM, CAT, RISK,
-                       GaParams(pop_size=40, iterations=150, seed=1))
+        res = solve_detailed(Strategy(StrategyKind.SEECO), w, PLATFORM, CAT, RISK,
+                             GaParams(pop_size=40, iterations=150, seed=1)).result
         elapsed = time.monotonic() - start
         assert res.makespan_s > 0
         assert elapsed < 60.0, f"took {elapsed:.1f} s"

@@ -14,7 +14,6 @@ from seeco.baselines import (
     local_chromosome,
     risk_inputs_read,
     search_setup,
-    solve,
     solve_detailed,
 )
 from seeco.evaluator import better, evaluate
@@ -49,7 +48,7 @@ class TestLocal:
         w = Workflow(
             tasks=(Task(0, 10.0, 10.0, 2.36), Task(1, 10.0, 10.0, 2.36)),
             edges=((0, 1),), deadline_s=10.0, risk_cap=0.5)
-        _, res = solve(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK)
+        res = solve_detailed(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK).result
         assert res.energy_j == pytest.approx(1.0)
         assert res.risk == 0.0
 
@@ -57,7 +56,7 @@ class TestLocal:
         for seed in range(4):
             w = random_workflow(9, 0.4, seed=seed)
             w = with_deadline(w, 5.0)  # deliberately tight; energy must not care
-            _, res = solve(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK)
+            res = solve_detailed(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK).result
             expected = PLATFORM.md.p_comp_w * sum(
                 t.workload_gcycles for t in w.tasks) / PLATFORM.md.vm.capability_ghz
             assert res.energy_j == pytest.approx(expected, rel=1e-12)
@@ -68,7 +67,8 @@ class TestLocal:
         for deadline, cap in ((1.0, 0.1), (100.0, 0.9)):
             w = with_deadline(w, deadline)
             w = replace(w, risk_cap=cap)
-            results.append(solve(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK)[1])
+            results.append(
+                solve_detailed(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK).result)
         assert results[0].energy_j == results[1].energy_j
         assert not results[0].feasible and results[1].feasible
 
@@ -82,7 +82,8 @@ class TestLocal:
 class TestMaxLevel:
     def test_zero_risk_exactly(self):
         w = offload_friendly_workflow()
-        chromo, res = solve(Strategy(StrategyKind.MAX_LEVEL), w, PLATFORM, CAT, RISK, FAST)
+        outcome = solve_detailed(Strategy(StrategyKind.MAX_LEVEL), w, PLATFORM, CAT, RISK, FAST)
+        chromo, res = outcome.chromosome, outcome.result
         assert res.risk == 0.0
         assert set(chromo.conf_levels) == {1}
         assert set(chromo.integ_levels) == {1}
@@ -91,14 +92,15 @@ class TestMaxLevel:
 class TestMinLevel:
     def test_risk_saturates_with_crossings(self):
         w = offload_friendly_workflow(n=10, seed=5)
-        chromo, res = solve(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT, RISK, FAST)
+        res = solve_detailed(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT, RISK,
+                             FAST).result
         crossings = sum(1 for row in res.timings if row.risk > 0)
         assert crossings >= 3
         assert res.risk >= 0.999
 
     def test_no_security_time_cost(self):
         w = offload_friendly_workflow(n=6, seed=9)
-        _, res = solve(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT, RISK, FAST)
+        res = solve_detailed(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT, RISK, FAST).result
         for row in res.timings:
             assert row.encrypt_cost == 0.0
             assert row.decrypt_cost == 0.0
@@ -106,7 +108,7 @@ class TestMinLevel:
     def test_risk_cap_not_binding(self):
         w = offload_friendly_workflow(n=8, seed=13)
         w = replace(w, risk_cap=0.01)
-        _, res = solve(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT, RISK, FAST)
+        res = solve_detailed(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT, RISK, FAST).result
         # feasibility here means deadline only; saturated risk must not block it
         assert res.risk > w.risk_cap
         assert res.feasible
@@ -115,7 +117,8 @@ class TestMinLevel:
 class TestSingleService:
     def test_confi_only_has_no_integrity_cost_or_risk(self):
         w = offload_friendly_workflow(n=8, seed=7)
-        chromo, res = solve(Strategy(StrategyKind.CONFI_ONLY), w, PLATFORM, CAT, RISK, FAST)
+        outcome = solve_detailed(Strategy(StrategyKind.CONFI_ONLY), w, PLATFORM, CAT, RISK, FAST)
+        chromo, res = outcome.chromosome, outcome.result
         again = evaluate(chromo, w, PLATFORM, CAT, RISK)  # both services active
         assert res.makespan_s <= again.makespan_s
         for row in res.timings:
@@ -125,7 +128,8 @@ class TestSingleService:
 
     def test_integ_only_risk_bounded_by_integrity_channel(self):
         w = offload_friendly_workflow(n=8, seed=7)
-        _, res = solve(Strategy(StrategyKind.INTEG_ONLY), w, PLATFORM, CAT, RISK, FAST)
+        res = solve_detailed(Strategy(StrategyKind.INTEG_ONLY), w, PLATFORM, CAT, RISK,
+                             FAST).result
         cap = 1 - math.exp(-RISK.lambda_integ)
         for row in res.timings:
             assert row.risk <= cap + 1e-12
@@ -151,7 +155,8 @@ class TestOrdering:
             vals = []
             for seed in range(1, 6):
                 params = GaParams(pop_size=20, iterations=40, seed=seed)
-                vals.append(solve(Strategy(kind), w, PLATFORM, CAT, RISK, params)[1].energy_j)
+                outcome = solve_detailed(Strategy(kind), w, PLATFORM, CAT, RISK, params)
+                vals.append(outcome.result.energy_j)
             means[kind] = sum(vals) / len(vals)
         assert means[StrategyKind.LOCAL] >= means[StrategyKind.MAX_LEVEL] - 1e-9
         assert means[StrategyKind.MAX_LEVEL] >= means[StrategyKind.SEECO] - 1e-9
@@ -178,7 +183,7 @@ class TestNeverLosesToAllMd:
         for kind in StrategyKind:
             options = search_setup(Strategy(kind))
             all_md = evaluate(local_chromosome(w, CAT), w, p, CAT, RISK, options)
-            _, res = solve(Strategy(kind), w, p, CAT, RISK, params)
+            res = solve_detailed(Strategy(kind), w, p, CAT, RISK, params).result
             if all_md.feasible:
                 assert res.feasible, kind
             assert better(res, all_md), kind

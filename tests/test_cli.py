@@ -389,6 +389,18 @@ class TestSweep:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("seeds, strategies, message", [
+        ("1,1", "local", "seed list 1,1 repeats a seed"),
+        ("1", "local,seeco,local", "strategy list local,seeco,local repeats a strategy"),
+    ])
+    def test_repeated_sweep_input_fails(self, tmp_path, capsys, seeds, strategies, message):
+        rc = main(["sweep", "--sweep", "risk_cap", "--range", "0.5:0.5:0.1", "--tasks", "5",
+                   "--strategies", strategies, "--seeds", seeds,
+                   "--out", str(tmp_path / "res")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "res").exists()
+
     def test_unknown_sweep_variable(self, tmp_path, capsys):
         rc = main(["sweep", "--sweep", "voltage", "--out", str(tmp_path / "res")])
         assert rc == 2

@@ -351,6 +351,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="precedence"):
             evaluate(c, w, PLATFORM, CAT, RISK)
 
+    @pytest.mark.parametrize("short", range(4))
+    def test_rejects_vectors_of_unequal_length(self, short):
+        w = md_chain_workflow()
+        genes = [(0, 1), (0x01, 0x01), (1, 1), (1, 1)]
+        genes[short] = genes[short][:1]
+        with pytest.raises(ValueError, match="same length"):
+            evaluate(Chromosome(*genes), w, PLATFORM, CAT, RISK)
+
     def test_rejects_unpinned_endpoint(self):
         w = md_chain_workflow()
         c = Chromosome((0, 1), (0x01, 0x10), (1, 1), (1, 1))

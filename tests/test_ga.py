@@ -615,7 +615,7 @@ class TestEnergyScreen:
         loc = list(c.locations)
         for i, byte in changes:  # a few random placement changes
             loc[1 + i % (n - 2)] = byte
-        c = replace(c, locations=tuple(loc))
+        c = c._replace(locations=tuple(loc))
         res = decode(c)
         rise, aps = move_energy(w, tables), dict(enumerate(order_free_pass(w, tables)(c).aps))
         for pos in range(1, n - 1):
@@ -771,15 +771,16 @@ class TestGeneRepair:
            conf_mode=st.sampled_from(ServiceMode), integ_mode=st.sampled_from(ServiceMode))
     def test_matches_rebuilt_chromosome(self, genes, conf_mode, integ_mode):
         n = len(genes)
-        loc, conf, integ = (list(v) for v in zip(*genes))
-        c = Chromosome(range(n), loc, conf, integ)
+        loc, conf, integ = zip(*genes)
+        c = Chromosome(tuple(range(n)), loc, conf, integ)
         cons = GeneConstraints.from_catalog(CAT, EvalOptions(conf_mode, integ_mode))
         fixed_conf = None if conf_mode is ServiceMode.ACTIVE else STRONGEST[0]
         fixed_integ = None if integ_mode is ServiceMode.ACTIVE else STRONGEST[1]
         pinned = list(loc)
         pinned[0] = pinned[n - 1] = MD_LOCATION
-        expected = Chromosome(range(n), pinned, [fixed_conf] * n if fixed_conf else conf,
-                              [fixed_integ] * n if fixed_integ else integ)
+        expected = Chromosome(tuple(range(n)), tuple(pinned),
+                              (fixed_conf,) * n if fixed_conf else conf,
+                              (fixed_integ,) * n if fixed_integ else integ)
         repaired = cons.repair(c)
         assert repaired == expected
         assert hash(repaired) == hash(expected)
@@ -789,15 +790,14 @@ class TestGeneRepair:
         assert (repaired is c) == (expected == c)
         assert cons.repair(repaired) is repaired
 
-    def test_unchecked_equals_checked_construction(self):
+    def test_equals_and_hashes_as_its_four_tuples(self):
+        # the GA's memo keys on chromosomes, so equal genes must meet there
         genes = ((0, 1, 2), (1, 0x21, 1), (2, 3, 1), (1, 5, 2))
-        checked = Chromosome(*(list(v) for v in genes))
-        unchecked = Chromosome.unchecked(*genes)
-        assert unchecked == checked and checked == unchecked
-        assert hash(unchecked) == hash(checked) == hash(genes)
-        assert repr(unchecked) == repr(checked)
-        with pytest.raises(ValueError, match="same length"):
-            Chromosome((0, 1), (1,), (1, 1), (1, 1))
+        c = Chromosome(*genes)
+        assert c == genes == Chromosome(*genes)
+        assert hash(c) == hash(genes)
+        assert c != Chromosome(*genes[:3], (1, 5, 1))
+        assert {c: 1}[Chromosome(*genes)] == 1
 
 
 class TestGeneFreezes:

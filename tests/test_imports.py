@@ -1,4 +1,4 @@
-"""Every module of the package and of the tests uses each name it imports.
+"""Every module of the package, the tests and the demos uses each name it imports.
 
 ``__init__.py`` files are exempt, since their imports are the package's
 re-exports, and so are ``from __future__`` imports, which bind no name.
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(path for pattern in ("src/seeco/*.py", "tests/*.py")
+MODULES = sorted(path for pattern in ("src/seeco/*.py", "tests/*.py", "demos/*.py")
                  for path in ROOT.glob(pattern) if path.name != "__init__.py")
 
 
@@ -30,6 +30,7 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 def test_there_are_modules():
     assert any(path.parent.name == "seeco" for path in MODULES)
     assert any(path.parent.name == "tests" for path in MODULES)
+    assert any(path.parent.name == "demos" for path in MODULES)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
