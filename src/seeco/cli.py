@@ -29,6 +29,9 @@ at most ``SEECO_THREADS`` worker processes, a positive integer that
 that count as ``max_workers`` and reads no environment.  Results are
 gathered and written in sorted order either way, so the output does not
 depend on the worker count.
+
+Every CSV report, ``solve``'s and ``sweep``'s, is written here, by
+:func:`write_csv`; the decoder and the GA do no file I/O.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .baselines import RATES, RISK_CAP, Strategy, risk_inputs_read, solve_detailed
-from .evaluator import write_schedule_csv
-from .ga import GaParams, write_history_csv
+from .ga import GaParams, GenerationStats
 from .platform import Platform, default_platform, exact_int, load_platform, read_json
 from .security import RiskModel, SecurityCatalog, default_catalog, load_catalog
 from .workflow import (
@@ -82,6 +86,10 @@ SUMMARY_CSV_HEADER = ["sweep", "value", "strategy", "seeds", "mean_energy",
                       "mean_makespan", "mean_risk", "feasible_fraction"]
 SOLVE_CSV_HEADER = ["strategy", "seed", "energy", "makespan", "risk", "violation",
                     "feasible", "deadline", "risk_cap"]
+# the task id, then each field of seeco.evaluator.TaskTiming
+SCHEDULE_CSV_HEADER = ["id", "ap", "vm", "start", "end", "exec", "transfer",
+                       "ecost", "decost", "risk"]
+HISTORY_CSV_HEADER = [f.name for f in fields(GenerationStats)]
 
 
 def parse_range(spec: str, integer: bool) -> list[float] | list[int]:
@@ -327,12 +335,12 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+def write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header``, then each row as one line of cells in its order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[k] for k in header])
+        writer.writerows(rows)
 
 
 def _set_defaults(args: argparse.Namespace) -> None:
@@ -416,16 +424,15 @@ def cmd_solve(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "summary.csv", SOLVE_CSV_HEADER, [{
-        "strategy": strategy.kind.value, "seed": params.seed,
-        "energy": res.energy_j, "makespan": res.makespan_s, "risk": res.risk,
-        "violation": res.violation, "feasible": res.feasible,
-        "deadline": w.deadline_s, "risk_cap": w.risk_cap,
-    }])
+    write_csv(out_dir / "summary.csv", SOLVE_CSV_HEADER, [(
+        strategy.kind.value, params.seed, res.energy_j, res.makespan_s, res.risk,
+        res.violation, res.feasible, w.deadline_s, w.risk_cap)])
     if args.dump_schedule:
-        write_schedule_csv(res, out_dir / "schedule.csv")
+        write_csv(out_dir / "schedule.csv", SCHEDULE_CSV_HEADER,
+                  ((i, *timing) for i, timing in enumerate(res.timings)))
     if outcome.ga_run is not None:
-        write_history_csv(outcome.ga_run, out_dir / "history.csv")
+        write_csv(out_dir / "history.csv", HISTORY_CSV_HEADER,
+                  map(astuple, outcome.ga_run.history))
     status = "feasible" if res.feasible else "infeasible"
     print(f"{strategy.kind.value}: energy {res.energy_j:.4f} J, makespan "
           f"{res.makespan_s:.4f} s, risk {res.risk:.6f} ({status}); wrote {out_dir}/")
@@ -454,8 +461,10 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(jobs, max_workers=int(threads))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "sweep.csv", SWEEP_CSV_HEADER, rows)
-    _write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER, summarize_rows(rows))
+    write_csv(out_dir / "sweep.csv", SWEEP_CSV_HEADER,
+              map(itemgetter(*SWEEP_CSV_HEADER), rows))
+    write_csv(out_dir / "summary.csv", SUMMARY_CSV_HEADER,
+              map(itemgetter(*SUMMARY_CSV_HEADER), summarize_rows(rows)))
     print(f"{len(rows)} runs ({args.sweep} over {len(set(r['value'] for r in rows))} values, "
           f"{len(strategies)} strategies, {len(seeds)} seeds); wrote {out_dir}/")
     return 0

@@ -48,11 +48,9 @@ them directly, so it can stop a child over the risk cap after the first.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .platform import MD_LOCATION, Platform, VmSpec, decode_location, downlink_rate, uplink_rate
@@ -534,17 +532,3 @@ def deb_key(result: EvaluationResult) -> tuple[int, float]:
 def better(a: EvaluationResult, b: EvaluationResult) -> bool:
     """True when ``a`` ranks no worse than ``b`` under :func:`deb_key` (ties go to ``a``)."""
     return deb_key(a) <= deb_key(b)
-
-
-SCHEDULE_CSV_HEADER = ["id", "ap", "vm", "start", "end", "exec", "transfer",
-                       "ecost", "decost", "risk"]
-
-
-def write_schedule_csv(result: EvaluationResult, path: str | Path) -> None:
-    """Dump the per-task timeline, one row per task id."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHEDULE_CSV_HEADER)
-        for i, row in enumerate(result.timings):
-            writer.writerow([i, row.ap, row.vm, row.start, row.end, row.exec,
-                             row.transfer, row.encrypt_cost, row.decrypt_cost, row.risk])

@@ -52,12 +52,10 @@ without the polish.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 import operator
 import random
-from dataclasses import astuple, dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator
 
 from .evaluator import (
@@ -96,6 +94,7 @@ class GaParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "pop_size", exact_int(self.pop_size, "GA pop_size"))
         object.__setattr__(self, "iterations", exact_int(self.iterations, "GA iterations"))
+        object.__setattr__(self, "seed", exact_int(self.seed, "GA seed"))
         if self.pop_size < 2:
             raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
         if self.iterations < 1:
@@ -810,14 +809,3 @@ def shared(memo: dict | None, key: tuple, compute: Callable[[], object]):
     if key not in memo:
         memo[key] = compute()
     return memo[key]
-
-
-HISTORY_CSV_HEADER = [f.name for f in fields(GenerationStats)]
-
-
-def write_history_csv(run_result: GaRun, path: str | Path) -> None:
-    """One row per generation run, one column per :class:`GenerationStats` field."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_CSV_HEADER)
-        writer.writerows(map(astuple, run_result.history))

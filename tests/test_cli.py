@@ -11,6 +11,7 @@ import pytest
 from seeco import cli, ga
 from seeco.baselines import Strategy
 from seeco.cli import (
+    HISTORY_CSV_HEADER,
     SOLVE_CSV_HEADER,
     SUMMARY_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -24,7 +25,7 @@ from seeco.cli import (
     summarize_rows,
 )
 from seeco.evaluator import FLOOR_RTOL, cost_tables, evaluate, min_cut
-from seeco.ga import HISTORY_CSV_HEADER, GaParams
+from seeco.ga import GaParams
 from seeco.platform import default_platform, save_platform
 from seeco.security import RiskModel, default_catalog
 from seeco.workflow import (

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seeco.baselines import Strategy, StrategyKind, search_setup
+from seeco.cli import main
 from seeco.evaluator import (
     Chromosome,
     FLOOR_RTOL,
@@ -22,7 +23,6 @@ from seeco.evaluator import (
     min_cut,
     order_free_pass,
     timing_pass,
-    write_schedule_csv,
 )
 from seeco.platform import (
     MD_LOCATION,
@@ -43,6 +43,7 @@ from seeco.workflow import (
     Workflow,
     local_chromosome,
     random_workflow,
+    save_workflow,
     with_deadline,
 )
 
@@ -621,6 +622,39 @@ class TestEnergyFloor:
         assert floor < evaluate(local_chromosome(w, CAT), w, PLATFORM, CAT, RISK).energy_j
 
 
+class TestEnergyDependsOnlyOnTheMdSet:
+    """Where every access point has the same radio, device energy is fixed by
+    which tasks run on the MD: the order, the edge VMs and the levels move
+    only the timeline and the risk.  The energy floor and the polish's
+    screen stand on this."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 9), density=st.floats(0.1, 0.9), seed=st.integers(0, 10**6),
+           risk_cap=st.floats(0.0, 1.0), servers=st.integers(1, 5),
+           genes=st.randoms(use_true_random=False))
+    def test_equal_md_sets_decode_to_equal_energy(self, n, density, seed, risk_cap, servers,
+                                                   genes):
+        platform = default_platform(servers)
+        assert len({ap.radio for ap in platform.aps}) == 1
+        w = with_deadline(random_workflow(n, density, seed=seed, risk_cap=risk_cap), 30.0)
+        c = random_chromosome(w, genes)
+        on_md = {t for t, byte in zip(c.order, c.locations)
+                 if decode_location(byte, platform)[0] == 0}
+        edge = [encode_location(ap, k) for ap in range(1, platform.num_aps + 1)
+                for k in range(1, platform.vm_count(ap) + 1)]
+        order = tuple(random_topological_order(w, genes))
+        twin = Chromosome(order, tuple(MD_LOCATION if t in on_md else genes.choice(edge)
+                                       for t in order),
+                          tuple(genes.randint(1, 5) for _ in range(n)),
+                          tuple(genes.randint(1, 5) for _ in range(n)))
+        for conf_mode, integ_mode, literal in itertools.product(
+                ServiceMode, ServiceMode, (True, False)):
+            options = EvalOptions(conf_mode, integ_mode, literal)
+            energy = evaluate(c, w, platform, CAT, RISK, options).energy_j
+            twin_energy = evaluate(twin, w, platform, CAT, RISK, options).energy_j
+            assert math.isclose(energy, twin_energy, rel_tol=FLOOR_RTOL), (options, c, twin)
+
+
 class TestViolationAndDeb:
     def test_feasible_point(self):
         res = evaluate(Chromosome((0, 1), (0x01, 0x01), (1, 1), (1, 1)),
@@ -672,12 +706,11 @@ class TestViolationAndDeb:
 
 class TestScheduleDump:
     def test_csv_schema(self, tmp_path):
-        w = md_chain_workflow()
-        c = Chromosome((0, 1), (0x01, 0x01), (1, 1), (1, 1))
-        res = evaluate(c, w, PLATFORM, CAT, RISK)
-        path = tmp_path / "schedule.csv"
-        write_schedule_csv(res, path)
-        lines = path.read_text().strip().splitlines()
+        # ``seeco solve`` writes the decoded timeline; local keeps both tasks on the MD
+        save_workflow(md_chain_workflow(), tmp_path / "chain.json")
+        assert main(["solve", "--workflow", str(tmp_path / "chain.json"), "--strategy",
+                     "local", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "schedule.csv").read_text().strip().splitlines()
         assert lines[0] == "id,ap,vm,start,end,exec,transfer,ecost,decost,risk"
         assert len(lines) == 3
         assert lines[1].startswith("0,0,1,")

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from seeco import ga
 from seeco.baselines import Strategy, StrategyKind, search_setup
+from seeco.cli import main
 from seeco.evaluator import (
     FLOOR_RTOL,
     Chromosome,
@@ -36,7 +37,6 @@ from seeco.ga import (
     mutate_vectors,
     placement_moves,
     run,
-    write_history_csv,
 )
 from seeco.platform import MD_LOCATION, default_platform, encode_location
 from seeco.security import RiskModel, Service, default_catalog
@@ -48,6 +48,7 @@ from seeco.workflow import (
     greedy_witness,
     is_valid_order,
     random_workflow,
+    save_workflow,
     with_deadline,
 )
 
@@ -354,10 +355,11 @@ class TestRun:
     def test_history_csv(self, tmp_path):
         w = random_workflow(5, 0.4, seed=27)
         w = with_deadline(w, 30.0)
-        r = run(w, PLATFORM, CAT, RISK, GaParams(pop_size=6, iterations=3, seed=7))
-        path = tmp_path / "history.csv"
-        write_history_csv(r, path)
-        lines = path.read_text().strip().splitlines()
+        # ``seeco solve`` runs the GA on the saved workflow and writes its history
+        save_workflow(w, tmp_path / "w.json")
+        assert main(["solve", "--workflow", str(tmp_path / "w.json"), "--pop", "6",
+                     "--iters", "3", "--seed", "7", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "history.csv").read_text().strip().splitlines()
         assert lines[0] == "generation,best_energy,best_violation,feasible_count"
         assert len(lines) == 4
 
@@ -845,6 +847,20 @@ class TestParamsValidation:
         params = GaParams(pop_size=3.0, iterations=3.0)
         assert (params.pop_size, params.iterations) == (3, 3)
         assert type(params.pop_size) is type(params.iterations) is int
+
+    @pytest.mark.parametrize("value", [math.nan, 2.5, True, "1"], ids=repr)
+    def test_seed_is_a_whole_number(self, value):
+        # random.Random(nan) seeds from the object's identity: each run would differ
+        with pytest.raises(ValueError, match="expected an integer"):
+            GaParams(seed=value)
+
+    def test_integral_float_seed_reads_as_an_int(self):
+        params = GaParams(pop_size=6, iterations=3, seed=3.0)
+        assert params.seed == 3 and type(params.seed) is int
+        w = with_deadline(random_workflow(5, 0.4, seed=27), 30.0)
+        r = run(w, PLATFORM, CAT, RISK, params)
+        assert len(r.history) == 3  # the GA ran: the seed drove its draws
+        assert r == run(w, PLATFORM, CAT, RISK, GaParams(pop_size=6, iterations=3, seed=3))
 
     def test_elitism_is_not_a_parameter(self):
         # one elite individual per generation, always

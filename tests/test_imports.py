@@ -1,7 +1,9 @@
-"""Every module of the package, the tests and the demos uses each name it imports.
+"""Every module of the package, the tests and the demos uses each name it imports,
+and only the command line writes CSV.
 
-``__init__.py`` files are exempt, since their imports are the package's
-re-exports, and so are ``from __future__`` imports, which bind no name.
+``__init__.py`` files are exempt from the first check, since their imports are
+the package's re-exports, and so are ``from __future__`` imports, which bind no
+name.
 """
 
 import ast
@@ -40,3 +42,19 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_only_the_cli_imports_csv():
+    # the CLI writes every report; the decoder, the GA and the rest do no CSV I/O
+    importers = []
+    for path in sorted(ROOT.glob("src/seeco/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "csv" for m in modules):
+                importers.append(path.name)
+    assert importers == ["cli.py"]

@@ -1,4 +1,4 @@
-"""The platform, catalog, workflow and history writers: their bytes, and what they refuse."""
+"""The platform, catalog, workflow and CLI report writers: their bytes, and what they refuse."""
 
 import hashlib
 import math
@@ -6,7 +6,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seeco.ga import GaParams, run, write_history_csv
+from seeco.cli import main
+from seeco.ga import GaParams, run
 from seeco.platform import (
     AccessPoint,
     MobileDevice,
@@ -52,12 +53,31 @@ PINNED_PLATFORMS = (
 PINNED_MULTI_VM_PLATFORM = "84703498dfa01088"
 PINNED_CATALOG = "3ba2c3366f72621f"
 PINNED_HISTORY = "1632f076f797fbf9"
+# the CLI's reports on ``loose_workflow``, recorded when the decoder and the
+# GA modules still wrote the schedule and history files themselves
+PINNED_SOLVE = {"schedule.csv": "46d5dc168d4b0302", "summary.csv": "5a0cb158721cff7f"}
+PINNED_SWEEP = {"sweep.csv": "04c35dbdb8b6c699", "summary.csv": "7ec3ba6007adbdcb"}
+
+
+def digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def written(tmp_path, write, value) -> str:
     path = tmp_path / "out"
     write(value, path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    return digest(path)
+
+
+@pytest.fixture()
+def loose_workflow(tmp_path):
+    """A 10-task workflow whose deadline is 1.5 times the calibrated one, so
+    the strategies part ways: offloading, levels and risk all vary."""
+    w = random_workflow(10, 0.3, seed=3, risk_cap=0.5)
+    w = with_deadline(w, 1.5 * compute_deadline(w, default_platform(), CAT))
+    path = tmp_path / "loose.json"
+    save_workflow(w, path)
+    return path
 
 
 class TestPinnedBytes:
@@ -82,7 +102,25 @@ class TestPinnedBytes:
         w = with_deadline(w, compute_deadline(w, p, CAT))
         r = run(w, p, CAT, RiskModel(), GaParams(pop_size=10, iterations=15, seed=5))
         assert len(r.history) == 15
-        assert written(tmp_path, write_history_csv, r) == PINNED_HISTORY
+        # ``seeco solve`` runs the same GA on the saved workflow and writes its history
+        save_workflow(w, tmp_path / "w.json")
+        assert main(["solve", "--workflow", str(tmp_path / "w.json"), "--pop", "10",
+                     "--iters", "15", "--seed", "5", "--out", str(tmp_path / "res")]) == 0
+        assert digest(tmp_path / "res" / "history.csv") == PINNED_HISTORY
+
+    def test_solve_reports(self, tmp_path, loose_workflow):
+        out = tmp_path / "res"
+        assert main(["solve", "--workflow", str(loose_workflow), "--pop", "8", "--iters", "5",
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert {name: digest(out / name) for name in PINNED_SOLVE} == PINNED_SOLVE
+
+    def test_sweep_reports(self, tmp_path, loose_workflow):
+        out = tmp_path / "res"
+        assert main(["sweep", "--sweep", "risk_cap", "--range", "0.1:0.5:0.2",
+                     "--workflow", str(loose_workflow),
+                     "--strategies", "local,max,min,confi,integ,seeco", "--seeds", "1,2",
+                     "--pop", "8", "--iters", "5", "--out", str(out)]) == 0
+        assert {name: digest(out / name) for name in PINNED_SWEEP} == PINNED_SWEEP
 
 
 positive = st.floats(0.01, 100.0)
