@@ -47,6 +47,7 @@ from .workflow import (
     GeneratorConfig,
     Task,
     Workflow,
+    canonical_order,
     compute_deadline,
     is_valid_order,
     load_workflow,

@@ -229,9 +229,9 @@ def build_sweep_jobs(
         elif sweep == "lambda":
             rm = replace(risk_model, lambda_conf=float(value), lambda_integ=float(value))
         elif sweep == "servers":
-            plat = default_platform(int(value))
+            plat = default_platform(value)
         elif sweep == "tasks":
-            w = make_workflow(int(value))
+            w = make_workflow(value)
         for strategy in parsed:
             for seed in seeds:
                 jobs.append(SweepJob(

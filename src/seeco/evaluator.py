@@ -36,10 +36,11 @@ and so do :func:`min_cut`, the energy floor under every decode, and
 
 The decoder runs in two passes over those tables.  The order-free pass
 (:func:`order_free_pass`) needs only placements and levels: it maps the
-genes to tasks, finds which tasks' output crosses an access point, and
-takes the risk from their survivals, priced by :func:`seeco.security.survival`.  The
-timing pass (:func:`timing_pass`) then walks the order to fill in start
-times, durations and energy, and returns an :class:`EvaluationResult`,
+genes to tasks and takes the risk from the survivals of the tasks whose
+output crosses an access point, priced by :func:`seeco.security.survival`.
+The timing pass (:func:`timing_pass`) then walks the order to fill in start
+times, durations and energy, finding each crossing edge as it charges its
+transfer, and returns an :class:`EvaluationResult`,
 with the per-task timeline or, without it, only the totals, which are
 bit-identical either way.
 :func:`make_evaluator` chains the two into a full decoder; the GA calls
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .platform import MD_LOCATION, Platform, VmSpec, decode_location, downlink_rate, uplink_rate
+from .platform import MD_LOCATION, Platform, decode_location, downlink_rate, uplink_rate
 from .security import REF_FREQUENCY_GHZ, RiskModel, SecurityCatalog, Service, overhead, survival
 from .workflow import Workflow, is_valid_order
 
@@ -132,19 +133,13 @@ class EvaluationResult(NamedTuple):
 
 
 class Exposure(NamedTuple):
-    """What the order-free pass finds; the lists are indexed by task id."""
+    """What the order-free pass finds, by task id; the timing pass finds crossing edges itself."""
 
     rows: list        # the CostTables.vms row of the VM each task runs on
     aps: list         # the access point each task runs on (0: the MD)
     pairs: list       # each task's level gene pair index into the pair tables
-    crossing: list    # whether some successor of the task sits on another AP
     task_risk: list   # each task's risk: nonzero only for crossing tasks
     risk: float
-
-
-def exec_time(workload_gcycles: float, vm: VmSpec) -> float:
-    """Seconds to run a workload on a VM."""
-    return workload_gcycles / vm.capability_ghz
 
 
 class CostTables(NamedTuple):
@@ -338,7 +333,8 @@ def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], E
     point; it then survives attack with its level pair's ``pair_surv``, made
     of :func:`seeco.security.survival` factors, and the workflow's risk is one
     minus the product of those, in chromosome order.  Placements and levels
-    alone decide this, so the pass never reads the start-time recurrence.
+    alone decide this, so the pass never reads the start-time recurrence.  It
+    stops at a task's first successor on another AP, and records only its risk.
     """
     n = w.n
     succs = [tuple(w.successors(i)) for i in range(n)]
@@ -355,19 +351,17 @@ def order_free_pass(w: Workflow, tables: CostTables) -> Callable[[Chromosome], E
             aps[t] = row[0]
             pairs[t] = cl * stride + il
 
-        crossing = [False] * n
         task_risk = [0.0] * n
         kept = 1.0
         for t in order:
             ap = aps[t]
             for s in succs[t]:
                 if aps[s] != ap:
-                    crossing[t] = True
                     task_survival = pair_surv[pairs[t]]
                     kept *= task_survival
                     task_risk[t] = 1.0 - task_survival
                     break
-        return Exposure(rows, aps, pairs, crossing, task_risk, 1.0 - kept)
+        return Exposure(rows, aps, pairs, task_risk, 1.0 - kept)
 
     return exposure
 
@@ -383,9 +377,10 @@ def timing_pass(
     ``exposure`` is what :func:`order_free_pass` found for ``c``, and fills
     in start times, durations and device energy.  It reads the workflow and
     ``tables`` only: crypto seconds from the pair costs and the decryption
-    core ratio, energy from the MD's powers.  It returns an
-    :class:`EvaluationResult`, whose ``timings`` are ``()`` with
-    ``timeline=False``.  One loop serves both, with the same floating-point
+    core ratio, energy from the MD's powers.  It finds the crossing edges
+    itself: a transfer per successor on another AP, one encryption if any.
+    It returns an :class:`EvaluationResult`, whose ``timings`` are ``()``
+    with ``timeline=False``.  One loop serves both, with the same floating-point
     operations in the same order, so the totals are bit-identical.
     """
     n = w.n
@@ -402,10 +397,10 @@ def timing_pass(
     ratio = tables.dec_ratio
 
     def timed(c: Chromosome, exposure: Exposure) -> EvaluationResult:
-        vm_of, ap_of, pair_of, crossing, task_risk, total_risk = exposure
+        vm_of, ap_of, pair_of, task_risk, total_risk = exposure
         vm_avail = [0.0] * num_vms
         end = [0.0] * n
-        rows: list[TaskTiming] = [TaskTiming(0, 0, 0, 0, 0, 0, 0, 0, 0)] * n
+        rows: list = [None] * n if timeline else []
         energy = 0.0
 
         for t in c.order:
@@ -424,21 +419,21 @@ def timing_pass(
                 energy += md_p_comp * ex
 
             tr = 0.0
-            enc = 0.0
-            if crossing[t]:
-                beta = out_mb[t]
-                rate_out = rate[ap]
-                for s in succs[t]:
-                    s_ap = ap_of[s]
-                    if s_ap == ap:
-                        continue
-                    leg = beta / rate_out[s_ap]
-                    if ap == 0:
-                        energy += md_p_ul * leg
-                    elif s_ap == 0:
-                        energy += md_p_dl * leg
-                    tr += leg
-                enc = beta * pair_cost[pair_of[t]] / denom
+            crosses = False
+            beta = out_mb[t]
+            rate_out = rate[ap]
+            for s in succs[t]:
+                s_ap = ap_of[s]
+                if s_ap == ap:
+                    continue
+                crosses = True
+                leg = beta / rate_out[s_ap]
+                if ap == 0:
+                    energy += md_p_ul * leg
+                elif s_ap == 0:
+                    energy += md_p_dl * leg
+                tr += leg
+            enc = beta * pair_cost[pair_of[t]] / denom if crosses else 0.0
 
             finish = start + dec + ex + tr + enc
             end[t] = finish
@@ -451,7 +446,7 @@ def timing_pass(
         makespan = max(end)
         viol = (makespan - deadline if makespan > deadline else 0.0) + \
                (total_risk - risk_cap if total_risk > risk_cap else 0.0)
-        return EvaluationResult(tuple(rows) if timeline else (), makespan, energy,
+        return EvaluationResult(tuple(rows), makespan, energy,
                                 total_risk, viol, viol == 0.0)
 
     return timed
@@ -471,8 +466,9 @@ def make_evaluator(
     cost model is resolved here once, by :func:`cost_tables`, and each
     call runs :func:`order_free_pass`, then :func:`timing_pass` with the
     timeline.  With ``validate`` each call first checks the chromosome:
-    vectors of one length, a precedence-valid order, endpoints pinned to
-    the MD and every gene in range.  A :class:`Chromosome` is not checked
+    vectors of one length, a precedence-valid order of ``int`` task ids,
+    endpoints pinned to the MD and every gene an ``int`` in range (a
+    ``bool`` is not one).  A :class:`Chromosome` is not checked
     when built, so input from outside the program is checked here;
     ``validate=False`` skips it for callers whose operators keep those
     invariants by construction.
@@ -492,6 +488,9 @@ def make_evaluator(
         if validate:
             if any(len(v) != len(c.order) for v in c):
                 raise ValueError("all chromosome vectors must have the same length")
+            for t in c.order:
+                if type(t) is not int:
+                    raise ValueError(f"order entry {t!r} is not an int task id")
             if not is_valid_order(w, c.order):
                 raise ValueError("chromosome order violates precedence")
             if c.locations[0] != MD_LOCATION or c.locations[n - 1] != MD_LOCATION:
@@ -499,8 +498,8 @@ def make_evaluator(
                     "entry and exit placement genes must be pinned to the MD (0x01)")
             for vector, what, lo, hi in gene_ranges:
                 for gene in getattr(c, vector):
-                    if not lo <= gene <= hi:
-                        raise ValueError(f"{what} {gene} outside {lo}..{hi}")
+                    if type(gene) is not int or not lo <= gene <= hi:
+                        raise ValueError(f"{what} {gene!r} is not an int in {lo}..{hi}")
         return timed(c, exposure(c))
 
     return engine

@@ -76,7 +76,7 @@ from .evaluator import (
     timing_pass,
 )
 from .platform import MD_LOCATION, Platform, encode_location, exact_int, finite_fields
-from .security import RiskModel, SecurityCatalog, Service, default_catalog
+from .security import RiskModel, SecurityCatalog, Service
 from .workflow import Workflow, greedy_witness
 
 
@@ -163,9 +163,6 @@ class GeneConstraints:
         return Chromosome(c.order, loc, conf, integ)
 
 
-DEFAULT_CONSTRAINTS = GeneConstraints.from_catalog(default_catalog())
-
-
 @dataclass(frozen=True)
 class GenerationStats:
     generation: int
@@ -229,26 +226,19 @@ def init_order(w: Workflow, rng: random.Random) -> list[int]:
     return order
 
 
-def init_vectors(
-    w: Workflow,
-    rng: random.Random,
-    constraints: GeneConstraints = DEFAULT_CONSTRAINTS,
-) -> tuple[list[int], list[int], list[int]]:
-    """Random placement bytes and level genes; endpoints pinned to the MD."""
+def init_chromosome(w: Workflow, rng: random.Random,
+                    constraints: GeneConstraints) -> Chromosome:
+    """A random order (:func:`init_order`), then random placement bytes with the
+    endpoints pinned to the MD, then the confidentiality and the integrity level
+    genes, drawn in that sequence."""
+    order = init_order(w, rng)
     n = w.n
     loc = [MD_LOCATION] * n
     for i in range(1, n - 1):
         loc[i] = rng.randint(0x01, 0xFF)
-    conf = [constraints.draw_conf(rng) for _ in range(n)]
-    integ = [constraints.draw_integ(rng) for _ in range(n)]
-    return loc, conf, integ
-
-
-def init_chromosome(w: Workflow, rng: random.Random,
-                    constraints: GeneConstraints = DEFAULT_CONSTRAINTS) -> Chromosome:
-    order = init_order(w, rng)
-    loc, conf, integ = init_vectors(w, rng, constraints)
-    return Chromosome(tuple(order), tuple(loc), tuple(conf), tuple(integ))
+    conf = tuple(constraints.draw_conf(rng) for _ in range(n))
+    integ = tuple(constraints.draw_integ(rng) for _ in range(n))
+    return Chromosome(tuple(order), tuple(loc), conf, integ)
 
 
 def crossover_order(
@@ -326,11 +316,8 @@ def mutate_order(
     return out
 
 
-def mutate_vectors(
-    c: Chromosome,
-    rng: random.Random,
-    constraints: GeneConstraints = DEFAULT_CONSTRAINTS,
-) -> Chromosome:
+def mutate_vectors(c: Chromosome, rng: random.Random,
+                   constraints: GeneConstraints) -> Chromosome:
     """Replace one interior placement byte and one level gene per service."""
     n = len(c.order)
     if n < 3:

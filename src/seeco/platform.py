@@ -211,8 +211,9 @@ def default_platform(num_servers: int = 3) -> Platform:
 
     Server specs cycle through the three-entry template, so platforms of
     different sizes nest: the first k servers are identical across any
-    two platforms with >= k servers.
+    two platforms with >= k servers.  ``num_servers`` is read by :func:`exact_int`.
     """
+    num_servers = exact_int(num_servers, "default_platform num_servers")
     if num_servers < 0:
         raise ValueError(f"server count must be >= 0, got {num_servers}")
     md = MobileDevice(

@@ -136,21 +136,6 @@ class RiskModel:
             raise ValueError(f"attack rates must be non-negative, got {self}")
 
 
-def level_from_cost(cost_s: float, slowest_cost_s: float) -> float:
-    """Strength level of an algorithm relative to its service's slowest one.
-
-    Levels are proportional to reference cost; the slowest algorithm
-    (``cost_s == slowest_cost_s``) defines level 1.0.
-    """
-    if cost_s <= 0.0 or slowest_cost_s <= 0.0:
-        raise ValueError("costs must be positive")
-    if cost_s > slowest_cost_s:
-        raise ValueError(
-            f"cost {cost_s} exceeds the slowest cost {slowest_cost_s}; "
-            "the slowest algorithm defines level 1.0")
-    return cost_s / slowest_cost_s
-
-
 def overhead(alg: CryptoAlgorithm, cores: int, frequency_ghz: float, data_mb: float) -> float:
     """Seconds to run ``alg`` over ``data_mb`` on a machine with the given CPU.
 

@@ -208,8 +208,11 @@ def random_workflow(
     Each forward pair (i, j), i < j, becomes an edge with probability
     ``density``; nodes left without predecessors are then wired to the
     entry and nodes without successors to the exit.  The deadline is
-    +inf; callers normally fill it via :func:`compute_deadline`.
+    +inf; callers normally fill it via :func:`compute_deadline`.  ``n`` and
+    ``seed`` are read by :func:`seeco.platform.exact_int`.
     """
+    n = exact_int(n, "random_workflow n")
+    seed = exact_int(seed, "random_workflow seed")
     if n < 2:
         raise ValueError(f"random workflows need n >= 2, got {n}")
     if not 0.0 <= density <= 1.0:

@@ -28,12 +28,12 @@ from seeco.evaluator import (
     Chromosome,
     cost_tables,
     evaluate,
-    exec_time,
     make_evaluator,
     min_cut,
 )
 from seeco.ga import (
     GaParams,
+    GeneConstraints,
     crossover_order,
     crossover_vectors,
     init_chromosome,
@@ -49,7 +49,6 @@ from seeco.security import (
     SecurityCatalog,
     Service,
     default_catalog,
-    level_from_cost,
     overhead,
 )
 from seeco.workflow import (
@@ -91,12 +90,11 @@ def test_01_table_levels_reproduced():
             algs = CAT.algorithms(service)
             slowest_cost = max(a.ref_cost_s for a in algs)
             for alg in algs:
-                recomputed = level_from_cost(alg.ref_cost_s, slowest_cost)
+                recomputed = alg.ref_cost_s / slowest_cost
                 assert recomputed == pytest.approx(alg.level, abs=0.01), alg.name
         ripemd128 = CAT.algorithm(Service.INTEGRITY, 4)
         assert ripemd128.name == "RipeMD128"
-        assert level_from_cost(ripemd128.ref_cost_s, 100 / 75.76) == pytest.approx(
-            0.63, abs=0.01)
+        assert ripemd128.ref_cost_s / (100 / 75.76) == pytest.approx(0.63, abs=0.01)
 
 
 def test_02_reference_point_costs():
@@ -173,6 +171,7 @@ def test_05_operator_validity_10k():
         rng = random.Random(5005)
         pool = [random_workflow(rng.randint(4, 30), rng.uniform(0.1, 0.6), seed=i)
                 for i in range(100)]
+        cons = GeneConstraints.from_catalog(CAT)
 
         def check(w, c):
             assert is_valid_order(w, list(c.order))
@@ -186,7 +185,7 @@ def test_05_operator_validity_10k():
             order = init_order(w, rng)
             assert is_valid_order(w, order) and order[0] == 0
             # order crossover
-            a, b = init_chromosome(w, rng), init_chromosome(w, rng)
+            a, b = init_chromosome(w, rng, cons), init_chromosome(w, rng, cons)
             o1, o2 = crossover_order(a.order, b.order, rng)
             assert is_valid_order(w, o1) and is_valid_order(w, o2)
             # vector crossover
@@ -195,7 +194,7 @@ def test_05_operator_validity_10k():
             # order mutation
             assert is_valid_order(w, mutate_order(a.order, w, rng))
             # vector mutation
-            check(w, mutate_vectors(a, rng))
+            check(w, mutate_vectors(a, rng, cons))
 
 
 def _two_level_catalog() -> SecurityCatalog:
@@ -300,7 +299,7 @@ def test_07_baseline_identities():
 
         res_local = solve_detailed(Strategy(StrategyKind.LOCAL), w, PLATFORM, CAT, RISK).result
         closed_form = PLATFORM.md.p_comp_w * sum(
-            exec_time(t.workload_gcycles, PLATFORM.md.vm) for t in w.tasks)
+            t.workload_gcycles / PLATFORM.md.vm.capability_ghz for t in w.tasks)
         assert res_local.energy_j == pytest.approx(closed_form, rel=1e-12)
 
         res_min = solve_detailed(Strategy(StrategyKind.MIN_LEVEL), w, PLATFORM, CAT,

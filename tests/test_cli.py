@@ -458,6 +458,27 @@ class TestSweepMachinery:
         assert jobs[0].risk_model.lambda_integ == 0.5
         assert jobs[1].risk_model.lambda_conf == 1.0
 
+    @pytest.mark.parametrize("sweep, value", [("servers", 1.5), ("tasks", 10.7)])
+    def test_fractional_counts_are_refused(self, sweep, value):
+        # before, the rows said 1.5 servers of a 1-server platform, 10.7 tasks of 10
+        with pytest.raises(ValueError, match="expected an integer"):
+            build_sweep_jobs(
+                sweep=sweep, values=[value], strategies=["local"], seeds=[1],
+                base_params=GaParams(pop_size=6, iterations=2), workflow=None,
+                platform=None, risk_model=RiskModel(), gen_cfg=GeneratorConfig(),
+                density=0.3, workflow_seed=1, risk_cap=0.5, tasks=5)
+
+    @pytest.mark.parametrize("sweep", ["servers", "tasks"])
+    def test_integral_float_counts_act_as_ints(self, sweep):
+        def job(value):
+            return build_sweep_jobs(
+                sweep=sweep, values=[value], strategies=["local"], seeds=[1],
+                base_params=GaParams(pop_size=6, iterations=2), workflow=None,
+                platform=None, risk_model=RiskModel(), gen_cfg=GeneratorConfig(),
+                density=0.3, workflow_seed=1, risk_cap=0.5, tasks=5)[0]
+        got, want = job(2.0), job(2)
+        assert (got.workflow, got.platform) == (want.workflow, want.platform)
+
     def test_summarize_means(self):
         rows = [
             {"sweep": "x", "value": 1, "strategy": "s", "seed": 1, "energy": 2.0,

@@ -18,7 +18,6 @@ from seeco.evaluator import (
     cost_tables,
     deb_key,
     evaluate,
-    exec_time,
     make_evaluator,
     min_cut,
     order_free_pass,
@@ -166,17 +165,6 @@ class TestSecurityCosts:
         with_ratio = decode_chain(*chain)[2].decrypt_cost
         without = decode_chain(*chain, EvalOptions(decrypt_producer_core_ratio=False))
         assert without[2].decrypt_cost == pytest.approx(with_ratio * 2, rel=1e-12)
-
-
-class TestExecTime:
-    def test_unit(self):
-        assert exec_time(2.36, VmSpec(2.36, 1, 2.36)) == pytest.approx(1.0)
-
-    def test_zero_workload(self):
-        assert exec_time(0.0, VmSpec(1.0, 1, 1.0)) == 0.0
-
-    def test_reference_vm(self):
-        assert exec_time(3.1, VmSpec(3.1, 8, 3.1)) == pytest.approx(1.0)
 
 
 def md_chain_workflow():
@@ -372,6 +360,25 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="level gene"):
             evaluate(c, w, PLATFORM, CAT, RISK)
 
+    @pytest.mark.parametrize("vector, what", [
+        (1, "placement gene"), (2, "confidentiality level gene"),
+        (3, "integrity level gene")])
+    @pytest.mark.parametrize("gene", [True, 1.5, 1.0])
+    def test_rejects_a_gene_that_is_not_an_int(self, vector, what, gene):
+        # an all-MD chromosome: its level genes are never read, and True reads as byte 1
+        w = Workflow(tasks=tuple(Task(i, 10.0, 10.0, 2.36) for i in range(4)),
+                     edges=((0, 1), (0, 2), (1, 3), (2, 3)), deadline_s=10.0, risk_cap=0.5)
+        genes = [(0, 1, 2, 3), (0x01,) * 4, (1,) * 4, (1,) * 4]
+        genes[vector] = (1, gene, 1, 1)
+        with pytest.raises(ValueError, match=f"^{what} {gene!r} is not an int"):
+            evaluate(Chromosome(*genes), w, PLATFORM, CAT, RISK)
+
+    @pytest.mark.parametrize("order", [(0, True), (0, 1.0), (0.0, 1)])
+    def test_rejects_an_order_entry_that_is_not_an_int(self, order):
+        with pytest.raises(ValueError, match="^order entry .* is not an int task id"):
+            evaluate(Chromosome(order, (0x01, 0x01), (1, 1), (1, 1)),
+                     md_chain_workflow(), PLATFORM, CAT, RISK)
+
     @pytest.mark.parametrize("byte", [-1, 0, 0x100])
     def test_rejects_interior_placement_gene_outside_a_byte(self, byte):
         w = Workflow(tasks=tuple(Task(i, 10.0, 10.0, 2.36) for i in range(3)),
@@ -460,7 +467,8 @@ class TestStrongestMode:
 
 
 class TestOrderFreePass:
-    """The order-free pass alone finds the full decode's risk and at-risk tasks."""
+    """The order-free pass alone finds the full decode's risk and at-risk tasks, and
+    the timing pass charges a transfer exactly to the tasks whose output crosses."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 9), density=st.floats(0.1, 0.8), seed=st.integers(0, 10**6),
@@ -478,11 +486,12 @@ class TestOrderFreePass:
                 found, res = exposure(c), full(c)
                 assert found.risk == res.risk
                 assert found.task_risk == [row.risk for row in res.timings]
-                # a task crosses when some successor sits on another access point
+                # a task crosses when some successor sits on another access point;
+                # payloads are >= 5 MB and every rate is finite, so its transfer is > 0
                 ap = {t: decode_location(byte, platform)[0]
                       for t, byte in zip(c.order, c.locations)}
-                assert found.crossing == [any(ap[s] != ap[t] for s in w.successors(t))
-                                          for t in range(n)]
+                assert [row.transfer > 0.0 for row in res.timings] == [
+                    any(ap[s] != ap[t] for s in w.successors(t)) for t in range(n)]
                 ref = reference_evaluate(
                     c, w, platform, CAT, RISK, conf_mode=options.conf_mode.value,
                     integ_mode=options.integ_mode.value,

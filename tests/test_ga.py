@@ -31,7 +31,6 @@ from seeco.ga import (
     crossover_vectors,
     init_chromosome,
     init_order,
-    init_vectors,
     make_deadline_repair,
     mutate_order,
     mutate_vectors,
@@ -55,6 +54,7 @@ from seeco.workflow import (
 CAT = default_catalog()
 RISK = RiskModel()
 PLATFORM = default_platform()
+CONSTRAINTS = GeneConstraints.from_catalog(CAT)
 STRONGEST = (CAT.strongest_id(Service.CONFIDENTIALITY), CAT.strongest_id(Service.INTEGRITY))
 GA_KINDS = [k for k in StrategyKind if k is not StrategyKind.LOCAL]
 
@@ -122,25 +122,25 @@ class TestInitOrder:
         assert fast.random() == slow.random()  # the same draws were consumed
 
 
-class TestInitVectors:
+class TestInitChromosome:
     def test_endpoints_pinned(self):
         rng = random.Random(4)
         for _ in range(50):
-            loc, _, _ = init_vectors(random_workflow(6, 0.4, seed=7), rng)
+            _, loc, _, _ = init_chromosome(random_workflow(6, 0.4, seed=7), rng, CONSTRAINTS)
             assert loc[0] == MD_LOCATION and loc[-1] == MD_LOCATION
 
     def test_gene_ranges(self):
         rng = random.Random(5)
         w = random_workflow(10, 0.4, seed=8)
         for _ in range(200):
-            loc, conf, integ = init_vectors(w, rng)
+            _, loc, conf, integ = init_chromosome(w, rng, CONSTRAINTS)
             assert all(0x01 <= b <= 0xFF for b in loc)
             assert all(1 <= v <= 5 for v in conf + integ)
 
     def test_interior_loc_coverage(self):
         rng = random.Random(6)
         w = random_workflow(3, 0.5, seed=9)
-        seen = {init_vectors(w, rng)[0][1] for _ in range(10_000)}
+        seen = {init_chromosome(w, rng, CONSTRAINTS).locations[1] for _ in range(10_000)}
         assert seen == set(range(0x01, 0x100))
 
     def test_fixed_levels(self):
@@ -149,7 +149,7 @@ class TestInitVectors:
         cons = GeneConstraints.from_catalog(CAT, modes)
         conf_seen, integ_seen = set(), set()
         for _ in range(50):
-            _, conf, integ = init_vectors(random_workflow(8, 0.4, seed=3), rng, cons)
+            _, _, conf, integ = init_chromosome(random_workflow(8, 0.4, seed=3), rng, cons)
             conf_seen.update(conf)
             integ_seen.update(integ)
         assert conf_seen == {STRONGEST[0]}
@@ -208,8 +208,8 @@ class TestCrossoverVectors:
         rng = random.Random(11)
         w = random_workflow(9, 0.4, seed=2)
         for _ in range(100):
-            a = init_chromosome(w, rng)
-            b = init_chromosome(w, rng)
+            a = init_chromosome(w, rng, CONSTRAINTS)
+            b = init_chromosome(w, rng, CONSTRAINTS)
             for child in crossover_vectors(a, b, rng):
                 assert child.locations[0] == MD_LOCATION
                 assert child.locations[-1] == MD_LOCATION
@@ -247,26 +247,27 @@ class TestMutateVectors:
     def test_endpoints_never_touched(self):
         rng = random.Random(15)
         w = random_workflow(6, 0.4, seed=4)
-        c = init_chromosome(w, rng)
+        c = init_chromosome(w, rng, CONSTRAINTS)
         for _ in range(200):
-            m = mutate_vectors(c, rng)
+            m = mutate_vectors(c, rng, CONSTRAINTS)
             assert m.locations[0] == MD_LOCATION and m.locations[-1] == MD_LOCATION
             assert m.order == c.order
 
     def test_new_genes_in_range(self):
         rng = random.Random(16)
         w = random_workflow(6, 0.4, seed=4)
-        c = init_chromosome(w, rng)
+        c = init_chromosome(w, rng, CONSTRAINTS)
         for _ in range(200):
-            m = mutate_vectors(c, rng)
+            m = mutate_vectors(c, rng, CONSTRAINTS)
             assert all(0x01 <= b <= 0xFF for b in m.locations)
             assert all(1 <= v <= 5 for v in m.conf_levels + m.integ_levels)
 
     def test_level_draw_uniform_chi_square(self):
         rng = random.Random(17)
         w = random_workflow(3, 0.5, seed=4)
-        c = init_chromosome(w, rng)
-        counts = Counter(mutate_vectors(c, rng).conf_levels[1] for _ in range(10_000))
+        c = init_chromosome(w, rng, CONSTRAINTS)
+        counts = Counter(mutate_vectors(c, rng, CONSTRAINTS).conf_levels[1]
+                         for _ in range(10_000))
         expected = 10_000 / 5
         chi2 = sum((counts[v] - expected) ** 2 / expected for v in range(1, 6))
         assert chi2 < 9.488  # 5% critical value, 4 degrees of freedom
@@ -829,7 +830,7 @@ class TestGeneFreezes:
                 make()
         with pytest.raises(TypeError):
             run(with_deadline(chain(5), 50.0), PLATFORM, CAT, RISK,
-                GaParams(pop_size=4, iterations=1), constraints=ga.DEFAULT_CONSTRAINTS)
+                GaParams(pop_size=4, iterations=1), constraints=CONSTRAINTS)
 
 
 class TestParamsValidation:

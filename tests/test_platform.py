@@ -80,6 +80,14 @@ class TestDefaults:
     def test_zero_servers(self):
         assert default_platform(0).num_aps == 0
 
+    @pytest.mark.parametrize("servers", [1.5, True, math.nan, "2"])
+    def test_server_count_is_a_whole_number(self, servers):
+        with pytest.raises(ValueError, match="expected an integer"):
+            default_platform(servers)
+
+    def test_integral_float_server_count_reads_as_an_int(self):
+        assert default_platform(2.0) == default_platform(2)
+
 
 class TestDecodeLocation:
     def test_md_byte(self):

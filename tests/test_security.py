@@ -12,7 +12,6 @@ from seeco.security import (
     SecurityCatalog,
     Service,
     default_catalog,
-    level_from_cost,
     load_catalog,
     overhead,
     save_catalog,
@@ -23,21 +22,6 @@ from seeco.workflow import random_workflow
 CAT = default_catalog()
 IDEA = CAT.algorithm(Service.CONFIDENTIALITY, 1)
 RC4 = CAT.algorithm(Service.CONFIDENTIALITY, 5)
-
-
-class TestLevelFromCost:
-    def test_des_level(self):
-        assert level_from_cost(7.23, 8.50) == pytest.approx(0.85, abs=0.01)
-
-    def test_slowest_is_one(self):
-        assert level_from_cost(8.50, 8.50) == 1.0
-
-    def test_md5_level(self):
-        assert level_from_cost(0.58, 1.32) == pytest.approx(0.44, abs=0.01)
-
-    def test_rejects_cost_above_slowest(self):
-        with pytest.raises(ValueError):
-            level_from_cost(9.0, 8.50)
 
 
 class TestOverhead:
@@ -241,5 +225,5 @@ class TestLevelReconstruction:
             slowest = min(algs, key=lambda a: a.speed_mb_s)
             for alg in algs:
                 cost = overhead(alg, 1, 2.2, 100.0)
-                recomputed = level_from_cost(cost, overhead(slowest, 1, 2.2, 100.0))
+                recomputed = cost / overhead(slowest, 1, 2.2, 100.0)
                 assert recomputed == pytest.approx(alg.level, abs=0.01)

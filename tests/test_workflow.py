@@ -339,6 +339,17 @@ class TestGenerator:
         with pytest.raises(ValueError):
             random_workflow(1, 0.5)
 
+    @pytest.mark.parametrize("n, seed", [
+        (6.5, 3), (True, 3), (math.inf, 3),
+        (6, math.nan), (6, 2.5), (6, True), (6, "3")])
+    def test_count_and_seed_are_whole_numbers(self, n, seed):
+        # a NaN seed would seed the stream from the object's identity
+        with pytest.raises(ValueError, match="expected an integer"):
+            random_workflow(n, 0.4, seed=seed)
+
+    def test_integral_floats_read_as_ints(self):
+        assert random_workflow(6.0, 0.4, seed=3.0) == random_workflow(6, 0.4, seed=3)
+
     @pytest.mark.parametrize("data, load", [
         ((5.0, math.inf), (1.0, 10.0)),
         ((5.0, 50.0), (1.0, math.inf)),
